@@ -10,6 +10,7 @@ degrees, multiplicities, and dimensions.
 from __future__ import annotations
 
 import argparse
+from itertools import groupby
 
 from glinv import MatrixContext, betti_polynomial, betti_table, dim_term
 
@@ -31,10 +32,10 @@ def main(argv: list[str] | None = None) -> int:
     print()
     print(tab.render())
     print()
-    for i, sub in bp.by_homological_index().items():
+    for i, group in groupby(bp.items(), key=lambda it: it[0]):
         beta = tab.total(i)
         print(f"index {i} (beta = {beta}):")
-        for _, term in sub.items():
+        for _, term in group:
             wm = ",".join(map(str, term.wm))
             wn = ",".join(map(str, term.wn))
             dim = dim_term(term, ctx.m, ctx.n)

@@ -8,7 +8,7 @@ multiplicity tables, and equivariant Betti numbers, all in exact integer
 arithmetic.
 """
 
-from .betti import BettiPolynomial, BettiTable, betti_polynomial, betti_table, h_rect
+from .betti import BettiTable, betti_polynomial, betti_table, h_rect
 from .homology import (
     DegreeWindow,
     ExtComponent,
@@ -19,7 +19,6 @@ from .homology import (
     ext_map_analysis,
     ext_min_degree,
     ext_quotient,
-    modules_of,
     regularity,
     saturation_filter,
     zset,
@@ -63,10 +62,10 @@ from .schur import EquivariantCharacter, IrredTerm, dim_schur, dim_term, ssyt_co
 __version__ = "0.1.0"
 
 __all__ = [
-    "BettiPolynomial", "BettiTable", "betti_polynomial", "betti_table", "h_rect",
+    "BettiTable", "betti_polynomial", "betti_table", "h_rect",
     "DegreeWindow", "ExtComponent", "ZPair", "attainable_indices",
     "ext_components", "ext_jzl", "ext_map_analysis", "ext_min_degree",
-    "ext_quotient", "modules_of", "regularity", "saturation_filter", "zset",
+    "ext_quotient", "regularity", "saturation_filter", "zset",
     "zset_of_generators", "zset_power_closed", "run_golden_checks",
     "InvariantIdeal", "MatrixContext", "generator_degree", "ideal_leq",
     "make_ideal", "power_of_minors", "saturate", "saturated_power",

@@ -17,36 +17,8 @@ from .partitions import attach, conjugate, enumerate_in_box, qbinomial, size
 from .schur import EquivariantCharacter, dim_term
 
 
-class BettiPolynomial:
-    """Character of a resolution, grouped by homological index."""
-
-    __slots__ = ("_char",)
-
-    def __init__(self, character: EquivariantCharacter):
-        self._char = character
-
-    @property
-    def character(self) -> EquivariantCharacter:
-        return self._char
-
-    def indices(self) -> list[int]:
-        return self._char.indices()
-
-    def by_homological_index(self) -> dict[int, EquivariantCharacter]:
-        return {i: self._char.at_index(i) for i in self._char.indices()}
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BettiPolynomial) and self._char == other._char
-
-    def __bool__(self) -> bool:
-        return bool(self._char)
-
-    def __repr__(self) -> str:
-        return f"BettiPolynomial(indices={self.indices()})"
-
-
-def h_rect(ctx: MatrixContext, r: int, s: int) -> BettiPolynomial:
-    """Rectangle block h_{r x s}.
+def h_rect(ctx: MatrixContext, r: int, s: int) -> EquivariantCharacter:
+    """Rectangle block h_{r x s}, as a character keyed by the exponent k.
 
     One term per pair (alpha, beta) with alpha inside the min(r,s) x (n-r)
     box and beta inside the (m-r) x min(r,s) box. The pair sits at exponent
@@ -70,11 +42,12 @@ def h_rect(ctx: MatrixContext, r: int, s: int) -> BettiPolynomial:
                 attach(r, s, conjugate(beta), conjugate(alpha)),
                 r * s + k,
             )
-    return BettiPolynomial(ch)
+    return ch
 
 
-def betti_polynomial(ctx: MatrixContext, a: int, b: int) -> BettiPolynomial:
-    """Equivariant Betti polynomial of the b-th powers of the a x a minors.
+def betti_polynomial(ctx: MatrixContext, a: int, b: int) -> EquivariantCharacter:
+    """Equivariant Betti polynomial of the b-th powers of the a x a minors,
+    as a character keyed by homological index.
 
     Sum over t = 0..n-a of the block for the (a+t) x (b+t) rectangle, with
     every block exponent k landing at homological index k + t^2 + 2t + 2u
@@ -89,13 +62,13 @@ def betti_polynomial(ctx: MatrixContext, a: int, b: int) -> BettiPolynomial:
     out = EquivariantCharacter()
     for t in range(n - a + 1):
         gauss = qbinomial(t + min(a, b) - 1, t).subst_power(2)
-        block = h_rect(ctx, a + t, b + t).character
+        block = h_rect(ctx, a + t, b + t)
         base = t * t + 2 * t
         for e, gmult in gauss.items():
             for k, term in block.items():
                 out.add(k + base + e, term.wm, term.wn, term.degree,
                         term.multiplicity * gmult)
-    return BettiPolynomial(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -144,10 +117,10 @@ class BettiTable:
         )
 
 
-def betti_table(bp: BettiPolynomial, ctx: MatrixContext) -> BettiTable:
+def betti_table(bp: EquivariantCharacter, ctx: MatrixContext) -> BettiTable:
     """Flatten an equivariant Betti polynomial to numeric Betti numbers."""
     entries: dict[tuple[int, int], int] = {}
-    for i, term in bp.character.items():
+    for i, term in bp.items():
         key = (i, term.degree)
         entries[key] = entries.get(key, 0) + dim_term(term, ctx.m, ctx.n)
     return BettiTable(dict(sorted(entries.items())))

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
+from itertools import groupby
 from typing import Iterable
 
 from .betti import betti_polynomial, betti_table
@@ -55,11 +55,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _thread_cap()
         handler = args.handler
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except AttributeError:
         parser.print_help()
         return 2
@@ -74,22 +70,6 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _thread_cap() -> int:
-    """Validated INVARIANTS_THREADS value; the engines are single threaded
-    and deterministic, so the cap is accepted for compatibility and any
-    positive value leaves results unchanged."""
-    raw = os.environ.get("INVARIANTS_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise UsageError(f"INVARIANTS_THREADS must be a positive integer, got {raw!r}") from None
-    if cap < 1:
-        raise UsageError(f"INVARIANTS_THREADS must be a positive integer, got {raw!r}")
-    return cap
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -198,28 +178,59 @@ def _context(m: int, n: int) -> MatrixContext:
     return MatrixContext(m, n)
 
 
+def _is_int(value) -> bool:
+    """JSON integer: an int that is not a bool (json reads true as True)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_list(data, what: str) -> list:
+    """data itself if it is a list of JSON integers; a domain error otherwise,
+    so that 2.7 or true is never coerced by a later int()."""
+    if not isinstance(data, list):
+        raise ValueError(f"{what} must be a JSON list of integers")
+    for v in data:
+        if not _is_int(v):
+            raise ValueError(f"{what} must hold integers only, got {json.dumps(v)}")
+    return data
+
+
+def _check_gens(data) -> list:
+    if not isinstance(data, list):
+        raise ValueError("generators must be a JSON list of integer lists")
+    for g in data:
+        _int_list(g, "each generator")
+    return data
+
+
 def _parse_gens(text: str):
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"generators are not valid JSON: {exc}") from None
-    if not isinstance(data, list) or not all(isinstance(g, list) for g in data):
-        raise ValueError("generators must be a JSON list of integer lists")
-    return data
+    return _check_gens(data)
+
+
+def _read_ideal_file(path: str):
+    if path == "-":
+        return json.load(sys.stdin)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read ideal file {path}: {exc.strerror}") from None
 
 
 def _resolve_ideal(args) -> InvariantIdeal:
     if args.infile:
-        if args.infile == "-":
-            data = json.load(sys.stdin)
-        else:
-            with open(args.infile) as fh:
-                data = json.load(fh)
+        data = _read_ideal_file(args.infile)
         try:
-            m, n, gens = int(data["m"]), int(data["n"]), data["gens"]
+            m, n, gens = data["m"], data["n"], data["gens"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"ideal file must carry keys m, n, gens: {exc}") from None
-        return make_ideal(_context(m, n), gens)
+        if not (_is_int(m) and _is_int(n)):
+            raise ValueError("ideal file keys m and n must be integers, "
+                             f"got {json.dumps(m)} and {json.dumps(n)}")
+        return make_ideal(_context(m, n), _check_gens(gens))
     if args.m is None or args.n is None:
         raise UsageError("need -m and -n (or --in FILE)")
     ctx = _context(args.m, args.n)
@@ -343,16 +354,21 @@ def _parse_window(text: str) -> DegreeWindow:
     return DegreeWindow(int(match.group(1)), int(match.group(2)))
 
 
+def _by_index(ch: EquivariantCharacter):
+    """(index, terms) groups of ch in one pass, indices ascending."""
+    for j, group in groupby(ch.items(), key=lambda it: it[0]):
+        yield j, [term for _, term in group]
+
+
+def _term_json(term) -> dict:
+    return {"wm": list(term.wm), "wn": list(term.wn),
+            "deg": term.degree, "mult": term.multiplicity}
+
+
 def _character_json(ch: EquivariantCharacter, window: DegreeWindow) -> list[dict]:
-    out = []
-    for j in ch.indices():
-        terms = [
-            {"wm": list(term.wm), "wn": list(term.wn),
-             "deg": term.degree, "mult": term.multiplicity}
-            for _, term in ch.at_index(j).items()
-        ]
-        out.append({"j": j, "terms": terms, "window": [window.lo, window.hi]})
-    return out
+    return [{"j": j, "terms": [_term_json(term) for term in terms],
+             "window": [window.lo, window.hi]}
+            for j, terms in _by_index(ch)]
 
 
 def _print_character(ch: EquivariantCharacter, window: DegreeWindow, fmt: str,
@@ -364,9 +380,9 @@ def _print_character(ch: EquivariantCharacter, window: DegreeWindow, fmt: str,
     if not ch:
         print("no terms in the window")
         return
-    for j in ch.indices():
+    for j, terms in _by_index(ch):
         print(f"{index_label}^{j}:")
-        for _, term in ch.at_index(j).items():
+        for term in terms:
             wm = ",".join(map(str, term.wm))
             wn = ",".join(map(str, term.wn))
             print(f"  deg {term.degree}  mult {term.multiplicity}  "
@@ -430,14 +446,8 @@ def _cmd_betti(args) -> int:
     ctx = _context(args.m, args.n)
     bp = betti_polynomial(ctx, args.a, args.b)
     if args.format == "json":
-        payload = {
-            str(i): [
-                {"wm": list(term.wm), "wn": list(term.wn),
-                 "deg": term.degree, "mult": term.multiplicity}
-                for _, term in sub.items()
-            ]
-            for i, sub in bp.by_homological_index().items()
-        }
+        payload = {str(i): [_term_json(term) for term in terms]
+                   for i, terms in _by_index(bp)}
         _emit_json({"m": ctx.m, "n": ctx.n, "a": args.a, "b": args.b,
                     "by_homological_index": payload})
         return 0
@@ -457,8 +467,7 @@ def _cmd_schurdim(args) -> int:
         weight = json.loads(args.weight)
     except json.JSONDecodeError as exc:
         raise ValueError(f"weight is not valid JSON: {exc}") from None
-    if not isinstance(weight, list):
-        raise ValueError("weight must be a JSON list of integers")
+    _int_list(weight, "weight")
     dim = dim_schur(dominant_weight(weight), args.N)
     if args.format == "json":
         _emit_json({"N": args.N, "weight": list(dominant_weight(weight)), "dim": dim})

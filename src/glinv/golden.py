@@ -238,7 +238,7 @@ def check_ds_one_column() -> None:
 
 def check_h_rect() -> None:
     ctx = MatrixContext(3, 3)
-    h22 = h_rect(ctx, 2, 2).character
+    h22 = h_rect(ctx, 2, 2)
     want = [
         (0, (2, 2), (2, 2)),
         (1, (3, 2), (2, 2, 1)),
@@ -254,7 +254,7 @@ def check_h_rect() -> None:
     _eq(sorted(got), sorted(want), "terms of the 2x2 rectangle block, 3x3 matrix")
     for k, term in h22.items():
         _eq(term.degree, 4 + k, "degree of a 2x2 rectangle block term")
-    h33 = h_rect(ctx, 3, 3).character
+    h33 = h_rect(ctx, 3, 3)
     _eq([(k, term.wm, term.wn, term.degree) for k, term in h33.items()],
         [(0, (3, 3, 3), (3, 3, 3), 9)], "the 3x3 rectangle block, 3x3 matrix")
 

@@ -7,9 +7,9 @@ over the pairs attached to I. Each Ext(J_{z,l}, S) decomposes into explicit
 irreducible summands indexed by an integer s and a weakly increasing tuple t,
 which is what the engine below enumerates.
 
-Degrees of Ext classes are unbounded below, so character queries take a
-closed degree window; minimal degrees and regularity are computed exactly
-without windows.
+Degrees of Ext classes are bounded below and unbounded above, so character
+queries take a closed degree window; minimal degrees (ext_min_degree) and
+regularity are computed exactly without windows.
 """
 
 from __future__ import annotations
@@ -135,11 +135,6 @@ def _column_height(x: Parts, c: int) -> int:
 def zset(a: InvariantIdeal) -> frozenset[ZPair]:
     """Composition factor indices of S/a."""
     return zset_of_generators(a.ctx, a.gens)
-
-
-def modules_of(a: InvariantIdeal) -> frozenset[ZPair]:
-    """Alias for zset: the factors J_{z,l} occurring in the filtration of S/a."""
-    return zset(a)
 
 
 def zset_power_closed(ctx: MatrixContext, p: int, d: int) -> frozenset[ZPair]:
@@ -271,6 +266,10 @@ def _lambdas(ctx, s, pins, lower, window):
     Entries are scanned left to right; the running upper bound is the
     previous entry, tightened to s - m at position s+1 and by the window
     budget hi - partial - (least possible sum of the remaining entries).
+    The running lower bound is lower[idx], raised to
+    ceil((lo - partial) / (n - idx + 1)): the entries from idx on are at
+    most the current one, so below that value the sum cannot reach lo. At
+    the last position this is lo - partial, so every leaf lies in the window.
     Every free entry has a finite range, so the enumeration terminates.
     """
     n = ctx.n
@@ -282,21 +281,21 @@ def _lambdas(ctx, s, pins, lower, window):
 
     def walk(idx: int, prev: int | None, partial: int) -> None:
         if idx > n:
-            if partial >= window.lo:
-                out.append(tuple(acc))
+            out.append(tuple(acc))
             return
         ub = window.hi - partial - suffix[idx + 1]
         if prev is not None:
             ub = min(ub, prev)
         if idx == s + 1:
             ub = min(ub, s - ctx.m)
+        lb = max(lower[idx], -((partial - window.lo) // (n - idx + 1)))
         if idx in pins:
             v = pins[idx]
-            if lower[idx] <= v <= ub:
+            if lb <= v <= ub:
                 acc[idx - 1] = v
                 walk(idx + 1, v, partial + v)
             return
-        for v in range(ub, lower[idx] - 1, -1):
+        for v in range(ub, lb - 1, -1):
             acc[idx - 1] = v
             walk(idx + 1, v, partial + v)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .homology import DegreeWindow, _insert_block
+from .homology import DegreeWindow, _insert_block, _lambdas
 from .ideals import MatrixContext
 from .partitions import qbinomial
 from .schur import EquivariantCharacter
@@ -71,22 +71,11 @@ def ds_character(ctx: MatrixContext, s: int, window: DegreeWindow) -> Equivarian
             f"D_{s} has infinite dimensional degree slices; "
             "only the s = 0 factor admits a windowed character"
         )
-    m, n = ctx.m, ctx.n
+    n = ctx.n
+    # the other n-1 entries are each at most -m, so an entry below
+    # lo + (n-1)*m leaves the degree under lo
+    lower = [window.lo + (n - 1) * ctx.m] * (n + 1)
     ch = EquivariantCharacter()
-    acc = [0] * n
-
-    def walk(idx: int, prev: int, partial: int) -> None:
-        if idx > n:
-            if window.lo <= partial <= window.hi:
-                lam = tuple(acc)
-                ch.add(0, _insert_block(ctx, 0, lam), lam, partial)
-            return
-        remaining = n - idx + 1
-        # entries below this make even an all-equal tail fall short of lo
-        floor = -((partial - window.lo) // remaining)
-        for v in range(min(prev, -m), floor - 1, -1):
-            acc[idx - 1] = v
-            walk(idx + 1, v, partial + v)
-
-    walk(1, -m, 0)
+    for lam in _lambdas(ctx, 0, {}, lower, window):
+        ch.add(0, _insert_block(ctx, 0, lam), lam, sum(lam))
     return ch

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import Parts, Weight, dominant_weight, pad_weight, partition
+from .partitions import Weight, dominant_weight, pad_weight, partition
 
 
 def dim_schur(w, N: int) -> int:
@@ -91,6 +91,7 @@ class EquivariantCharacter:
         self._terms: dict[tuple[int, Weight, Weight, int], int] = {}
 
     def add(self, index: int, wm, wn, degree: int, multiplicity: int = 1) -> "EquivariantCharacter":
+        """Add a summand; the weights are validated here, once, at insertion."""
         if multiplicity <= 0:
             raise ValueError("multiplicity must be positive")
         key = (int(index), dominant_weight(wm), dominant_weight(wn), int(degree))
@@ -98,15 +99,15 @@ class EquivariantCharacter:
         return self
 
     def merge(self, other: "EquivariantCharacter") -> "EquivariantCharacter":
-        for (j, wm, wn, deg), mult in other._terms.items():
-            self.add(j, wm, wn, deg, mult)
+        terms = self._terms
+        for key, mult in other._terms.items():
+            terms[key] = terms.get(key, 0) + mult
         return self
 
     def __add__(self, other: "EquivariantCharacter") -> "EquivariantCharacter":
         out = EquivariantCharacter()
-        out.merge(self)
-        out.merge(other)
-        return out
+        out._terms.update(self._terms)
+        return out.merge(other)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, EquivariantCharacter) and self._terms == other._terms
@@ -132,9 +133,7 @@ class EquivariantCharacter:
     def at_index(self, index: int) -> "EquivariantCharacter":
         """Sub-character of a single homological index (index is kept)."""
         out = EquivariantCharacter()
-        for (j, wm, wn, deg), mult in self._terms.items():
-            if j == index:
-                out.add(j, wm, wn, deg, mult)
+        out._terms = {key: mult for key, mult in self._terms.items() if key[0] == index}
         return out
 
     def degrees(self) -> list[int]:

@@ -133,3 +133,21 @@ def lc_rows_oracle(m: int, n: int, p: int) -> dict[int, dict[int, int]]:
             j = 2 * e + shift
             rows.setdefault(j, {})[s] = c
     return {j: dict(sorted(rows[j].items())) for j in sorted(rows)}
+
+
+def d0_terms_brute(m: int, n: int, lo: int, hi: int) -> list[tuple]:
+    """Windowed character of D_0 straight from its definition.
+
+    Every weakly decreasing length-n lam with lam_1 <= -m and lo <= |lam| <= hi,
+    paired with the GL_m weight (-n)^(m-n) followed by lam + (m-n). Entries
+    are drawn from [lo + (n-1)*m, -m]: the other n-1 entries sum to at most
+    -(n-1)*m, so a smaller entry leaves |lam| below lo. Returns the sorted
+    list of (wm, wn, degree).
+    """
+    values = range(-m, lo + (n - 1) * m - 1, -1)
+    out = []
+    for lam in combinations_with_replacement(values, n):
+        if lo <= sum(lam) <= hi:
+            wm = (-n,) * (m - n) + tuple(v + m - n for v in lam)
+            out.append((wm, lam, sum(lam)))
+    return sorted(out)

@@ -60,7 +60,7 @@ def test_criterion_1_betti_table_of_squared_minors():
     assert tab.entries[(2, 6)] == 84
     dims = sorted(
         dim_term(term, 3, 3)
-        for _, term in bp.character.at_index(2).items()
+        for _, term in bp.at_index(2).items()
         if term.degree == 6
     )
     assert dims == [10, 10, 64]
@@ -74,7 +74,7 @@ def test_criterion_2_hook_resolutions():
         for d in (1, 2, 3):
             bp = betti_polynomial(ctx, 1, d)
             hooks = [(d,) + (1,) * p for p in range(N)]
-            assert bp.character.items() == [
+            assert bp.items() == [
                 (p, IrredTerm(hooks[p], (d + p,), d + p, 1)) for p in range(N)
             ]
             tab = betti_table(bp, ctx)

@@ -17,12 +17,12 @@ def test_h_rect_term_count():
         ctx = MatrixContext(m, n)
         edge = min(r, s)
         expect = comb(edge + n - r, edge) * comb(m - r + edge, edge)
-        assert len(h_rect(ctx, r, s).character) == expect
+        assert len(h_rect(ctx, r, s)) == expect
 
 
 def test_h_rect_square_swap_symmetry():
     ctx = MatrixContext(3, 3)
-    ch = h_rect(ctx, 2, 2).character
+    ch = h_rect(ctx, 2, 2)
     terms = {(i, t.wm, t.wn, t.degree, t.multiplicity) for i, t in ch.items()}
     assert terms == {(i, wn, wm, d, c) for i, wm, wn, d, c in terms}
 
@@ -71,7 +71,7 @@ def test_betti_square_strand_decomposition():
     bp = betti_polynomial(ctx, 2, 2)
     dims = sorted(
         dim_term(t, 3, 3)
-        for i, t in bp.character.at_index(2).items()
+        for i, t in bp.at_index(2).items()
         if t.degree == 6
     )
     assert dims == [10, 10, 64]

@@ -237,18 +237,6 @@ def test_usage_errors(capsys):
     assert main([]) == 2
 
 
-def test_thread_cap_env(capsys, monkeypatch):
-    argv = ["power", "-m", "3", "-n", "3", "-p", "2", "-d", "1"]
-    monkeypatch.setenv("INVARIANTS_THREADS", "8")
-    assert main(argv) == 0
-    for bad in ("x", "0", "-3"):
-        monkeypatch.setenv("INVARIANTS_THREADS", bad)
-        code, _, err = run(capsys, argv)
-        assert code == 2
-        assert "INVARIANTS_THREADS" in err
-    capsys.readouterr()
-
-
 def test_repeated_runs_are_byte_identical(capsys):
     argv = ["betti", "-m", "3", "-n", "3", "-a", "2", "-b", "2",
             "--format", "json"]
@@ -275,3 +263,47 @@ def test_module_entrypoint():
     )
     assert proc.returncode == 0
     assert proc.stdout == POWER_JSON + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "-m", "3", "-n", "3", "--gens", "[[2.7,1]]"],
+    ["normalize", "-m", "3", "-n", "3", "--gens", "[[true]]"],
+    ["normalize", "-m", "3", "-n", "3", "--gens", '[[2,"1"]]'],
+    ["compare", "-m", "3", "-n", "3", "--left", "[[1.0]]", "--right", "[[1]]"],
+    ["compare", "-m", "3", "-n", "3", "--left", "[[1]]", "--right", "[[false]]"],
+    ["schurdim", "-N", "3", "--weight", "[1.5]"],
+    ["schurdim", "-N", "3", "--weight", "[true,0]"],
+])
+def test_non_integer_json_is_a_domain_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("payload", [
+    {"m": 3, "n": 3, "gens": [[2.7, 1]]},
+    {"m": 3, "n": 3, "gens": [[True]]},
+    {"m": 3.0, "n": 3, "gens": [[1]]},
+    {"m": 3, "n": True, "gens": [[1]]},
+    {"m": "3", "n": 3, "gens": [[1]]},
+])
+def test_non_integer_ideal_file_is_a_domain_error(tmp_path, capsys, payload):
+    src = tmp_path / "ideal.json"
+    src.write_text(json.dumps(payload))
+    code, out, err = run(capsys, ["normalize", "--in", str(src)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_missing_ideal_file_is_a_domain_error(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    code, out, err = run(capsys, ["zset", "--in", str(missing)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert str(missing) in err
+    code, out, err = run(capsys, ["zset", "--in", str(tmp_path)])
+    assert code == 1
+    assert err.startswith("error:") and str(tmp_path) in err

@@ -10,7 +10,7 @@ from glinv import (
     lc_table,
 )
 
-from _oracles import lc_rows_oracle
+from _oracles import d0_terms_brute, lc_rows_oracle
 
 
 def test_lc_table_matches_pascal_oracle():
@@ -134,3 +134,20 @@ def test_ds_character_rejects_higher_factors():
         ds_character(ctx, 3, DegreeWindow(-10, -5))
     with pytest.raises(ValueError):
         ds_character(ctx, -1, DegreeWindow(-10, -5))
+
+
+def test_ds_character_matches_brute_force_oracle():
+    for n in range(1, 6):
+        for m in (n, n + 1, n + 2):
+            ctx = MatrixContext(m, n)
+            top = -m * n
+            for lo in range(top - 11, top + 3):
+                for hi in sorted({lo, lo + 1, lo + 4, top + 2}):
+                    if hi < lo:
+                        continue
+                    ch = ds_character(ctx, 0, DegreeWindow(lo, hi))
+                    got = sorted((j, term.wm, term.wn, term.degree, term.multiplicity)
+                                 for j, term in ch.items())
+                    want = [(0, wm, wn, deg, 1)
+                            for wm, wn, deg in d0_terms_brute(m, n, lo, hi)]
+                    assert got == want, (m, n, lo, hi)
