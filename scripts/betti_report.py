@@ -13,6 +13,7 @@ import argparse
 from itertools import groupby
 
 from glinv import MatrixContext, betti_polynomial, betti_table, dim_term
+from glinv.cli import quiet_on_broken_pipe
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -45,4 +46,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(quiet_on_broken_pipe(main))

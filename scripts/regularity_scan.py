@@ -20,6 +20,7 @@ from glinv import (
     saturated_power,
     symbolic_power,
 )
+from glinv.cli import quiet_on_broken_pipe
 
 
 @dataclass(frozen=True)
@@ -98,4 +99,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(quiet_on_broken_pipe(main))

@@ -11,10 +11,8 @@ arithmetic.
 from .betti import BettiTable, betti_polynomial, betti_table, h_rect
 from .homology import (
     DegreeWindow,
-    ExtComponent,
     ZPair,
     attainable_indices,
-    ext_components,
     ext_jzl,
     ext_map_analysis,
     ext_min_degree,
@@ -23,7 +21,6 @@ from .homology import (
     saturation_filter,
     zset,
     zset_of_generators,
-    zset_power_closed,
 )
 from .ideals import (
     InvariantIdeal,
@@ -63,10 +60,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BettiTable", "betti_polynomial", "betti_table", "h_rect",
-    "DegreeWindow", "ExtComponent", "ZPair", "attainable_indices",
-    "ext_components", "ext_jzl", "ext_map_analysis", "ext_min_degree",
-    "ext_quotient", "regularity", "saturation_filter", "zset",
-    "zset_of_generators", "zset_power_closed", "run_golden_checks",
+    "DegreeWindow", "ZPair", "attainable_indices", "ext_jzl",
+    "ext_map_analysis", "ext_min_degree", "ext_quotient", "regularity",
+    "saturation_filter", "zset", "zset_of_generators", "run_golden_checks",
     "InvariantIdeal", "MatrixContext", "generator_degree", "ideal_leq",
     "make_ideal", "power_of_minors", "saturate", "saturated_power",
     "saturation_generators", "strip_short_columns", "succ_min", "symbolic_power",

@@ -6,13 +6,15 @@ output draws Young diagrams and small grids, and csv is available for the
 tabular verbs (zset, lc, betti, qbinom).
 
 Exit codes: 0 success, 1 domain error (reported as a JSON object on stdout
-under --format json, otherwise on stderr), 2 usage error.
+under --format json, otherwise on stderr) or stdout closed by its reader
+(nothing reported), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from itertools import groupby
@@ -48,6 +50,27 @@ class UsageError(Exception):
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one verb and return the exit status."""
+    return quiet_on_broken_pipe(_run, argv)
+
+
+def quiet_on_broken_pipe(entry, *args) -> int:
+    """Return entry(*args); if the reader of stdout has gone, return 1 silently.
+
+    This is the idiom of the Python documentation (signal module, note on
+    SIGPIPE): stdout is pointed at os.devnull, so the flush at interpreter
+    exit does not raise again.
+    """
+    try:
+        status = entry(*args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
+
+
+def _run(argv: list[str] | None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "ideal":
@@ -413,9 +436,9 @@ def _cmd_lc(args) -> int:
         if args.window is None:
             raise UsageError("--ds needs --window lo..hi")
         window = _parse_window(args.window)
-        ch = ds_character(ctx, args.ds, window)
         if args.format == "csv":
             raise UsageError("csv output is not defined for --ds")
+        ch = ds_character(ctx, args.ds, window)
         _print_character(ch, window, args.format, "D")
         return 0
     table = lc_table(ctx, args.p)

@@ -22,10 +22,8 @@ from .partitions import (
     Parts,
     dominant_weight,
     enumerate_in_box,
-    leq,
     part,
     partition,
-    size,
     truncate_columns,
 )
 from .schur import EquivariantCharacter
@@ -68,23 +66,6 @@ class DegreeWindow:
         return self.lo <= degree <= self.hi
 
 
-@dataclass(frozen=True)
-class ExtComponent:
-    """One admissible datum (s, t, lam) of Ext(J_{z,l}, S).
-
-    j is the cohomological index, lam the GL_n weight, lam_s the GL_m weight
-    obtained from lam by inserting the block ((s-n),) * (m-n) after position
-    s and raising the tail by m-n. The internal degree is the sum of lam.
-    """
-
-    s: int
-    t: tuple[int, ...]
-    j: int
-    lam: tuple[int, ...]
-    lam_s: tuple[int, ...]
-    degree: int
-
-
 def zset_of_generators(ctx: MatrixContext, gens) -> frozenset[ZPair]:
     """Pairs (z, l) of the composition factors attached to a generating family.
 
@@ -93,6 +74,11 @@ def zset_of_generators(ctx: MatrixContext, gens) -> frozenset[ZPair]:
     satisfying the first condition has that column height exactly l+1.
     Equivalently: among the generators with x(c) <= z, the least column
     height is l+1. Each (c, z) therefore yields at most one l.
+
+    For each c, least[z] is filled over the n x c box in size order: the
+    least height among generators with x(c) = z, lowered to the entries one
+    box smaller, so that it covers every x(c) <= z. The work is the size of
+    the boxes, whatever the number of generators.
     """
     xs = []
     for g in gens:
@@ -101,63 +87,37 @@ def zset_of_generators(ctx: MatrixContext, gens) -> frozenset[ZPair]:
             raise ValueError(f"generator {x} has more than {ctx.n} parts")
         xs.append(x)
     cmax = max((x[0] for x in xs if x), default=0)
+    absent = ctx.n + 1  # above every column height
     pairs = []
     for c in range(cmax):
-        if c == 0:
-            heads: list[Parts] = [()]
-        else:
-            heads = [partition((c,) + tail) for tail in enumerate_in_box(ctx.n - 1, c)]
-        for z in heads:
-            hs = [
-                _column_height(x, c + 1)
-                for x in xs
-                if leq(truncate_columns(x, c), z)
-            ]
-            if not hs:
-                continue
-            l = min(hs) - 1
-            if l < 0:
+        least: dict[Parts, int] = {}
+        for x in xs:
+            t = truncate_columns(x, c)
+            h = sum(1 for v in x if v > c)
+            if h < least.get(t, absent):
+                least[t] = h
+        for z in enumerate_in_box(ctx.n, c):
+            h = least.get(z, absent)
+            for i, v in enumerate(z):
+                if i + 1 == len(z) or z[i + 1] < v:
+                    smaller = z[:i] + (v - 1,) + z[i + 1:]
+                    h = min(h, least[smaller if smaller[-1] else smaller[:-1]])
+            least[z] = h
+            if not 0 < h < absent or part(z, 1) != c:
                 continue
             try:
-                pairs.append(ZPair(z, l))
+                pairs.append(ZPair(z, h - 1))
             except ValueError as exc:
                 raise RuntimeError(
                     "composition factor index violates the equal-rows "
-                    f"hypothesis: z={z}, l={l}, generators={tuple(xs)}"
+                    f"hypothesis: z={z}, l={h - 1}, generators={tuple(xs)}"
                 ) from exc
     return frozenset(pairs)
-
-
-def _column_height(x: Parts, c: int) -> int:
-    return sum(1 for v in x if v >= c)
 
 
 def zset(a: InvariantIdeal) -> frozenset[ZPair]:
     """Composition factor indices of S/a."""
     return zset_of_generators(a.ctx, a.gens)
-
-
-def zset_power_closed(ctx: MatrixContext, p: int, d: int) -> frozenset[ZPair]:
-    """Factor indices of S / (p x p minors)^d by direct description.
-
-    Pairs (z, l) with 0 <= l <= p-1 whose first l+1 rows share a value
-    e <= d-1 and whose size obeys
-    |z| + (d-e)*l + 1 <= p*d <= |z| + (d-e)*(l+1).
-    Agrees with zset(power_of_minors(ctx, p, d)) for every p and d.
-    """
-    if not 1 <= p <= ctx.n:
-        raise ValueError(f"minor size out of range for n={ctx.n}: {p}")
-    if d < 1:
-        raise ValueError("exponent must be positive")
-    pairs = []
-    for l in range(p):
-        for e in range(d):
-            for tail in enumerate_in_box(ctx.n - l - 1, e):
-                z = partition((e,) * (l + 1) + tail)
-                w = size(z)
-                if w + (d - e) * l + 1 <= p * d <= w + (d - e) * (l + 1):
-                    pairs.append(ZPair(z, l))
-    return frozenset(pairs)
 
 
 def saturation_filter(pairs, p: int) -> frozenset[ZPair]:
@@ -242,24 +202,6 @@ def _st_data(ctx: MatrixContext, zp: ZPair):
             yield s, t, j, pins, lower
 
 
-def ext_components(ctx: MatrixContext, zp: ZPair, window: DegreeWindow) -> list[ExtComponent]:
-    """All Ext summands of J_{z,l} with internal degree inside the window."""
-    _check_zpair(ctx, zp)
-    out = []
-    for s, t, j, pins, lower in _st_data(ctx, zp):
-        for lam in _lambdas(ctx, s, pins, lower, window):
-            out.append(ExtComponent(
-                s=s,
-                t=t,
-                j=j,
-                lam=lam,
-                lam_s=_insert_block(ctx, s, lam),
-                degree=sum(lam),
-            ))
-    out.sort(key=lambda c: (c.j, c.degree, c.lam_s, c.lam, c.s, c.t))
-    return out
-
-
 def _lambdas(ctx, s, pins, lower, window):
     """Dominant length-n weights matching the pins, the bounds, and the window.
 
@@ -315,9 +257,11 @@ def _insert_block(ctx: MatrixContext, s: int, lam: tuple[int, ...]) -> tuple[int
 
 def ext_jzl(ctx: MatrixContext, zp: ZPair, window: DegreeWindow) -> EquivariantCharacter:
     """Windowed character of Ext(J_{z,l}, S), keyed by cohomological index."""
+    _check_zpair(ctx, zp)
     ch = EquivariantCharacter()
-    for comp in ext_components(ctx, zp, window):
-        ch.add(comp.j, comp.lam_s, comp.lam, comp.degree)
+    for s, t, j, pins, lower in _st_data(ctx, zp):
+        for lam in _lambdas(ctx, s, pins, lower, window):
+            ch.add(j, _insert_block(ctx, s, lam), lam, sum(lam))
     return ch
 
 

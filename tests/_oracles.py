@@ -151,3 +151,54 @@ def d0_terms_brute(m: int, n: int, lo: int, hi: int) -> list[tuple]:
             wm = (-n,) * (m - n) + tuple(v + m - n for v in lam)
             out.append((wm, lam, sum(lam)))
     return sorted(out)
+
+
+def zset_power_closed(n: int, p: int, d: int) -> set[tuple[tuple[int, ...], int]]:
+    """Factor indices (z, l) of S / (p x p minors)^d by direct description.
+
+    Pairs with 0 <= l <= p-1 whose first l+1 rows share a value e <= d-1,
+    with at most n rows, and whose size obeys
+    |z| + (d-e)*l + 1 <= p*d <= |z| + (d-e)*(l+1).
+    """
+    pairs = set()
+    for l in range(p):
+        for e in range(d):
+            for tail in box_partitions(n - l - 1, e):
+                z = (e,) * (l + 1) + tail if e else ()
+                w = sum(z)
+                if w + (d - e) * l + 1 <= p * d <= w + (d - e) * (l + 1):
+                    pairs.add((z, l))
+    return pairs
+
+
+def cauchy_counts(n: int, gens, pairs, top: int) -> list[tuple[int, int]]:
+    """Both sides of the Cauchy identity for the factors of S/I, degree by degree.
+
+    I is the up-set of the generators under diagram containment. For each
+    D = 0..top the pair is (#{x not in I : |x| = D}, sum over (z, l) of
+    #{x : |x| = D, x_i = z_i for i > l, x_i >= z_i for i <= l}), every x
+    ranging over the partitions with at most n rows. The filtration of S/I
+    by the factors J_{z,l} makes the two equal.
+    """
+    def row(y, i):
+        return y[i - 1] if i <= len(y) else 0
+
+    def contains(x, y):
+        return all(row(y, i) >= row(x, i) for i in range(1, n + 1))
+
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    for x in box_partitions(n, top):
+        by_size.setdefault(sum(x), []).append(x)
+    out = []
+    for degree in range(top + 1):
+        xs = by_size.get(degree, [])
+        outside = sum(1 for x in xs if not any(contains(g, x) for g in gens))
+        counted = sum(
+            1
+            for z, l in pairs
+            for x in xs
+            if all(row(x, i) == row(z, i) for i in range(l + 1, n + 1))
+            and all(row(x, i) >= row(z, i) for i in range(1, l + 1))
+        )
+        out.append((outside, counted))
+    return out

@@ -28,8 +28,9 @@ from glinv import (
     ssyt_count,
     symbolic_power,
     zset,
-    zset_power_closed,
 )
+
+from _oracles import zset_power_closed
 
 import test_properties as props
 
@@ -108,7 +109,7 @@ def test_criterion_3_classification_tables():
 
 @_criterion(4, "composition factor indices of the cubed 3x3 minors (4x4): six "
                 "pairs, saturation filters keep 5 and 4, and the closed form "
-                "matches the definition for all p<=n<=4, d<=4")
+                "matches the definition for all p<=n<=8, d<=5 and for 8x8 p=3 d=8")
 def test_criterion_4_zsets():
     ctx = MatrixContext(4, 4)
     pairs = zset(power_of_minors(ctx, 3, 3))
@@ -122,12 +123,10 @@ def test_criterion_4_zsets():
     }
     assert len(saturation_filter(pairs, 1)) == 5
     assert len(saturation_filter(pairs, 2)) == 4
-    for n in range(1, 5):
-        ctxn = MatrixContext(n, n)
-        for p in range(1, n + 1):
-            for d in range(1, 5):
-                got = zset(power_of_minors(ctxn, p, d))
-                assert got == zset_power_closed(ctxn, p, d), (n, p, d)
+    cases = [(n, p, d) for n in range(1, 9) for p in range(1, n + 1) for d in range(1, 6)]
+    for n, p, d in cases + [(8, 3, 8)]:
+        got = zset(power_of_minors(MatrixContext(n, n), p, d))
+        assert {(zp.z, zp.l) for zp in got} == zset_power_closed(n, p, d), (n, p, d)
 
 
 @_criterion(5, "Ext of one-column powers lives in index N alone with binomial "

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -8,6 +9,8 @@ import pytest
 from glinv import conjugate
 from glinv.cli import main, render_diagram
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ENV = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
 POWER_JSON = '{"gens": [[3, 3], [3, 2, 1], [2, 2, 2]], "m": 3, "n": 3}'
 
 
@@ -252,14 +255,14 @@ def test_repeated_runs_are_byte_identical(capsys):
 def test_module_entrypoint():
     proc = subprocess.run(
         [sys.executable, "-m", "glinv", "selftest"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().endswith("22/22 checks passed")
     proc = subprocess.run(
         [sys.executable, "-m", "glinv", "power", "-m", "3", "-n", "3",
          "-p", "2", "-d", "3", "--format", "json"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout == POWER_JSON + "\n"
@@ -307,3 +310,30 @@ def test_missing_ideal_file_is_a_domain_error(tmp_path, capsys):
     code, out, err = run(capsys, ["zset", "--in", str(tmp_path)])
     assert code == 1
     assert err.startswith("error:") and str(tmp_path) in err
+
+
+def test_ds_csv_is_refused_before_computing():
+    # the D_0 character of this window takes minutes; csv is refused first
+    proc = subprocess.run(
+        [sys.executable, "-m", "glinv", "lc", "-m", "6", "-n", "6", "-p", "1",
+         "--ds", "0", "--window=-200..-36", "--format", "csv"],
+        capture_output=True, text=True, timeout=30, env=ENV,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "usage error: csv output is not defined for --ds\n"
+
+
+def test_closed_stdout_ends_quietly():
+    # 134 kB of output overflows the pipe buffer, so the writer is still
+    # blocked on the pipe when the reader goes away
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "glinv", "betti", "-m", "6", "-n", "6",
+         "-a", "2", "-b", "2", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV,
+    )
+    assert proc.stdout.read(100)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""

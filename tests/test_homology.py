@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from glinv import (
@@ -6,7 +8,6 @@ from glinv import (
     ZPair,
     attainable_indices,
     enumerate_in_box,
-    ext_components,
     ext_jzl,
     ext_map_analysis,
     ext_min_degree,
@@ -20,10 +21,9 @@ from glinv import (
     symbolic_power,
     zset,
     zset_of_generators,
-    zset_power_closed,
 )
 
-from _oracles import ext_lambda_first
+from _oracles import cauchy_counts, ext_lambda_first, zset_power_closed
 
 
 def test_zpair_validation():
@@ -59,14 +59,36 @@ def test_zset_of_trivial_ideals_is_empty():
     assert zset(make_ideal(ctx, [[]])) == frozenset()
 
 
+def _plain(pairs):
+    return {(zp.z, zp.l) for zp in pairs}
+
+
 def test_zset_matches_closed_form_for_powers():
-    for n in range(1, 5):
+    for n in range(1, 9):
         for m in (n, n + 2):
             ctx = MatrixContext(m, n)
             for p in range(1, n + 1):
-                for d in range(1, 5):
-                    got = zset(power_of_minors(ctx, p, d))
-                    assert got == zset_power_closed(ctx, p, d), (m, n, p, d)
+                for d in range(1, 6):
+                    got = _plain(zset(power_of_minors(ctx, p, d)))
+                    assert got == zset_power_closed(n, p, d), (m, n, p, d)
+    ctx = MatrixContext(8, 8)
+    assert _plain(zset(power_of_minors(ctx, 3, 8))) == zset_power_closed(8, 3, 8)
+
+
+def test_zset_satisfies_cauchy_identity_on_random_families():
+    # raw families: repeated, redundant and empty generators all allowed
+    rng = random.Random(20171)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        m = rng.choice((n, n + 1))
+        gens = [
+            tuple(sorted((rng.randint(1, 5) for _ in range(rng.randint(0, n))), reverse=True))
+            for _ in range(rng.randint(1, 5))
+        ]
+        pairs = _plain(zset_of_generators(MatrixContext(m, n), gens))
+        top = max(sum(g) for g in gens) + 3
+        for degree, (outside, counted) in enumerate(cauchy_counts(n, gens, pairs, top)):
+            assert outside == counted, (m, n, gens, degree)
 
 
 def test_zset_of_maximal_ideal_powers():
@@ -108,10 +130,12 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("m,n,z,l,lo,hi", ORACLE_CASES)
 def test_ext_components_match_weight_first_oracle(m, n, z, l, lo, hi):
     ctx = MatrixContext(m, n)
-    comps = ext_components(ctx, ZPair(z, l), DegreeWindow(lo, hi))
-    got = sorted((c.j, c.lam_s, c.lam, c.degree) for c in comps)
+    terms = ext_jzl(ctx, ZPair(z, l), DegreeWindow(lo, hi)).items()
+    got = sorted(
+        (j, t.wm, t.wn, t.degree) for j, t in terms for _ in range(t.multiplicity)
+    )
     assert got == ext_lambda_first(m, n, z, l, lo, hi)
-    assert all(lo <= c.degree <= hi for c in comps)
+    assert all(lo <= t.degree <= hi for _, t in terms)
 
 
 def test_ext_of_maximal_ideal_powers():

@@ -13,7 +13,7 @@ from glinv import (
     conjugate,
     dim_schur,
     dual_weight,
-    ext_components,
+    ext_jzl,
     ext_map_analysis,
     ext_min_degree,
     ext_quotient,
@@ -145,7 +145,7 @@ def test_ext_min_degree_is_sharp(data):
     least = ext_min_degree(ctx, zp, j)
     assert least is not None
     window = DegreeWindow(least - 3, least)
-    degrees = [c.degree for c in ext_components(ctx, zp, window) if c.j == j]
+    degrees = [t.degree for jj, t in ext_jzl(ctx, zp, window).items() if jj == j]
     assert degrees
     assert min(degrees) == least
     assert ext_min_degree(ctx, zp, j + 1) is None

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ENV = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
 
 
 @pytest.mark.parametrize("script,args,header", [
@@ -14,10 +15,25 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
      " n  p  d   power pred   symb pred    sat pred"),
 ])
 def test_script_runs(script, args, header):
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", script), *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == header
+
+
+@pytest.mark.parametrize("script,args", [
+    ("betti_report.py", ["3", "3", "2", "1"]),
+    ("regularity_scan.py", ["--max-n", "3", "--max-d", "3"]),
+])
+def test_script_ends_quietly_on_closed_stdout(script, args):
+    # the pipe is closed before the script writes, so its first flush fails
+    proc = subprocess.Popen(
+        [sys.executable, os.path.join(ROOT, "scripts", script), *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
