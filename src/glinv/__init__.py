@@ -38,7 +38,6 @@ from .ideals import (
 )
 from .loccoh import LCTable, ds_character, lc_support, lc_table
 from .partitions import (
-    QPolynomial,
     attach,
     conjugate,
     dominant_weight,
@@ -54,7 +53,7 @@ from .partitions import (
     truncate_columns,
 )
 from .golden import run_golden_checks
-from .schur import EquivariantCharacter, IrredTerm, dim_schur, dim_term, ssyt_count
+from .schur import EquivariantCharacter, IrredTerm, dim_schur, dim_term
 
 __version__ = "0.1.0"
 
@@ -67,9 +66,9 @@ __all__ = [
     "make_ideal", "power_of_minors", "saturate", "saturated_power",
     "saturation_generators", "strip_short_columns", "succ_min", "symbolic_power",
     "LCTable", "ds_character", "lc_support", "lc_table",
-    "QPolynomial", "attach", "conjugate", "dominant_weight", "dual_weight",
+    "attach", "conjugate", "dominant_weight", "dual_weight",
     "enumerate_in_box", "leq", "minimalize", "part", "partition",
     "partitions_of_size_in_box", "qbinomial", "size", "truncate_columns",
-    "EquivariantCharacter", "IrredTerm", "dim_schur", "dim_term", "ssyt_count",
+    "EquivariantCharacter", "IrredTerm", "dim_schur", "dim_term",
     "__version__",
 ]

@@ -61,12 +61,11 @@ def betti_polynomial(ctx: MatrixContext, a: int, b: int) -> EquivariantCharacter
         raise ValueError("power must be positive")
     out = EquivariantCharacter()
     for t in range(n - a + 1):
-        gauss = qbinomial(t + min(a, b) - 1, t).subst_power(2)
         block = h_rect(ctx, a + t, b + t)
         base = t * t + 2 * t
-        for e, gmult in gauss.items():
+        for u, gmult in enumerate(qbinomial(t + min(a, b) - 1, t)):
             for k, term in block.items():
-                out.add(k + base + e, term.wm, term.wn, term.degree,
+                out.add(k + base + 2 * u, term.wm, term.wn, term.degree,
                         term.multiplicity * gmult)
     return out
 

@@ -500,16 +500,21 @@ def _cmd_schurdim(args) -> int:
 
 
 def _cmd_qbinom(args) -> int:
-    poly = qbinomial(args.a, args.b)
+    coeffs = qbinomial(args.a, args.b)
     if args.format == "json":
         _emit_json({"a": args.a, "b": args.b,
-                    "coefficients": {str(e): c for e, c in poly.items()}})
+                    "coefficients": {str(e): c for e, c in enumerate(coeffs)}})
     elif args.format == "csv":
         print("exponent,coefficient")
-        for e, c in poly.items():
+        for e, c in enumerate(coeffs):
             print(f"{e},{c}")
     else:
-        print(str(poly))
+        # Gauss coefficients are positive, so every term is joined by " + "
+        terms = []
+        for e, c in enumerate(coeffs):
+            var = "" if e == 0 else "q" if e == 1 else f"q^{e}"
+            terms.append(var if c == 1 and var else f"{c}{var}")
+        print(" + ".join(terms) or "0")
     return 0
 
 

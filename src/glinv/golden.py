@@ -32,7 +32,7 @@ from .ideals import (
 )
 from .loccoh import ds_character, lc_support, lc_table
 from .partitions import attach, conjugate, dual_weight, qbinomial
-from .schur import dim_schur, ssyt_count
+from .schur import dim_schur
 
 
 def _eq(actual, expected, what: str) -> None:
@@ -51,9 +51,9 @@ def check_conjugate() -> None:
 
 
 def check_qbinomial() -> None:
-    _eq(str(qbinomial(4, 2)), "1 + q + 2q^2 + q^3 + q^4", "qbinomial(4,2)")
-    _eq(str(qbinomial(3, 1)), "1 + q + q^2", "qbinomial(3,1)")
-    _eq(qbinomial(4, 2)(1), 6, "qbinomial(4,2) at q=1")
+    _eq(qbinomial(4, 2), (1, 1, 2, 1, 1), "qbinomial(4,2)")
+    _eq(qbinomial(3, 1), (1, 1, 1), "qbinomial(3,1)")
+    _eq(sum(qbinomial(4, 2)), 6, "qbinomial(4,2) at q=1")
 
 
 def check_attach() -> None:
@@ -75,7 +75,6 @@ def check_schur_dimensions() -> None:
     for w, want in table.items():
         _eq(dim_schur(w, 3), want, f"dim of S_{w} for GL_3")
     _eq(dim_schur((2, 1), 3), 8, "dim of S_(2,1) for GL_3")
-    _eq(ssyt_count((2, 1), 3), 8, "tableau count of shape (2,1), entries <= 3")
 
 
 def check_power_tables() -> None:

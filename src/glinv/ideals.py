@@ -60,12 +60,9 @@ class InvariantIdeal:
                 raise ValueError(f"generator {g} is not canonical")
             if len(g) > self.ctx.n:
                 raise ValueError(f"generator {g} has more than {self.ctx.n} parts")
-        if tuple(sorted(self.gens, reverse=True)) != self.gens:
-            raise ValueError("generators not in descending lexicographic order")
-        for i, x in enumerate(self.gens):
-            for j, y in enumerate(self.gens):
-                if i != j and leq(x, y):
-                    raise ValueError(f"generators are not an antichain: {x} <= {y}")
+        if minimalize(self.gens) != self.gens:
+            raise ValueError("generators are not an antichain in descending "
+                             "lexicographic order")
 
     @property
     def is_zero(self) -> bool:
@@ -185,8 +182,7 @@ def saturate(a: InvariantIdeal, p: int) -> InvariantIdeal:
     Minimalizes the stripped generating family. p = 0 is the identity and
     p = n sends every nonzero ideal to the unit ideal.
     """
-    _check_sat_p(a.ctx, p)
-    return InvariantIdeal(a.ctx, minimalize(strip_short_columns(x, p) for x in a.gens))
+    return InvariantIdeal(a.ctx, minimalize(saturation_generators(a, p)))
 
 
 def succ_min(ctx: MatrixContext, z, l: int) -> tuple[Parts, ...]:

@@ -42,9 +42,8 @@ def lc_table(ctx: MatrixContext, p: int) -> LCTable:
     rows: dict[int, dict[int, int]] = {}
     for s in range(p):
         shift = (n - p + 1) ** 2 + (n - s) * (m - n)
-        poly = qbinomial(n - s - 1, p - 1 - s).subst_power(2).shift(shift)
-        for j, mult in poly.items():
-            rows.setdefault(j, {})[s] = mult
+        for u, mult in enumerate(qbinomial(n - s - 1, p - 1 - s)):
+            rows.setdefault(shift + 2 * u, {})[s] = mult
     return LCTable(ctx, p, {j: dict(sorted(rows[j].items())) for j in sorted(rows)})
 
 

@@ -1,17 +1,19 @@
-"""Partitions, dominant weights, and exact polynomials in q.
+"""Partitions, dominant weights, and Gauss polynomial coefficients.
 
 A partition is stored as a tuple of weakly decreasing positive integers with
 trailing zeros stripped, so the empty tuple () is the zero partition and
 equality of diagrams is equality of tuples. Dominant weights are weakly
 decreasing integer tuples of a fixed length whose entries may be negative.
-QPolynomial keeps integer coefficients indexed by nonnegative exponents and
-backs the Gauss binomial arithmetic used by the multiplicity tables.
+A Gauss polynomial is the tuple of its coefficients, indexed by the exponent
+of q; the multiplicity tables read them as multiplicities.
 
 All arithmetic is exact; nothing in this module touches floating point.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import index
 from typing import Iterable, Iterator
 
 Parts = tuple[int, ...]
@@ -21,10 +23,11 @@ Weight = tuple[int, ...]
 def partition(parts: Iterable[int]) -> Parts:
     """Canonicalize a sequence of row lengths.
 
-    Entries must be weakly decreasing and nonnegative; trailing zeros are
-    dropped. The empty sequence is accepted and denotes the zero partition.
+    Entries must be weakly decreasing nonnegative integers; trailing zeros
+    are dropped. The empty sequence is accepted and denotes the zero
+    partition.
     """
-    xs = tuple(int(v) for v in parts)
+    xs = _integers(parts)
     for a, b in zip(xs, xs[1:]):
         if a < b:
             raise ValueError(f"not weakly decreasing: {xs}")
@@ -34,6 +37,14 @@ def partition(parts: Iterable[int]) -> Parts:
     while k and xs[k - 1] == 0:
         k -= 1
     return xs[:k]
+
+
+def _integers(entries: Iterable[int]) -> tuple[int, ...]:
+    """Entries as a tuple of ints; a non-integer entry is a ValueError."""
+    try:
+        return tuple(map(index, entries))
+    except TypeError as exc:
+        raise ValueError(f"entries must be integers: {exc}") from None
 
 
 def part(x: Parts, i: int) -> int:
@@ -71,9 +82,13 @@ def minimalize(xs: Iterable[Parts]) -> tuple[Parts, ...]:
     """Minimal elements of a family of partitions, sorted descending.
 
     The result is an antichain with the same up-set under leq as the input.
+    A partition strictly inside another has fewer boxes, so the distinct
+    inputs are taken in order of size and each is tested only against the
+    kept partitions of smaller size.
     """
-    pool = set(xs)
-    keep = [x for x in pool if not any(y != x and leq(y, x) for y in pool)]
+    keep: list[Parts] = []
+    for _, same_size in groupby(sorted(set(xs), key=sum), key=sum):
+        keep += [x for x in same_size if not any(leq(y, x) for y in keep)]
     return tuple(sorted(keep, reverse=True))
 
 
@@ -137,7 +152,7 @@ def attach(r: int, s: int, a: Parts, b: Parts) -> Parts:
 
 def dominant_weight(entries: Iterable[int]) -> Weight:
     """Validate a weakly decreasing integer vector."""
-    w = tuple(int(v) for v in entries)
+    w = _integers(entries)
     for a, b in zip(w, w[1:]):
         if a < b:
             raise ValueError(f"not weakly decreasing: {w}")
@@ -163,149 +178,28 @@ def pad_weight(w: Iterable[int], N: int) -> Weight:
     return ww + (0,) * (N - len(ww))
 
 
-class QPolynomial:
-    """Polynomial in q with integer coefficients and nonnegative exponents."""
+def qbinomial(a: int, b: int) -> tuple[int, ...]:
+    """Gauss polynomial, the q-analog of binomial(a, b), as its coefficients.
 
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs: dict[int, int] | None = None):
-        c: dict[int, int] = {}
-        for e, v in (coeffs or {}).items():
-            e = int(e)
-            v = int(v)
-            if e < 0:
-                raise ValueError("negative exponent")
-            if v:
-                c[e] = v
-        self._c = c
-
-    @classmethod
-    def zero(cls) -> "QPolynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "QPolynomial":
-        return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "QPolynomial":
-        return cls({exp: coeff})
-
-    def items(self) -> list[tuple[int, int]]:
-        """(exponent, coefficient) pairs in increasing exponent order."""
-        return sorted(self._c.items())
-
-    def coefficient(self, exp: int) -> int:
-        return self._c.get(exp, 0)
-
-    def degree(self) -> int:
-        """Largest exponent present, or -1 for the zero polynomial."""
-        return max(self._c) if self._c else -1
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, QPolynomial) and self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
-
-    def __add__(self, other: "QPolynomial") -> "QPolynomial":
-        c = dict(self._c)
-        for e, v in other._c.items():
-            c[e] = c.get(e, 0) + v
-        return QPolynomial(c)
-
-    def __sub__(self, other: "QPolynomial") -> "QPolynomial":
-        c = dict(self._c)
-        for e, v in other._c.items():
-            c[e] = c.get(e, 0) - v
-        return QPolynomial(c)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return QPolynomial({e: v * other for e, v in self._c.items()})
-        c: dict[int, int] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                c[e1 + e2] = c.get(e1 + e2, 0) + v1 * v2
-        return QPolynomial(c)
-
-    __rmul__ = __mul__
-
-    def shift(self, k: int) -> "QPolynomial":
-        """Multiply by q^k."""
-        return QPolynomial({e + k: v for e, v in self._c.items()})
-
-    def subst_power(self, k: int) -> "QPolynomial":
-        """Substitute q -> q^k."""
-        if k < 1:
-            raise ValueError("substitution power must be positive")
-        return QPolynomial({e * k: v for e, v in self._c.items()})
-
-    def __call__(self, q: int) -> int:
-        return sum(v * q**e for e, v in self._c.items())
-
-    def divexact(self, other: "QPolynomial") -> "QPolynomial":
-        """Exact division; raises ValueError if a remainder would be left."""
-        if not other:
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = dict(self._c)
-        le = max(other._c)
-        lc = other._c[le]
-        quot: dict[int, int] = {}
-        while rem:
-            e = max(rem)
-            v = rem[e]
-            if e < le or v % lc:
-                raise ValueError("inexact polynomial division")
-            qe, qv = e - le, v // lc
-            quot[qe] = qv
-            for oe, ov in other._c.items():
-                ne = qe + oe
-                nv = rem.get(ne, 0) - qv * ov
-                if nv:
-                    rem[ne] = nv
-                else:
-                    rem.pop(ne, None)
-        return QPolynomial(quot)
-
-    def __str__(self) -> str:
-        if not self._c:
-            return "0"
-        chunks: list[str] = []
-        for e, v in self.items():
-            mag = abs(v)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "q" if e == 1 else f"q^{e}"
-                body = var if mag == 1 else f"{mag}{var}"
-            if not chunks:
-                chunks.append(body if v > 0 else "-" + body)
-            else:
-                chunks.append(("+ " if v > 0 else "- ") + body)
-        return " ".join(chunks)
-
-    def __repr__(self) -> str:
-        return f"QPolynomial({dict(self.items())!r})"
-
-
-def qbinomial(a: int, b: int) -> QPolynomial:
-    """Gauss polynomial, the q-analog of binomial(a, b).
-
-    Built by alternately multiplying by (1 - q^(a-b+i)) and dividing exactly
-    by (1 - q^i); every intermediate product is itself a Gauss polynomial,
-    so the divisions never truncate. Zero when b > a; at q = 1 the value is
-    the ordinary binomial coefficient.
+    Returns (c_0, ..., c_top) with top = b*(a-b), c_e the coefficient of
+    q^e, or () when b > a. Computed in place from the product formula: for
+    i = 1..b, multiply by (1 - q^(a-b+i)) and divide exactly by (1 - q^i),
+    which leaves the Gauss polynomial binomial(a-b+i, i) of degree
+    i*(a-b) <= top. A product before its division may pass q^top, but exact
+    division by (1 - q^i) reads only lower coefficients, so the list is cut
+    at q^top throughout. The coefficients are positive and sum to the
+    ordinary binomial coefficient.
     """
     if a < 0 or b < 0:
         raise ValueError("arguments must be nonnegative")
     if b > a:
-        return QPolynomial.zero()
-    res = QPolynomial.one()
+        return ()
+    top = b * (a - b)
+    c = [1] + [0] * top
     for i in range(1, b + 1):
-        res = res * QPolynomial({0: 1, a - b + i: -1})
-        res = res.divexact(QPolynomial({0: 1, i: -1}))
-    return res
+        k = a - b + i
+        for e in range(top, k - 1, -1):
+            c[e] -= c[e - k]
+        for e in range(i, top + 1):
+            c[e] += c[e - i]
+    return tuple(c)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import Weight, dominant_weight, pad_weight, partition
+from .partitions import Weight, dominant_weight, pad_weight
 
 
 def dim_schur(w, N: int) -> int:
@@ -29,36 +29,6 @@ def dim_schur(w, N: int) -> int:
     if num % den:
         raise ArithmeticError(f"dimension product not integral for {ww}")
     return num // den
-
-
-def ssyt_count(x, N: int) -> int:
-    """Count semistandard tableaux of shape x with entries in 1..N.
-
-    Rows weakly increase, columns strictly increase. Filled cell by cell by
-    backtracking; deliberately independent of dim_schur so the two can be
-    checked against each other.
-    """
-    shape = partition(x)
-    if len(shape) > N:
-        raise ValueError(f"shape {shape} has more than {N} rows")
-    cells = [(r, c) for r, width in enumerate(shape) for c in range(width)]
-    grid = [[0] * width for width in shape]
-
-    def fill(k: int) -> int:
-        if k == len(cells):
-            return 1
-        r, c = cells[k]
-        lo = grid[r][c - 1] if c else 1
-        if r:
-            lo = max(lo, grid[r - 1][c] + 1)
-        total = 0
-        for v in range(lo, N + 1):
-            grid[r][c] = v
-            total += fill(k + 1)
-        grid[r][c] = 0
-        return total
-
-    return fill(0)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,37 @@ def qbinomial_pascal(a: int, b: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(acc.items()))
 
 
+def ssyt_count(shape: tuple[int, ...], N: int) -> int:
+    """Count semistandard tableaux of a shape with entries in 1..N.
+
+    Rows weakly increase, columns strictly increase. Filled cell by cell by
+    backtracking, so it shares nothing with the dimension formula.
+    """
+    rows = list(shape)
+    if rows != sorted(rows, reverse=True) or any(type(v) is not int or v < 1 for v in rows):
+        raise ValueError(f"not a partition with positive parts: {shape}")
+    if len(shape) > N:
+        raise ValueError(f"shape {shape} has more than {N} rows")
+    cells = [(r, c) for r, width in enumerate(shape) for c in range(width)]
+    grid = [[0] * width for width in shape]
+
+    def fill(k: int) -> int:
+        if k == len(cells):
+            return 1
+        r, c = cells[k]
+        lo = grid[r][c - 1] if c else 1
+        if r:
+            lo = max(lo, grid[r - 1][c] + 1)
+        total = 0
+        for v in range(lo, N + 1):
+            grid[r][c] = v
+            total += fill(k + 1)
+        grid[r][c] = 0
+        return total
+
+    return fill(0)
+
+
 def box_partitions(rows: int, cols: int) -> list[tuple[int, ...]]:
     """All partitions inside a rows x cols box, own enumeration."""
     out: list[tuple[int, ...]] = []

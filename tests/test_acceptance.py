@@ -25,12 +25,11 @@ from glinv import (
     saturate,
     saturated_power,
     saturation_filter,
-    ssyt_count,
     symbolic_power,
     zset,
 )
 
-from _oracles import zset_power_closed
+from _oracles import ssyt_count, zset_power_closed
 
 import test_properties as props
 

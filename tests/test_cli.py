@@ -9,6 +9,8 @@ import pytest
 from glinv import conjugate
 from glinv.cli import main, render_diagram
 
+from _oracles import qbinomial_pascal
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ENV = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
 POWER_JSON = '{"gens": [[3, 3], [3, 2, 1], [2, 2, 2]], "m": 3, "n": 3}'
@@ -205,6 +207,32 @@ def test_qbinom_outputs(capsys):
     code, out, _ = run(capsys, ["qbinom", "4", "2", "--format", "csv"])
     assert code == 0
     assert out == "exponent,coefficient\n0,1\n1,1\n2,2\n3,1\n4,1\n"
+
+
+def _pascal_pretty(pairs) -> str:
+    terms = []
+    for e, c in pairs:
+        var = "" if e == 0 else "q" if e == 1 else f"q^{e}"
+        terms.append(var if c == 1 and var else f"{c}{var}")
+    return " + ".join(terms) or "0"
+
+
+def test_qbinom_matches_pascal_in_every_format(capsys):
+    for a in range(13):
+        for b in range(a + 2):
+            pairs = qbinomial_pascal(a, b)
+            code, out, _ = run(capsys, ["qbinom", str(a), str(b)])
+            assert code == 0
+            assert out == _pascal_pretty(pairs) + "\n"
+            code, out, _ = run(capsys, ["qbinom", str(a), str(b), "--format", "json"])
+            assert code == 0
+            coeffs = {str(e): c for e, c in pairs}
+            assert out == json.dumps({"a": a, "b": b, "coefficients": coeffs},
+                                     sort_keys=True) + "\n"
+            code, out, _ = run(capsys, ["qbinom", str(a), str(b), "--format", "csv"])
+            assert code == 0
+            assert out == "".join(f"{line}\n" for line in
+                                  ["exponent,coefficient"] + [f"{e},{c}" for e, c in pairs])
 
 
 def test_schurdim(capsys):

@@ -50,6 +50,11 @@ def test_make_ideal_rejects_tall_generators():
         make_ideal(CTX3, [[1, 1, 1, 1]])
 
 
+def test_make_ideal_rejects_non_integer_rows():
+    with pytest.raises(ValueError, match="integers"):
+        make_ideal(CTX3, [[2.7, 1]])
+
+
 def test_direct_constructor_validates():
     with pytest.raises(ValueError):
         InvariantIdeal(CTX3, ((2, 1), (2, 2)))  # not sorted descending

@@ -3,7 +3,6 @@ from math import comb
 import pytest
 
 from glinv import (
-    QPolynomial,
     attach,
     conjugate,
     dominant_weight,
@@ -35,6 +34,15 @@ def test_partition_rejects_bad_input():
         partition((1, 2))
     with pytest.raises(ValueError):
         partition((2, -1))
+
+
+def test_non_integer_entries_are_rejected_not_truncated():
+    with pytest.raises(ValueError, match="integers"):
+        partition([2.7, 1])
+    with pytest.raises(ValueError, match="integers"):
+        partition(["1"])
+    with pytest.raises(ValueError, match="integers"):
+        dominant_weight([1.5])
 
 
 def test_part_reads_zero_past_the_end():
@@ -139,56 +147,18 @@ def test_pad_weight():
         pad_weight((1, 1, 1), 2)
 
 
-def test_qpolynomial_str():
-    assert str(QPolynomial.zero()) == "0"
-    assert str(QPolynomial.one()) == "1"
-    assert str(QPolynomial({0: 1, 1: 1, 2: 2, 3: 1, 4: 1})) == "1 + q + 2q^2 + q^3 + q^4"
-    assert str(QPolynomial({1: -3, 0: 1})) == "1 - 3q"
-    assert str(QPolynomial({2: 1})) == "q^2"
-
-
-def test_qpolynomial_arithmetic():
-    p = QPolynomial({0: 1, 1: 2})
-    q = QPolynomial({1: 1})
-    assert (p + q).items() == [(0, 1), (1, 3)]
-    assert (p - p) == QPolynomial.zero()
-    assert (p * q).items() == [(1, 1), (2, 2)]
-    assert (3 * q).items() == [(1, 3)]
-    assert p.shift(2).items() == [(2, 1), (3, 2)]
-    assert p.subst_power(3).items() == [(0, 1), (3, 2)]
-    assert p(2) == 5
-    assert p.degree() == 1 and QPolynomial.zero().degree() == -1
-    assert p.coefficient(1) == 2 and p.coefficient(7) == 0
-    assert QPolynomial.monomial(4, -2).items() == [(4, -2)]
-
-
-def test_qpolynomial_divexact():
-    a = QPolynomial({0: 1, 1: -1})
-    b = QPolynomial({0: 1, 1: 1})
-    assert (a * b).divexact(a) == b
-    with pytest.raises(ValueError):
-        QPolynomial({0: 1, 1: 1}).divexact(QPolynomial({0: 2}))
-    with pytest.raises(ValueError):
-        QPolynomial({2: 1}).divexact(QPolynomial({0: 1, 1: 1}))
-    with pytest.raises(ZeroDivisionError):
-        b.divexact(QPolynomial.zero())
-
-
-def test_qpolynomial_rejects_negative_exponent():
-    with pytest.raises(ValueError):
-        QPolynomial({-1: 1})
-
-
 def test_qbinomial_against_pascal_oracle():
-    for a in range(9):
+    for a in range(16):
         for b in range(a + 2):
-            assert tuple(qbinomial(a, b).items()) == qbinomial_pascal(a, b)
+            assert tuple(enumerate(qbinomial(a, b))) == qbinomial_pascal(a, b)
 
 
 def test_qbinomial_basics():
-    assert qbinomial(5, 7) == QPolynomial.zero()
-    assert qbinomial(5, 0) == QPolynomial.one()
-    assert qbinomial(6, 3).degree() == 9
-    assert qbinomial(6, 3)(1) == comb(6, 3)
+    assert qbinomial(5, 7) == ()
+    assert qbinomial(5, 0) == (1,)
+    assert qbinomial(5, 5) == (1,)
+    assert qbinomial(4, 2) == (1, 1, 2, 1, 1)
+    assert len(qbinomial(6, 3)) == 10
+    assert sum(qbinomial(6, 3)) == comb(6, 3)
     with pytest.raises(ValueError):
         qbinomial(-1, 0)

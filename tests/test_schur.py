@@ -9,8 +9,9 @@ from glinv import (
     dim_term,
     dual_weight,
     enumerate_in_box,
-    ssyt_count,
 )
+
+from _oracles import ssyt_count
 
 
 def test_dim_schur_reference_values():
@@ -61,6 +62,8 @@ def test_dim_schur_rejects_bad_weights():
         dim_schur((1, 1, 1, 1), 3)
     with pytest.raises(ValueError):
         dim_schur((1,), 0)
+    with pytest.raises(ValueError, match="integers"):
+        dim_schur([1.5], 3)
 
 
 def test_ssyt_count_small():
@@ -68,6 +71,7 @@ def test_ssyt_count_small():
     assert ssyt_count((1, 1, 1), 3) == 1
     assert ssyt_count((2,), 2) == 3
     assert ssyt_count((), 4) == 1
+    assert ssyt_count((2, 1), 3) == 8
     with pytest.raises(ValueError):
         ssyt_count((1, 1, 1), 2)
 
