@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .ideals import MatrixContext
 from .partitions import attach, conjugate, enumerate_in_box, qbinomial, size
-from .schur import EquivariantCharacter, dim_term
+from .schur import EquivariantCharacter
 
 
 def h_rect(ctx: MatrixContext, r: int, s: int) -> EquivariantCharacter:
@@ -61,10 +61,10 @@ def betti_polynomial(ctx: MatrixContext, a: int, b: int) -> EquivariantCharacter
         raise ValueError("power must be positive")
     out = EquivariantCharacter()
     for t in range(n - a + 1):
-        block = h_rect(ctx, a + t, b + t)
+        block = h_rect(ctx, a + t, b + t).items()
         base = t * t + 2 * t
         for u, gmult in enumerate(qbinomial(t + min(a, b) - 1, t)):
-            for k, term in block.items():
+            for k, term in block:
                 out.add(k + base + 2 * u, term.wm, term.wn, term.degree,
                         term.multiplicity * gmult)
     return out
@@ -118,8 +118,4 @@ class BettiTable:
 
 def betti_table(bp: EquivariantCharacter, ctx: MatrixContext) -> BettiTable:
     """Flatten an equivariant Betti polynomial to numeric Betti numbers."""
-    entries: dict[tuple[int, int], int] = {}
-    for i, term in bp.items():
-        key = (i, term.degree)
-        entries[key] = entries.get(key, 0) + dim_term(term, ctx.m, ctx.n)
-    return BettiTable(dict(sorted(entries.items())))
+    return BettiTable(dict(sorted(bp.dimension_table(ctx.m, ctx.n).items())))

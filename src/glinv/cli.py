@@ -40,7 +40,7 @@ from .ideals import (
     saturated_power,
     symbolic_power,
 )
-from .loccoh import ds_character, lc_support, lc_table
+from .loccoh import ds_character, lc_table
 from .partitions import dominant_weight, partition, qbinomial, size
 from .schur import EquivariantCharacter, dim_schur
 
@@ -118,12 +118,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", required=True, help="JSON list of generators")
     p.add_argument("--right", required=True, help="JSON list of generators")
 
-    for name, help_, handler in (
-        ("power", "ordinary power of the ideal of p x p minors", _cmd_power),
-        ("symbolic", "symbolic power of the ideal of p x p minors", _cmd_symbolic),
-        ("saturated", "saturation of the power by the maximal ideal", _cmd_saturated),
+    for name, help_ in (
+        ("power", "ordinary power of the ideal of p x p minors"),
+        ("symbolic", "symbolic power of the ideal of p x p minors"),
+        ("saturated", "saturation of the power by the maximal ideal"),
     ):
-        p = add(name, help_, handler)
+        p = add(name, help_, _cmd_normalize)
+        p.set_defaults(kind=name)
         p.add_argument("-m", type=int, required=True)
         p.add_argument("-n", type=int, required=True)
         p.add_argument("-p", type=int, required=True, help="minor size")
@@ -244,8 +245,9 @@ def _read_ideal_file(path: str):
 
 
 def _resolve_ideal(args) -> InvariantIdeal:
-    if args.infile:
-        data = _read_ideal_file(args.infile)
+    infile = getattr(args, "infile", None)
+    if infile:
+        data = _read_ideal_file(infile)
         try:
             m, n, gens = data["m"], data["n"], data["gens"]
         except (KeyError, TypeError) as exc:
@@ -330,19 +332,6 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _power_family(builder):
-    def run(args) -> int:
-        ctx = _context(args.m, args.n)
-        _print_ideal(builder(ctx, args.p, args.d), args.format)
-        return 0
-    return run
-
-
-_cmd_power = _power_family(power_of_minors)
-_cmd_symbolic = _power_family(symbolic_power)
-_cmd_saturated = _power_family(saturated_power)
-
-
 def _cmd_saturate(args) -> int:
     ideal = _resolve_ideal(args)
     _print_ideal(saturate(ideal, args.p), args.format)
@@ -423,8 +412,7 @@ def _cmd_reg(args) -> int:
     ideal = _resolve_ideal(args)
     r = regularity(ideal)
     if args.format == "json":
-        _emit_json({"regularity": r, "m": ideal.ctx.m, "n": ideal.ctx.n,
-                    "gens": [list(g) for g in ideal.gens]})
+        _emit_json({"regularity": r, **_ideal_json(ideal)})
     else:
         print(f"regularity = {r}")
     return 0
@@ -452,7 +440,6 @@ def _cmd_lc(args) -> int:
             for s, mult in sorted(table.rows[j].items()):
                 print(f"{j},{s},{mult}")
     else:
-        lo, hi = lc_support(ctx, args.p)
         print(f"cohomology supported in the {args.p}x{args.p} minors "
               f"of a {ctx.m}x{ctx.n} matrix")
         for j in sorted(table.rows):
@@ -461,7 +448,7 @@ def _cmd_lc(args) -> int:
                 for s, mult in sorted(table.rows[j].items())
             )
             print(f"H^{j} = {cell}")
-        print(f"support: {lo}..{hi}")
+        print(f"support: {min(table.rows)}..{max(table.rows)}")
     return 0
 
 

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from math import inf
 
 from .ideals import InvariantIdeal, MatrixContext, ideal_leq
 from .partitions import (
     Parts,
-    dominant_weight,
     enumerate_in_box,
     part,
     partition,
@@ -134,85 +134,59 @@ def _check_zpair(ctx: MatrixContext, zp: ZPair) -> None:
         raise ValueError(f"l={zp.l} out of range for n={ctx.n}")
 
 
-def _pinned_entries(ctx: MatrixContext, zp: ZPair, t: tuple[int, ...]) -> dict[int, int] | None:
-    """Forced entries of lam for the datum (z, l, t), keyed by 1-based position.
+def _st_data(ctx: MatrixContext, zp: ZPair):
+    """Yield (s, t, j, lower, upper) over the feasible data of a factor.
 
-    Position n is always pinned to l - z_{l+1} - m; position t_i + i is
-    pinned to t_i - z_{n+1-i} - m. The positions t_i + i strictly increase,
-    and the only possible collision is at position n, where the two values
-    provably agree; None is returned if they ever did not.
+    j = m*n - l^2 - s*(m - n) - 2*sum(t). lower and upper bound lam entry
+    by entry, indexed by 1-based position (index 0 unused). Position n is
+    pinned to l - z_{l+1} - m and position t_i + i to t_i - z_{n+1-i} - m;
+    these positions strictly increase, and where t_{n-l} + n - l = n the two
+    pins agree. A pinned position has lower = upper = its pin, and upper[s+1]
+    is at most s - m; every other upper is infinite. A free position has
+    lower the nearest pin after it, raised to s - n on positions 1..s.
+
+    The datum is feasible exactly when lower is weakly decreasing and stays
+    at or under upper. lower is filled from position n down and the datum
+    dropped at the first violation: a pin below a later pin, a pin below
+    s - n on positions 1..s, or lower[s+1] above s - m. For a feasible datum
+    lam = lower is dominant, so sum(lower[1:]) is its minimal internal degree.
     """
     m, n = ctx.m, ctx.n
     z, l = zp.z, zp.l
-    pins = {n: l - part(z, l + 1) - m}
-    for i, ti in enumerate(t, start=1):
-        pos = ti + i
-        val = ti - part(z, n + 1 - i) - m
-        if pos in pins and pins[pos] != val:
-            return None
-        pins[pos] = val
-    return pins
-
-
-def _lower_bounds(ctx: MatrixContext, s: int, pins: dict[int, int]) -> list[int] | None:
-    """Least admissible value at each position, or None when (s, t) is infeasible.
-
-    The bound at a position is the nearest pinned value at or below it
-    (position n is always pinned), raised to s - n on positions 1..s. The
-    datum is infeasible when the pinned values fail to decrease along
-    increasing positions, when a pin sits below s - n on positions 1..s, or
-    when even the least value at position s+1 exceeds s - m.
-    """
-    n = ctx.n
-    lower = [0] * (n + 1)
-    prev_pin = None
-    for idx in range(n, 0, -1):
-        if idx in pins:
-            if prev_pin is not None and pins[idx] < prev_pin:
-                return None
-            prev_pin = pins[idx]
-        lower[idx] = prev_pin
-    for idx in range(1, s + 1):
-        if idx in pins and pins[idx] < s - n:
-            return None
-        lower[idx] = max(lower[idx], s - n)
-    if s + 1 <= n and lower[s + 1] > s - ctx.m:
-        return None
-    return lower
-
-
-def _st_data(ctx: MatrixContext, zp: ZPair):
-    """Yield (s, t, j, lower) over the feasible data of a factor.
-
-    j = m*n - l^2 - s*(m - n) - 2*sum(t) and lower is the per-position least
-    value table; the minimal internal degree for the datum is -sum(lower)
-    negated, attained by taking every free entry at its bound.
-    """
-    m, n = ctx.m, ctx.n
-    l = zp.l
+    last = l - part(z, l + 1) - m
     for s in range(l + 1):
         for t in combinations_with_replacement(range(s, l + 1), n - l):
-            pins = _pinned_entries(ctx, zp, t)
-            if pins is None:
-                continue
-            lower = _lower_bounds(ctx, s, pins)
-            if lower is None:
-                continue
-            j = m * n - l * l - s * (m - n) - 2 * sum(t)
-            yield s, t, j, pins, lower
+            lower = [-inf] * (n + 1)
+            upper = [inf] * (n + 1)
+            lower[n] = upper[n] = last
+            for i, ti in enumerate(t, start=1):
+                lower[ti + i] = upper[ti + i] = ti - part(z, n + 1 - i) - m
+            upper[s + 1] = min(upper[s + 1], s - m)
+            bound = -inf
+            for idx in range(n, 0, -1):
+                if idx == s and bound < s - n:
+                    bound = s - n
+                if bound < lower[idx]:
+                    bound = lower[idx]
+                if bound > upper[idx]:
+                    break
+                lower[idx] = bound
+            else:
+                yield s, t, m * n - l * l - s * (m - n) - 2 * sum(t), lower, upper
 
 
-def _lambdas(ctx, s, pins, lower, window):
-    """Dominant length-n weights matching the pins, the bounds, and the window.
+def _lambdas(ctx, lower, upper, window):
+    """Dominant length-n weights with lower <= lam <= upper entrywise and
+    total degree in the window.
 
-    Entries are scanned left to right; the running upper bound is the
-    previous entry, tightened to s - m at position s+1 and by the window
+    Entries are scanned left to right. The running upper bound at position
+    idx is upper[idx], tightened to the previous entry and by the window
     budget hi - partial - (least possible sum of the remaining entries).
     The running lower bound is lower[idx], raised to
     ceil((lo - partial) / (n - idx + 1)): the entries from idx on are at
     most the current one, so below that value the sum cannot reach lo. At
     the last position this is lo - partial, so every leaf lies in the window.
-    Every free entry has a finite range, so the enumeration terminates.
+    Every range is finite, so the enumeration terminates.
     """
     n = ctx.n
     suffix = [0] * (n + 2)
@@ -221,46 +195,34 @@ def _lambdas(ctx, s, pins, lower, window):
     out = []
     acc = [0] * n
 
-    def walk(idx: int, prev: int | None, partial: int) -> None:
+    def walk(idx: int, prev, partial: int) -> None:
         if idx > n:
             out.append(tuple(acc))
             return
-        ub = window.hi - partial - suffix[idx + 1]
-        if prev is not None:
-            ub = min(ub, prev)
-        if idx == s + 1:
-            ub = min(ub, s - ctx.m)
+        ub = min(prev, upper[idx], window.hi - partial - suffix[idx + 1])
         lb = max(lower[idx], -((partial - window.lo) // (n - idx + 1)))
-        if idx in pins:
-            v = pins[idx]
-            if lb <= v <= ub:
-                acc[idx - 1] = v
-                walk(idx + 1, v, partial + v)
-            return
         for v in range(ub, lb - 1, -1):
             acc[idx - 1] = v
             walk(idx + 1, v, partial + v)
 
-    walk(1, None, 0)
+    walk(1, inf, 0)
     return out
 
 
 def _insert_block(ctx: MatrixContext, s: int, lam: tuple[int, ...]) -> tuple[int, ...]:
     """GL_m weight paired with lam: block (s-n)^(m-n) after position s,
-    tail raised by m-n. Weakly decreasing whenever lam satisfies the
-    position-s bounds, and validated here regardless."""
+    tail raised by m-n. Weakly decreasing whenever lam keeps the bounds
+    lam_s >= s - n and lam_{s+1} <= s - m of the datum's bound lists."""
     m, n = ctx.m, ctx.n
-    return dominant_weight(
-        lam[:s] + (s - n,) * (m - n) + tuple(v + (m - n) for v in lam[s:])
-    )
+    return lam[:s] + (s - n,) * (m - n) + tuple(v + (m - n) for v in lam[s:])
 
 
 def ext_jzl(ctx: MatrixContext, zp: ZPair, window: DegreeWindow) -> EquivariantCharacter:
     """Windowed character of Ext(J_{z,l}, S), keyed by cohomological index."""
     _check_zpair(ctx, zp)
     ch = EquivariantCharacter()
-    for s, t, j, pins, lower in _st_data(ctx, zp):
-        for lam in _lambdas(ctx, s, pins, lower, window):
+    for s, t, j, lower, upper in _st_data(ctx, zp):
+        for lam in _lambdas(ctx, lower, upper, window):
             ch.add(j, _insert_block(ctx, s, lam), lam, sum(lam))
     return ch
 
@@ -307,12 +269,12 @@ def attainable_indices(ctx: MatrixContext, zp: ZPair) -> list[int]:
 def ext_min_degree(ctx: MatrixContext, zp: ZPair, j: int) -> int | None:
     """Least internal degree of Ext^j(J_{z,l}, S), or None when it vanishes.
 
-    Every feasible datum attains its minimal degree by putting each free
-    entry at its lower bound, so no windowed enumeration is needed.
+    Every feasible datum attains its minimal degree at lam = lower, its
+    lower bound list, so no windowed enumeration is needed.
     """
     _check_zpair(ctx, zp)
     best = None
-    for s, t, jj, pins, lower in _st_data(ctx, zp):
+    for s, t, jj, lower, upper in _st_data(ctx, zp):
         if jj != j:
             continue
         deg = sum(lower[1:])
@@ -334,7 +296,7 @@ def regularity(a: InvariantIdeal) -> int:
         raise ValueError("the unit ideal has no regularity")
     best = None
     for zp in zset(a):
-        for s, t, j, pins, lower in _st_data(a.ctx, zp):
+        for s, t, j, lower, upper in _st_data(a.ctx, zp):
             val = -sum(lower[1:]) - j
             if best is None or val > best:
                 best = val

@@ -70,11 +70,11 @@ def ds_character(ctx: MatrixContext, s: int, window: DegreeWindow) -> Equivarian
             f"D_{s} has infinite dimensional degree slices; "
             "only the s = 0 factor admits a windowed character"
         )
-    n = ctx.n
+    n, m = ctx.n, ctx.m
     # the other n-1 entries are each at most -m, so an entry below
     # lo + (n-1)*m leaves the degree under lo
-    lower = [window.lo + (n - 1) * ctx.m] * (n + 1)
+    lower = [window.lo + (n - 1) * m] * (n + 1)
     ch = EquivariantCharacter()
-    for lam in _lambdas(ctx, 0, {}, lower, window):
+    for lam in _lambdas(ctx, lower, [-m] * (n + 1), window):
         ch.add(0, _insert_block(ctx, 0, lam), lam, sum(lam))
     return ch

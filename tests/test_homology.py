@@ -13,6 +13,7 @@ from glinv import (
     ext_min_degree,
     ext_quotient,
     make_ideal,
+    part,
     power_of_minors,
     regularity,
     saturate,
@@ -136,6 +137,32 @@ def test_ext_components_match_weight_first_oracle(m, n, z, l, lo, hi):
     )
     assert got == ext_lambda_first(m, n, z, l, lo, hi)
     assert all(lo <= t.degree <= hi for _, t in terms)
+
+
+def _factors(n, cmax):
+    """Every valid factor index (z, l) with at most n rows and z_1 <= cmax."""
+    for l in range(n):
+        for z in enumerate_in_box(n, cmax):
+            try:
+                yield ZPair(z, l)
+            except ValueError:
+                continue
+
+
+def test_scan_matches_weight_first_oracle():
+    # Entries of lam are at least -(z_1 + m), and the least lam of a datum
+    # has entries <= -1, so [-n(z_1 + m), -n] holds every least degree.
+    for n in range(1, 5):
+        for m in (n, n + 1):
+            ctx = MatrixContext(m, n)
+            for zp in _factors(n, 3):
+                lo = -n * (part(zp.z, 1) + m)
+                least = {}
+                for j, _, _, deg in ext_lambda_first(m, n, zp.z, zp.l, lo, -n):
+                    least[j] = min(deg, least.get(j, deg))
+                assert attainable_indices(ctx, zp) == sorted(least), (m, zp)
+                for j in range(m * n + 2):
+                    assert ext_min_degree(ctx, zp, j) == least.get(j), (m, zp, j)
 
 
 def test_ext_of_maximal_ideal_powers():
