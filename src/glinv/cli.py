@@ -32,7 +32,6 @@ from .homology import (
 from .ideals import (
     InvariantIdeal,
     MatrixContext,
-    generator_degree,
     ideal_leq,
     make_ideal,
     power_of_minors,
@@ -41,7 +40,7 @@ from .ideals import (
     symbolic_power,
 )
 from .loccoh import ds_character, lc_table
-from .partitions import dominant_weight, partition, qbinomial, size
+from .partitions import dominant_weight, qbinomial, size
 from .schur import EquivariantCharacter, dim_schur
 
 
@@ -281,11 +280,10 @@ def _emit_json(obj) -> None:
 
 
 def render_diagram(x, indent: str = "  ") -> str:
-    """Young diagram of x, one '#' per box, rows left-aligned."""
-    xx = partition(x)
-    if not xx:
+    """Young diagram of the partition x, one '#' per box, rows left-aligned."""
+    if not x:
         return f"{indent}(no boxes)"
-    return "\n".join(f"{indent}{'#' * v}" for v in xx)
+    return "\n".join(f"{indent}{'#' * v}" for v in x)
 
 
 def _print_ideal(ideal: InvariantIdeal, fmt: str) -> None:
@@ -301,7 +299,7 @@ def _print_ideal(ideal: InvariantIdeal, fmt: str) -> None:
         return
     print(f"{len(ideal.gens)} generator{'s' if len(ideal.gens) != 1 else ''}:")
     for g in ideal.gens:
-        print(f"({','.join(map(str, g))})  degree {generator_degree(g)}")
+        print(f"({','.join(map(str, g))})  degree {size(g)}")
         print(render_diagram(g))
 
 
@@ -477,10 +475,10 @@ def _cmd_schurdim(args) -> int:
         weight = json.loads(args.weight)
     except json.JSONDecodeError as exc:
         raise ValueError(f"weight is not valid JSON: {exc}") from None
-    _int_list(weight, "weight")
-    dim = dim_schur(dominant_weight(weight), args.N)
+    weight = dominant_weight(_int_list(weight, "weight"))
+    dim = dim_schur(weight, args.N)
     if args.format == "json":
-        _emit_json({"N": args.N, "weight": list(dominant_weight(weight)), "dim": dim})
+        _emit_json({"N": args.N, "weight": list(weight), "dim": dim})
     else:
         print(f"dim = {dim}")
     return 0

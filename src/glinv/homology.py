@@ -260,46 +260,41 @@ def ext_map_analysis(a: InvariantIdeal, b: InvariantIdeal, window: DegreeWindow)
     return kernel, image, cokernel
 
 
+def _least_degrees(ctx: MatrixContext, zp: ZPair) -> dict[int, int]:
+    """Least internal degree of Ext^j(J_{z,l}, S) for each j where it is
+    nonzero: a feasible datum attains its least degree at lam = lower."""
+    least: dict[int, int] = {}
+    for _, _, j, lower, _ in _st_data(ctx, zp):
+        deg = sum(lower[1:])
+        if deg < least.get(j, inf):
+            least[j] = deg
+    return least
+
+
 def attainable_indices(ctx: MatrixContext, zp: ZPair) -> list[int]:
     """Cohomological indices where Ext(J_{z,l}, S) is nonzero."""
     _check_zpair(ctx, zp)
-    return sorted({j for _, _, j, _, _ in _st_data(ctx, zp)})
+    return sorted(_least_degrees(ctx, zp))
 
 
 def ext_min_degree(ctx: MatrixContext, zp: ZPair, j: int) -> int | None:
-    """Least internal degree of Ext^j(J_{z,l}, S), or None when it vanishes.
-
-    Every feasible datum attains its minimal degree at lam = lower, its
-    lower bound list, so no windowed enumeration is needed.
-    """
+    """Least internal degree of Ext^j(J_{z,l}, S), or None when it vanishes."""
     _check_zpair(ctx, zp)
-    best = None
-    for s, t, jj, lower, upper in _st_data(ctx, zp):
-        if jj != j:
-            continue
-        deg = sum(lower[1:])
-        if best is None or deg < best:
-            best = deg
-    return best
+    return _least_degrees(ctx, zp).get(j)
 
 
 def regularity(a: InvariantIdeal) -> int:
     """Castelnuovo-Mumford regularity of a nonzero proper invariant ideal.
 
-    Computed as 1 + max over factors and feasible data of
-    (-minimal degree - j); the maximum exists because every factor admits at
-    least one feasible datum and minimal degrees are exact.
+    Computed as 1 + max over factors and indices j of (-least degree - j);
+    the maximum exists because every factor admits at least one feasible
+    datum and least degrees are exact.
     """
     if a.is_zero:
         raise ValueError("the zero ideal has no regularity")
     if a.is_unit:
         raise ValueError("the unit ideal has no regularity")
-    best = None
-    for zp in zset(a):
-        for s, t, j, lower, upper in _st_data(a.ctx, zp):
-            val = -sum(lower[1:]) - j
-            if best is None or val > best:
-                best = val
-    if best is None:
+    vals = [-deg - j for zp in zset(a) for j, deg in _least_degrees(a.ctx, zp).items()]
+    if not vals:
         raise RuntimeError(f"no feasible Ext datum for any factor of {a.gens}")
-    return 1 + best
+    return 1 + max(vals)

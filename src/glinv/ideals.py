@@ -122,7 +122,8 @@ def symbolic_power(ctx: MatrixContext, p: int, d: int) -> InvariantIdeal:
     """d-th symbolic power of the ideal of p x p minors.
 
     Generated by the partitions whose first p rows share a common value c
-    and whose rows p..n sum to d, over c = 0..d.
+    and whose rows p..n sum to d, over c = 0..d: an antichain, since for
+    c < c' the c-member has the shorter first row but more boxes below row p.
     """
     _check_p(ctx, p)
     if d < 0:
@@ -131,7 +132,7 @@ def symbolic_power(ctx: MatrixContext, p: int, d: int) -> InvariantIdeal:
     for c in range(d, -1, -1):
         for tail in partitions_of_size_in_box(d - c, ctx.n - p, c):
             gens.append(partition((c,) * p + tail))
-    return InvariantIdeal(ctx, minimalize(gens))
+    return InvariantIdeal(ctx, tuple(sorted(gens, reverse=True)))
 
 
 def saturated_power(ctx: MatrixContext, p: int, d: int) -> InvariantIdeal:
@@ -140,7 +141,8 @@ def saturated_power(ctx: MatrixContext, p: int, d: int) -> InvariantIdeal:
     Generated by the partitions with x_1 = x_2 = c <= d whose rows 2..n sum
     to (p-1)*d. Without the cap c <= d the same row conditions admit
     partitions that lie outside the saturation, so the cap is part of the
-    description, not an optimization.
+    description, not an optimization. An antichain, since for c < c' the
+    c-member has the shorter first row but more boxes below row 2.
     """
     _check_p(ctx, p)
     if d < 0:
@@ -149,7 +151,7 @@ def saturated_power(ctx: MatrixContext, p: int, d: int) -> InvariantIdeal:
     for c in range(d, -1, -1):
         for tail in partitions_of_size_in_box((p - 1) * d - c, ctx.n - 2, c):
             gens.append(partition((c, c) + tail))
-    return InvariantIdeal(ctx, minimalize(gens))
+    return InvariantIdeal(ctx, tuple(sorted(gens, reverse=True)))
 
 
 def strip_short_columns(x, p: int) -> Parts:

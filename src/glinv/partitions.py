@@ -40,9 +40,12 @@ def partition(parts: Iterable[int]) -> Parts:
 
 
 def _integers(entries: Iterable[int]) -> tuple[int, ...]:
-    """Entries as a tuple of ints; a non-integer entry is a ValueError."""
+    """Entries as a tuple of ints; a non-integer or bool entry is a ValueError."""
+    xs = tuple(entries)
+    if bool in map(type, xs):
+        raise ValueError(f"entries must be integers, not booleans: {xs}")
     try:
-        return tuple(map(index, entries))
+        return tuple(map(index, xs))
     except TypeError as exc:
         raise ValueError(f"entries must be integers: {exc}") from None
 

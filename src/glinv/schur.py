@@ -12,14 +12,12 @@ def dim_schur(w, N: int) -> int:
 
     Exact product over pairs i < j of (w_i - w_j + j - i) / (j - i), with the
     numerator and denominator accumulated separately and the final division
-    checked to be exact. Weights shorter than N are zero-padded on the right,
-    which requires a nonnegative tail.
+    checked to be exact. w is validated once, by pad_weight, which zero-pads a
+    weight shorter than N on the right and so requires a nonnegative tail.
     """
     if N < 1:
         raise ValueError("N must be positive")
-    ww = dominant_weight(w)
-    if len(ww) != N:
-        ww = pad_weight(ww, N)
+    ww = pad_weight(w, N)
     num = 1
     den = 1
     for i in range(N):
@@ -61,10 +59,12 @@ class EquivariantCharacter:
         self._terms: dict[tuple[int, Weight, Weight, int], int] = {}
 
     def add(self, index: int, wm, wn, degree: int, multiplicity: int = 1) -> "EquivariantCharacter":
-        """Add a summand; the weights are validated here, once, at insertion."""
+        """Add a summand keyed (index, wm, wn, degree) as given: wm and wn must be
+        dominant weight tuples, as every engine builds them (pass a raw vector
+        through dominant_weight first). Only the multiplicity is checked."""
         if multiplicity <= 0:
             raise ValueError("multiplicity must be positive")
-        key = (int(index), dominant_weight(wm), dominant_weight(wn), int(degree))
+        key = (index, wm, wn, degree)
         self._terms[key] = self._terms.get(key, 0) + multiplicity
         return self
 

@@ -84,6 +84,37 @@ def box_partitions(rows: int, cols: int) -> list[tuple[int, ...]]:
     return out
 
 
+def in_symbolic_power(x: tuple[int, ...], p: int, d: int) -> bool:
+    """Membership of det_x in the d-th symbolic power of the p x p minors,
+    by the de Concini-Eisenbud-Procesi criterion: the sum over the columns
+    of x of max(0, height - p + 1) is at least d."""
+    heights = [sum(1 for v in x if v > c) for c in range(x[0] if x else 0)]
+    return sum(max(0, h - p + 1) for h in heights) >= d
+
+
+def symbolic_generators_dep(n: int, p: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """Minimal members of the d-th symbolic power of the p x p minors, sorted
+    descending, from the membership criterion alone.
+
+    A minimal member has no column of height below p (its last column would
+    add nothing) and so at most d columns, hence lies in the n x d box.
+    Membership is closed upward, so a member is minimal exactly when no
+    partition one box smaller is a member.
+    """
+    def smaller(x):
+        for i, v in enumerate(x):
+            if i + 1 == len(x) or x[i + 1] < v:
+                y = x[:i] + (v - 1,) + x[i + 1:]
+                yield y if y[-1] else y[:-1]
+
+    return tuple(sorted(
+        (x for x in box_partitions(n, d)
+         if in_symbolic_power(x, p, d)
+         and not any(in_symbolic_power(y, p, d) for y in smaller(x))),
+        reverse=True,
+    ))
+
+
 def succ_min_brute(n: int, z: tuple[int, ...], l: int) -> set[tuple[int, ...]]:
     """Minimal partitions x with at most n parts, x >= z rowwise, and
     x_i > z_i for some row i > l. Brute force over a sufficient box."""

@@ -15,7 +15,7 @@ from glinv import (
     symbolic_power,
 )
 
-from _oracles import succ_min_brute
+from _oracles import succ_min_brute, symbolic_generators_dep
 
 CTX3 = MatrixContext(3, 3)
 CTX4 = MatrixContext(4, 4)
@@ -53,6 +53,11 @@ def test_make_ideal_rejects_tall_generators():
 def test_make_ideal_rejects_non_integer_rows():
     with pytest.raises(ValueError, match="integers"):
         make_ideal(CTX3, [[2.7, 1]])
+
+
+def test_make_ideal_rejects_boolean_rows():
+    with pytest.raises(ValueError, match="booleans"):
+        make_ideal(CTX3, [[True]])
 
 
 def test_direct_constructor_validates():
@@ -140,13 +145,23 @@ def test_saturate_identity_and_collapse():
 
 
 def test_saturation_reproduces_symbolic_and_saturated_powers():
-    for n in range(1, 5):
+    for n in range(1, 8):
+        for m in (n, n + 1):
+            ctx = MatrixContext(m, n)
+            for p in range(1, n + 1):
+                for d in range(8):
+                    base = power_of_minors(ctx, p, d)
+                    assert saturate(base, p - 1) == symbolic_power(ctx, p, d), (m, n, p, d)
+                    assert saturate(base, 1) == saturated_power(ctx, p, d), (m, n, p, d)
+
+
+def test_symbolic_power_matches_dep_criterion():
+    for n in range(1, 7):
         ctx = MatrixContext(n, n)
         for p in range(1, n + 1):
-            for d in range(5):
-                base = power_of_minors(ctx, p, d)
-                assert saturate(base, p - 1) == symbolic_power(ctx, p, d)
-                assert saturate(base, 1) == saturated_power(ctx, p, d)
+            for d in range(7):
+                want = symbolic_generators_dep(n, p, d)
+                assert symbolic_power(ctx, p, d).gens == want, (n, p, d)
 
 
 def test_power_saturated_symbolic_chain():

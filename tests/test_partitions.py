@@ -45,6 +45,16 @@ def test_non_integer_entries_are_rejected_not_truncated():
         dominant_weight([1.5])
 
 
+def test_boolean_entries_are_rejected():
+    # bool is an int subclass, so operator.index alone would read True as 1
+    with pytest.raises(ValueError, match="booleans"):
+        partition([True, True])
+    with pytest.raises(ValueError, match="booleans"):
+        partition([2, False])
+    with pytest.raises(ValueError, match="booleans"):
+        dominant_weight([True])
+
+
 def test_part_reads_zero_past_the_end():
     x = (4, 2, 1)
     assert [part(x, i) for i in range(1, 6)] == [4, 2, 1, 0, 0]

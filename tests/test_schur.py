@@ -66,6 +66,13 @@ def test_dim_schur_rejects_bad_weights():
         dim_schur([1.5], 3)
 
 
+def test_dim_schur_rejects_booleans():
+    with pytest.raises(ValueError, match="booleans"):
+        dim_schur([True], 3)
+    with pytest.raises(ValueError, match="booleans"):
+        dim_schur((1, True, 0), 3)
+
+
 def test_ssyt_count_small():
     assert ssyt_count((1,), 3) == 3
     assert ssyt_count((1, 1, 1), 3) == 1
