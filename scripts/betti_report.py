@@ -33,9 +33,9 @@ def main(argv: list[str] | None = None) -> int:
     print()
     print(tab.render())
     print()
+    totals = tab.totals()
     for i, group in groupby(bp.items(), key=lambda it: it[0]):
-        beta = tab.total(i)
-        print(f"index {i} (beta = {beta}):")
+        print(f"index {i} (beta = {totals[i]}):")
         for _, term in group:
             wm = ",".join(map(str, term.wm))
             wn = ",".join(map(str, term.wn))

@@ -11,7 +11,6 @@ so a clean run prints no stars.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
 
 from glinv import (
     MatrixContext,
@@ -21,12 +20,6 @@ from glinv import (
     symbolic_power,
 )
 from glinv.cli import quiet_on_broken_pipe
-
-
-@dataclass(frozen=True)
-class ScanConfig:
-    max_n: int
-    max_d: int
 
 
 def predicted_power(n: int, p: int, d: int) -> int | None:
@@ -54,14 +47,14 @@ def _cell(value: int, predicted: int | None) -> str:
     return f"{value:>4} {predicted:>4}{mark}"
 
 
-def scan(cfg: ScanConfig) -> int:
+def scan(max_n: int, max_d: int) -> int:
     mismatches = 0
     print(f"{'n':>2} {'p':>2} {'d':>2}   {'power pred':>10}  "
           f"{'symb pred':>10}  {'sat pred':>10}")
-    for n in range(2, cfg.max_n + 1):
+    for n in range(2, max_n + 1):
         ctx = MatrixContext(n, n)
         for p in range(1, n + 1):
-            for d in range(1, cfg.max_d + 1):
+            for d in range(1, max_d + 1):
                 rp = regularity(power_of_minors(ctx, p, d))
                 rsym = regularity(symbolic_power(ctx, p, d))
                 cells = [
@@ -95,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--max-d", type=int, default=5,
                     help="largest exponent to scan (default 5)")
     args = ap.parse_args(argv)
-    return scan(ScanConfig(max_n=args.max_n, max_d=args.max_d))
+    return scan(args.max_n, args.max_d)
 
 
 if __name__ == "__main__":

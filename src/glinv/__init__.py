@@ -25,7 +25,6 @@ from .homology import (
 from .ideals import (
     InvariantIdeal,
     MatrixContext,
-    generator_degree,
     ideal_leq,
     make_ideal,
     power_of_minors,
@@ -62,8 +61,8 @@ __all__ = [
     "DegreeWindow", "ZPair", "attainable_indices", "ext_jzl",
     "ext_map_analysis", "ext_min_degree", "ext_quotient", "regularity",
     "saturation_filter", "zset", "zset_of_generators", "run_golden_checks",
-    "InvariantIdeal", "MatrixContext", "generator_degree", "ideal_leq",
-    "make_ideal", "power_of_minors", "saturate", "saturated_power",
+    "InvariantIdeal", "MatrixContext", "ideal_leq", "make_ideal",
+    "power_of_minors", "saturate", "saturated_power",
     "saturation_generators", "strip_short_columns", "succ_min", "symbolic_power",
     "LCTable", "ds_character", "lc_support", "lc_table",
     "attach", "conjugate", "dominant_weight", "dual_weight",

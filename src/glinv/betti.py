@@ -76,9 +76,6 @@ class BettiTable:
 
     entries: dict[tuple[int, int], int]
 
-    def total(self, i: int) -> int:
-        return sum(v for (idx, _), v in self.entries.items() if idx == i)
-
     def totals(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for (i, _), v in self.entries.items():

@@ -434,16 +434,16 @@ def _cmd_lc(args) -> int:
                              for j, row in table.rows.items()}})
     elif args.format == "csv":
         print("j,s,mult")
-        for j in sorted(table.rows):
-            for s, mult in sorted(table.rows[j].items()):
+        for j, row in table.rows.items():
+            for s, mult in row.items():
                 print(f"{j},{s},{mult}")
     else:
         print(f"cohomology supported in the {args.p}x{args.p} minors "
               f"of a {ctx.m}x{ctx.n} matrix")
-        for j in sorted(table.rows):
+        for j, row in table.rows.items():
             cell = " + ".join(
                 (f"{mult}*D_{s}" if mult != 1 else f"D_{s}")
-                for s, mult in sorted(table.rows[j].items())
+                for s, mult in row.items()
             )
             print(f"H^{j} = {cell}")
         print(f"support: {min(table.rows)}..{max(table.rows)}")

@@ -19,13 +19,7 @@ from itertools import combinations_with_replacement
 from math import inf
 
 from .ideals import InvariantIdeal, MatrixContext, ideal_leq
-from .partitions import (
-    Parts,
-    enumerate_in_box,
-    part,
-    partition,
-    truncate_columns,
-)
+from .partitions import Parts, enumerate_in_box, part, partition
 from .schur import EquivariantCharacter
 
 
@@ -75,10 +69,14 @@ def zset_of_generators(ctx: MatrixContext, gens) -> frozenset[ZPair]:
     Equivalently: among the generators with x(c) <= z, the least column
     height is l+1. Each (c, z) therefore yields at most one l.
 
-    For each c, least[z] is filled over the n x c box in size order: the
-    least height among generators with x(c) = z, lowered to the entries one
-    box smaller, so that it covers every x(c) <= z. The work is the size of
-    the boxes, whatever the number of generators.
+    For each c, least[z] is filled over the n x c box in the lexicographic
+    order of enumerate_in_box, which lists z after every partition inside
+    it: the least height among generators with x(c) = z, lowered to the
+    entries one box smaller, so that it covers every x(c) <= z. The work is
+    the size of the boxes, whatever the number of generators. A generator
+    with h rows longer than c has x(c) = (c^h, x_{h+1}, x_{h+2}, ...).
+    Each pair meets the equal-rows condition of ZPair: a generator attaining
+    h has x(c) <= z, so c <= z_i <= z_1 = c for i <= h.
     """
     xs = []
     for g in gens:
@@ -92,8 +90,8 @@ def zset_of_generators(ctx: MatrixContext, gens) -> frozenset[ZPair]:
     for c in range(cmax):
         least: dict[Parts, int] = {}
         for x in xs:
-            t = truncate_columns(x, c)
             h = sum(1 for v in x if v > c)
+            t = (c,) * h + x[h:] if c else ()
             if h < least.get(t, absent):
                 least[t] = h
         for z in enumerate_in_box(ctx.n, c):
@@ -103,15 +101,8 @@ def zset_of_generators(ctx: MatrixContext, gens) -> frozenset[ZPair]:
                     smaller = z[:i] + (v - 1,) + z[i + 1:]
                     h = min(h, least[smaller if smaller[-1] else smaller[:-1]])
             least[z] = h
-            if not 0 < h < absent or part(z, 1) != c:
-                continue
-            try:
+            if 0 < h < absent and part(z, 1) == c:
                 pairs.append(ZPair(z, h - 1))
-            except ValueError as exc:
-                raise RuntimeError(
-                    "composition factor index violates the equal-rows "
-                    f"hypothesis: z={z}, l={h - 1}, generators={tuple(xs)}"
-                ) from exc
     return frozenset(pairs)
 
 
@@ -230,7 +221,7 @@ def ext_jzl(ctx: MatrixContext, zp: ZPair, window: DegreeWindow) -> EquivariantC
 def ext_quotient(a: InvariantIdeal, window: DegreeWindow) -> EquivariantCharacter:
     """Windowed character of Ext(S/a, S): the sum over all factors of S/a."""
     ch = EquivariantCharacter()
-    for zp in sorted(zset(a), key=lambda zp: (zp.l, zp.z)):
+    for zp in zset(a):
         ch.merge(ext_jzl(a.ctx, zp, window))
     return ch
 
@@ -250,7 +241,7 @@ def ext_map_analysis(a: InvariantIdeal, b: InvariantIdeal, window: DegreeWindow)
     kernel = EquivariantCharacter()
     image = EquivariantCharacter()
     cokernel = EquivariantCharacter()
-    for zp in sorted(za | zb, key=lambda zp: (zp.l, zp.z)):
+    for zp in za | zb:
         if zp in za and zp in zb:
             image.merge(ext_jzl(a.ctx, zp, window))
         elif zp in za:

@@ -14,13 +14,11 @@ from typing import Iterable
 
 from .partitions import (
     Parts,
-    conjugate,
     leq,
     minimalize,
     part,
     partition,
     partitions_of_size_in_box,
-    size,
     truncate_columns,
 )
 
@@ -99,23 +97,17 @@ def ideal_leq(a: InvariantIdeal, b: InvariantIdeal) -> bool:
     return all(any(leq(x, y) for x in a.gens) for y in b.gens)
 
 
-def generator_degree(x) -> int:
-    """Polynomial degree of the orbit generator det_x: the size of x."""
-    return size(partition(x))
-
-
 def power_of_minors(ctx: MatrixContext, p: int, d: int) -> InvariantIdeal:
     """d-th power of the ideal of p x p minors.
 
     Generated by every partition of size p*d with at most n parts, each part
-    at most d; equal sizes make the family an antichain outright. d = 0 is
-    allowed and gives the unit ideal.
+    at most d, in the descending order the constructor checks; equal sizes
+    make the family an antichain outright. d = 0 gives the unit ideal.
     """
     _check_p(ctx, p)
     if d < 0:
         raise ValueError("exponent must be nonnegative")
-    gens = partitions_of_size_in_box(p * d, ctx.n, d)
-    return InvariantIdeal(ctx, tuple(sorted(gens, reverse=True)))
+    return InvariantIdeal(ctx, tuple(partitions_of_size_in_box(p * d, ctx.n, d)))
 
 
 def symbolic_power(ctx: MatrixContext, p: int, d: int) -> InvariantIdeal:
@@ -124,15 +116,15 @@ def symbolic_power(ctx: MatrixContext, p: int, d: int) -> InvariantIdeal:
     Generated by the partitions whose first p rows share a common value c
     and whose rows p..n sum to d, over c = 0..d: an antichain, since for
     c < c' the c-member has the shorter first row but more boxes below row p.
+    Built in the descending order the constructor checks: c falls, and the
+    tails descend under each c.
     """
     _check_p(ctx, p)
     if d < 0:
         raise ValueError("exponent must be nonnegative")
-    gens = []
-    for c in range(d, -1, -1):
-        for tail in partitions_of_size_in_box(d - c, ctx.n - p, c):
-            gens.append(partition((c,) * p + tail))
-    return InvariantIdeal(ctx, tuple(sorted(gens, reverse=True)))
+    return InvariantIdeal(ctx, tuple(
+        partition((c,) * p + tail) for c in range(d, -1, -1)
+        for tail in partitions_of_size_in_box(d - c, ctx.n - p, c)))
 
 
 def saturated_power(ctx: MatrixContext, p: int, d: int) -> InvariantIdeal:
@@ -142,29 +134,28 @@ def saturated_power(ctx: MatrixContext, p: int, d: int) -> InvariantIdeal:
     to (p-1)*d. Without the cap c <= d the same row conditions admit
     partitions that lie outside the saturation, so the cap is part of the
     description, not an optimization. An antichain, since for c < c' the
-    c-member has the shorter first row but more boxes below row 2.
+    c-member has the shorter first row but more boxes below row 2. Built in
+    the descending order the constructor checks: c falls, and the tails
+    descend under each c.
     """
     _check_p(ctx, p)
     if d < 0:
         raise ValueError("exponent must be nonnegative")
-    gens = []
-    for c in range(d, -1, -1):
-        for tail in partitions_of_size_in_box((p - 1) * d - c, ctx.n - 2, c):
-            gens.append(partition((c, c) + tail))
-    return InvariantIdeal(ctx, tuple(sorted(gens, reverse=True)))
+    return InvariantIdeal(ctx, tuple(
+        partition((c, c) + tail) for c in range(d, -1, -1)
+        for tail in partitions_of_size_in_box((p - 1) * d - c, ctx.n - 2, c)))
 
 
 def strip_short_columns(x, p: int) -> Parts:
     """Drop the columns of x of height at most p.
 
-    Equivalently x(c) where c counts the columns of height greater than p.
-    Identity at p = 0; the zero partition for p >= height of x.
+    Equivalently x(c) where c = x_{p+1} counts the columns of height greater
+    than p. Identity at p = 0; the zero partition for p >= height of x.
     """
     if p < 0:
         raise ValueError("p must be nonnegative")
     xx = partition(x)
-    c = sum(1 for h in conjugate(xx) if h > p)
-    return truncate_columns(xx, c)
+    return truncate_columns(xx, part(xx, p + 1))
 
 
 def saturation_generators(a: InvariantIdeal, p: int) -> tuple[Parts, ...]:

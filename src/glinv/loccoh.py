@@ -20,7 +20,7 @@ from .schur import EquivariantCharacter
 
 @dataclass(frozen=True)
 class LCTable:
-    """Multiplicities rows[j][s] of the factor D_s inside H^j."""
+    """Multiplicities rows[j][s] of the factor D_s inside H^j, j and s ascending."""
 
     ctx: MatrixContext
     p: int
@@ -44,7 +44,7 @@ def lc_table(ctx: MatrixContext, p: int) -> LCTable:
         shift = (n - p + 1) ** 2 + (n - s) * (m - n)
         for u, mult in enumerate(qbinomial(n - s - 1, p - 1 - s)):
             rows.setdefault(shift + 2 * u, {})[s] = mult
-    return LCTable(ctx, p, {j: dict(sorted(rows[j].items())) for j in sorted(rows)})
+    return LCTable(ctx, p, {j: rows[j] for j in sorted(rows)})
 
 
 def lc_support(ctx: MatrixContext, p: int) -> tuple[int, int]:

@@ -98,14 +98,13 @@ def minimalize(xs: Iterable[Parts]) -> tuple[Parts, ...]:
 def enumerate_in_box(rows: int, cols: int) -> list[Parts]:
     """All partitions with at most `rows` parts, each part at most `cols`.
 
-    Ordered by size and then lexicographically, so the output is stable for
-    golden files. The count is binomial(rows + cols, rows).
+    binomial(rows + cols, rows) of them, in lexicographic order with a prefix
+    first, as the walk yields them, not by size. A partition y inside x comes
+    before x: y is lower at the first row where they differ, or a prefix of x.
     """
     if rows < 0 or cols < 0:
         raise ValueError("box sides must be nonnegative")
-    out = list(_box(rows, cols))
-    out.sort(key=lambda x: (sum(x), x))
-    return out
+    return list(_box(rows, cols))
 
 
 def _box(rows: int, cap: int) -> Iterator[Parts]:
@@ -118,10 +117,11 @@ def _box(rows: int, cap: int) -> Iterator[Parts]:
 
 
 def partitions_of_size_in_box(total: int, rows: int, cols: int) -> list[Parts]:
-    """Partitions of `total` with at most `rows` parts, each at most `cols`."""
+    """Partitions of `total` with at most `rows` parts, each at most `cols`,
+    in strictly descending lexicographic order, as the walk yields them."""
     if total < 0:
         return []
-    return sorted(_sized(total, rows, cols))
+    return list(_sized(total, rows, cols))
 
 
 def _sized(total: int, rows: int, cap: int) -> Iterator[Parts]:

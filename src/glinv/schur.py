@@ -47,8 +47,9 @@ def dim_term(term: IrredTerm, m: int, n: int) -> int:
 class EquivariantCharacter:
     """Finite multiset of irreducible summands, keyed by a homological index.
 
-    Entries are stored as (index, wm, wn, degree) -> multiplicity with all
-    multiplicities positive. Characters concentrated in a single
+    Entries are stored as (index, degree, wm, wn) -> multiplicity with all
+    multiplicities positive; that key layout is the order items() returns,
+    so items() sorts the keys themselves. Characters concentrated in a single
     cohomological degree use that degree as the index; plain graded
     characters use index 0.
     """
@@ -56,15 +57,15 @@ class EquivariantCharacter:
     __slots__ = ("_terms",)
 
     def __init__(self):
-        self._terms: dict[tuple[int, Weight, Weight, int], int] = {}
+        self._terms: dict[tuple[int, int, Weight, Weight], int] = {}
 
     def add(self, index: int, wm, wn, degree: int, multiplicity: int = 1) -> "EquivariantCharacter":
-        """Add a summand keyed (index, wm, wn, degree) as given: wm and wn must be
-        dominant weight tuples, as every engine builds them (pass a raw vector
-        through dominant_weight first). Only the multiplicity is checked."""
+        """Add a summand keyed (index, degree, wm, wn) as given: wm and wn must
+        be dominant weight tuples, as every engine builds them (pass a raw
+        vector through dominant_weight first). Only the multiplicity is checked."""
         if multiplicity <= 0:
             raise ValueError("multiplicity must be positive")
-        key = (index, wm, wn, degree)
+        key = (index, degree, wm, wn)
         self._terms[key] = self._terms.get(key, 0) + multiplicity
         return self
 
@@ -90,27 +91,16 @@ class EquivariantCharacter:
 
     def items(self) -> list[tuple[int, IrredTerm]]:
         """(index, term) pairs sorted by index, then degree, then wm, then wn."""
-        out = [
+        return [
             (j, IrredTerm(wm, wn, deg, mult))
-            for (j, wm, wn, deg), mult in self._terms.items()
+            for (j, deg, wm, wn), mult in sorted(self._terms.items())
         ]
-        out.sort(key=lambda it: (it[0], it[1].degree, it[1].wm, it[1].wn))
-        return out
 
     def indices(self) -> list[int]:
-        return sorted({j for (j, _, _, _) in self._terms})
-
-    def at_index(self, index: int) -> "EquivariantCharacter":
-        """Sub-character of a single homological index (index is kept)."""
-        out = EquivariantCharacter()
-        out._terms = {key: mult for key, mult in self._terms.items() if key[0] == index}
-        return out
-
-    def degrees(self) -> list[int]:
-        return sorted({deg for (_, _, _, deg) in self._terms})
+        return sorted({key[0] for key in self._terms})
 
     def multiplicity(self, index: int, wm, wn, degree: int) -> int:
-        key = (index, dominant_weight(wm), dominant_weight(wn), int(degree))
+        key = (index, int(degree), dominant_weight(wm), dominant_weight(wn))
         return self._terms.get(key, 0)
 
     def dimension_table(self, m: int, n: int) -> dict[tuple[int, int], int]:

@@ -3,7 +3,6 @@ import pytest
 from glinv import (
     InvariantIdeal,
     MatrixContext,
-    generator_degree,
     ideal_leq,
     make_ideal,
     power_of_minors,
@@ -83,13 +82,6 @@ def test_ideal_leq_is_reverse_containment():
         assert ideal_leq(other, zero)
     with pytest.raises(ValueError):
         ideal_leq(minors1, make_ideal(CTX4, [[1]]))
-
-
-def test_generator_degree():
-    assert generator_degree((1, 1)) == 2
-    assert generator_degree((2, 2)) == 4
-    assert generator_degree((4, 2, 1)) == 7
-    assert generator_degree(()) == 0
 
 
 def test_power_edge_cases():

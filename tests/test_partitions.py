@@ -109,6 +109,15 @@ def test_enumerate_in_box_order_and_count():
             assert len(got) == comb(rows + cols, rows)
             assert len(set(got)) == len(got)
             assert all(len(x) <= rows and (not x or x[0] <= cols) for x in got)
+            # every partition one box smaller than an entry comes before it,
+            # which the Z-set table relies on
+            seen = set()
+            for x in got:
+                for i, v in enumerate(x):
+                    if i + 1 == len(x) or x[i + 1] < v:
+                        y = x[:i] + (v - 1,) + x[i + 1:]
+                        assert (y if y[-1] else y[:-1]) in seen, (x, y)
+                seen.add(x)
 
 
 def test_partitions_of_size_in_box():
@@ -118,7 +127,10 @@ def test_partitions_of_size_in_box():
     assert partitions_of_size_in_box(10, 3, 3) == []
     for total in range(8):
         brute = [x for x in enumerate_in_box(3, 4) if size(x) == total]
-        assert sorted(partitions_of_size_in_box(total, 3, 4)) == sorted(brute)
+        got = partitions_of_size_in_box(total, 3, 4)
+        assert sorted(got) == sorted(brute)
+        # strictly descending, the order of a canonical generating family
+        assert all(a > b for a, b in zip(got, got[1:])), got
 
 
 def test_attach_examples():

@@ -111,6 +111,27 @@ def test_character_item_order():
         (2, 4, (2, 2)),
         (2, 4, (3, 1)),
     ]
+    # mixed indices, degrees and both weights, added out of order: items()
+    # is the sort by index, degree, wm, wn of the terms
+    mixed = EquivariantCharacter()
+    for j, wm, wn, deg, mult in [
+        (3, (1, 0), (1,), 1, 2), (0, (2, 2), (4,), 4, 1), (3, (1, 0), (0,), 1, 1),
+        (0, (4, 0), (2, 2), 4, 3), (0, (3, -1), (2,), 2, 1), (3, (2, 1), (3,), 3, 1),
+        (-2, (0, 0), (0,), 0, 5), (0, (2, 2), (3, 1), 4, 2),
+    ]:
+        mixed.add(j, wm, wn, deg, mult)
+    got = mixed.items()
+    assert got == sorted(got, key=lambda it: (it[0], it[1].degree, it[1].wm, it[1].wn))
+    assert [(j, t.degree, t.wm, t.wn, t.multiplicity) for j, t in got] == [
+        (-2, 0, (0, 0), (0,), 5),
+        (0, 2, (3, -1), (2,), 1),
+        (0, 4, (2, 2), (3, 1), 2),
+        (0, 4, (2, 2), (4,), 1),
+        (0, 4, (4, 0), (2, 2), 3),
+        (3, 1, (1, 0), (0,), 1),
+        (3, 1, (1, 0), (1,), 2),
+        (3, 3, (2, 1), (3,), 1),
+    ]
 
 
 def test_character_indices_and_slicing():
@@ -118,10 +139,7 @@ def test_character_indices_and_slicing():
     ch.add(0, (1,), (1,), 1)
     ch.add(4, (2,), (2,), 2)
     assert ch.indices() == [0, 4]
-    sliced = ch.at_index(4)
-    assert sliced.indices() == [4]
-    assert sliced.multiplicity(4, (2,), (2,), 2) == 1
-    assert ch.degrees() == [1, 2]
+    assert ch.multiplicity(4, (2,), (2,), 2) == 1
 
 
 def test_character_merge_add_eq():
