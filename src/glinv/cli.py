@@ -5,6 +5,12 @@ invocations produce byte-identical results. JSON output is sorted, pretty
 output draws Young diagrams and small grids, and csv is available for the
 tabular verbs (zset, lc, betti, qbinom).
 
+The verbs, their arguments and handlers are one table, VERBS. A call whose
+first word (after an optional 'ideal') is a verb builds only that verb's
+subparser; any other call builds all of them, for the top-level help and
+the unknown-verb error. Either way a call builds its own parser, so nothing
+is shared between calls in one process.
+
 Exit codes: 0 success, 1 domain error (reported as a JSON object on stdout
 under --format json, otherwise on stderr) or stdout closed by its reader
 (nothing reported), 2 usage error.
@@ -18,7 +24,6 @@ import os
 import re
 import sys
 from itertools import groupby
-from typing import Iterable
 
 from .betti import betti_polynomial, betti_table
 from .golden import run_golden_checks
@@ -74,7 +79,7 @@ def _run(argv: list[str] | None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "ideal":
         argv = argv[1:]
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         handler = args.handler
@@ -94,100 +99,25 @@ def _run(argv: list[str] | None) -> int:
         return 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The glinv parser with only verb's subparser if verb is a key of VERBS,
+    and with every subparser otherwise (no arguments, an option first, an
+    unknown word). A subparser's prog is "glinv <verb>" whichever others are
+    built, so its help and usage errors do not depend on them."""
     parser = argparse.ArgumentParser(
         prog="glinv",
         description="Exact invariants of GL-stable ideals in a generic matrix ring.",
         epilog="Verbs may be prefixed with 'ideal' (e.g. 'glinv ideal power ...').",
     )
     sub = parser.add_subparsers(dest="verb", metavar="verb")
-
-    def add(name: str, help_: str, handler, fmt: Iterable[str] = ("json", "pretty")):
+    for name in [verb] if verb in VERBS else VERBS:
+        help_, handler, fmt, arguments = VERBS[name]
         p = sub.add_parser(name, help=help_)
         p.add_argument("--format", choices=sorted(fmt), default="pretty")
         p.set_defaults(handler=handler)
-        return p
-
-    p = add("normalize", "canonicalize a generating family", _cmd_normalize)
-    _ideal_args(p)
-
-    p = add("compare", "containment relation of two ideals", _cmd_compare)
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--left", required=True, help="JSON list of generators")
-    p.add_argument("--right", required=True, help="JSON list of generators")
-
-    for name, help_ in (
-        ("power", "ordinary power of the ideal of p x p minors"),
-        ("symbolic", "symbolic power of the ideal of p x p minors"),
-        ("saturated", "saturation of the power by the maximal ideal"),
-    ):
-        p = add(name, help_, _cmd_normalize)
-        p.set_defaults(kind=name)
-        p.add_argument("-m", type=int, required=True)
-        p.add_argument("-n", type=int, required=True)
-        p.add_argument("-p", type=int, required=True, help="minor size")
-        p.add_argument("-d", type=int, required=True, help="exponent")
-
-    p = add("saturate", "saturation of an ideal by the p x p minors", _cmd_saturate)
-    _ideal_args(p)
-    p.add_argument("-p", type=int, required=True, help="minor size")
-
-    p = add("zset", "composition factor indices (z, l) of S/I", _cmd_zset,
-            fmt=("json", "pretty", "csv"))
-    _family_args(p)
-
-    p = add("ext", "windowed Ext character of S/I", _cmd_ext)
-    _family_args(p)
-    p.add_argument("--window", required=True, help="degree window lo..hi")
-
-    p = add("reg", "Castelnuovo-Mumford regularity of I", _cmd_reg)
-    _family_args(p)
-
-    p = add("lc", "local cohomology supported in the p x p minors", _cmd_lc,
-            fmt=("json", "pretty", "csv"))
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-p", type=int, required=True, help="minor size")
-    p.add_argument("--ds", type=int, default=None, metavar="S",
-                   help="expand the character of the factor D_S instead")
-    p.add_argument("--window", default=None, help="degree window lo..hi (with --ds)")
-
-    p = add("betti", "equivariant Betti numbers of the b-th powers of the a x a minors",
-            _cmd_betti, fmt=("json", "pretty", "csv"))
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-a", type=int, required=True, help="minor size")
-    p.add_argument("-b", type=int, required=True, help="power")
-
-    p = add("schurdim", "dimension of an irreducible GL_N representation", _cmd_schurdim)
-    p.add_argument("-N", type=int, required=True)
-    p.add_argument("--weight", required=True, help="JSON list, weakly decreasing")
-
-    p = add("qbinom", "Gauss polynomial binomial(a, b) in q", _cmd_qbinom,
-            fmt=("json", "pretty", "csv"))
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-
-    add("selftest", "run the embedded reference corpus", _cmd_selftest,
-        fmt=("pretty",))
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     return parser
-
-
-def _ideal_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-m", type=int, default=None)
-    p.add_argument("-n", type=int, default=None)
-    p.add_argument("--gens", default=None, help="JSON list of generator partitions")
-    p.add_argument("--in", dest="infile", default=None, metavar="FILE",
-                   help="ideal as a JSON object with keys m, n, gens ('-' for stdin)")
-
-
-def _family_args(p: argparse.ArgumentParser) -> None:
-    _ideal_args(p)
-    p.add_argument("--kind", choices=("power", "symbolic", "saturated"), default=None,
-                   help="build the ideal from -p and -d instead of --gens")
-    p.add_argument("-p", type=int, default=None, help="minor size (with --kind)")
-    p.add_argument("-d", type=int, default=None, help="exponent (with --kind)")
 
 
 def _context(m: int, n: int) -> MatrixContext:
@@ -243,6 +173,10 @@ def _read_ideal_file(path: str):
         raise ValueError(f"cannot read ideal file {path}: {exc.strerror}") from None
 
 
+_FAMILIES = {"power": power_of_minors, "symbolic": symbolic_power,
+             "saturated": saturated_power}
+
+
 def _resolve_ideal(args) -> InvariantIdeal:
     infile = getattr(args, "infile", None)
     if infile:
@@ -258,12 +192,11 @@ def _resolve_ideal(args) -> InvariantIdeal:
     if args.m is None or args.n is None:
         raise UsageError("need -m and -n (or --in FILE)")
     ctx = _context(args.m, args.n)
-    kind = getattr(args, "kind", None)
-    if kind is not None:
+    # the verbs power, symbolic and saturated are named after their family
+    builder = _FAMILIES.get(getattr(args, "kind", args.verb))
+    if builder is not None:
         if args.p is None or args.d is None:
             raise UsageError("--kind needs -p and -d")
-        builder = {"power": power_of_minors, "symbolic": symbolic_power,
-                   "saturated": saturated_power}[kind]
         return builder(ctx, args.p, args.d)
     if getattr(args, "gens", None) is None:
         raise UsageError("need --gens, --kind, or --in FILE")
@@ -514,6 +447,67 @@ def _cmd_selftest(args) -> int:
             print(f"FAIL {name}: {err}")
     print(f"{len(results) - failures}/{len(results)} checks passed")
     return 1 if failures else 0
+
+
+def _arg(*flags: str, **options) -> tuple:
+    """One add_argument call of a verb, as data."""
+    return flags, options
+
+
+_MN = (_arg("-m", type=int, required=True), _arg("-n", type=int, required=True))
+_P = _arg("-p", type=int, required=True, help="minor size")
+_IDEAL = (
+    _arg("-m", type=int), _arg("-n", type=int),
+    _arg("--gens", help="JSON list of generator partitions"),
+    _arg("--in", dest="infile", metavar="FILE",
+         help="ideal as a JSON object with keys m, n, gens ('-' for stdin)"),
+)
+_FAMILY = (
+    *_IDEAL,
+    _arg("--kind", choices=tuple(_FAMILIES),
+         help="build the ideal from -p and -d instead of --gens"),
+    _arg("-p", type=int, help="minor size (with --kind)"),
+    _arg("-d", type=int, help="exponent (with --kind)"),
+)
+_POWER = (*_MN, _P, _arg("-d", type=int, required=True, help="exponent"))
+_JP = ("json", "pretty")
+_JPC = ("json", "pretty", "csv")
+
+# verb -> (help, handler, --format choices, the verb's own arguments), in the
+# order of the top-level help
+VERBS = {
+    "normalize": ("canonicalize a generating family", _cmd_normalize, _JP, _IDEAL),
+    "compare": ("containment relation of two ideals", _cmd_compare, _JP, (
+        *_MN, _arg("--left", required=True, help="JSON list of generators"),
+        _arg("--right", required=True, help="JSON list of generators"))),
+    "power": ("ordinary power of the ideal of p x p minors", _cmd_normalize, _JP,
+              _POWER),
+    "symbolic": ("symbolic power of the ideal of p x p minors", _cmd_normalize, _JP,
+                 _POWER),
+    "saturated": ("saturation of the power by the maximal ideal", _cmd_normalize, _JP,
+                  _POWER),
+    "saturate": ("saturation of an ideal by the p x p minors", _cmd_saturate, _JP,
+                 (*_IDEAL, _P)),
+    "zset": ("composition factor indices (z, l) of S/I", _cmd_zset, _JPC, _FAMILY),
+    "ext": ("windowed Ext character of S/I", _cmd_ext, _JP,
+            (*_FAMILY, _arg("--window", required=True, help="degree window lo..hi"))),
+    "reg": ("Castelnuovo-Mumford regularity of I", _cmd_reg, _JP, _FAMILY),
+    "lc": ("local cohomology supported in the p x p minors", _cmd_lc, _JPC, (
+        *_MN, _P,
+        _arg("--ds", type=int, metavar="S",
+             help="expand the character of the factor D_S instead"),
+        _arg("--window", help="degree window lo..hi (with --ds)"))),
+    "betti": ("equivariant Betti numbers of the b-th powers of the a x a minors",
+              _cmd_betti, _JPC, (
+                  *_MN, _arg("-a", type=int, required=True, help="minor size"),
+                  _arg("-b", type=int, required=True, help="power"))),
+    "schurdim": ("dimension of an irreducible GL_N representation", _cmd_schurdim, _JP, (
+        _arg("-N", type=int, required=True),
+        _arg("--weight", required=True, help="JSON list, weakly decreasing"))),
+    "qbinom": ("Gauss polynomial binomial(a, b) in q", _cmd_qbinom, _JPC,
+               (_arg("a", type=int), _arg("b", type=int))),
+    "selftest": ("run the embedded reference corpus", _cmd_selftest, ("pretty",), ()),
+}
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import Weight, dominant_weight, pad_weight
+from .partitions import Weight, _integers, dominant_weight, pad_weight
 
 
 def dim_schur(w, N: int) -> int:
@@ -100,7 +100,10 @@ class EquivariantCharacter:
         return sorted({key[0] for key in self._terms})
 
     def multiplicity(self, index: int, wm, wn, degree: int) -> int:
-        key = (index, int(degree), dominant_weight(wm), dominant_weight(wn))
+        """Multiplicity of the summand keyed (index, degree, wm, wn), 0 if absent;
+        a non-integer or bool index or degree is a ValueError, never truncated."""
+        index, degree = _integers((index, degree))
+        key = (index, degree, dominant_weight(wm), dominant_weight(wn))
         return self._terms.get(key, 0)
 
     def dimension_table(self, m: int, n: int) -> dict[tuple[int, int], int]:

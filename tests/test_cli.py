@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from glinv import conjugate
-from glinv.cli import main, render_diagram
+from glinv.cli import VERBS, _build_parser, main, render_diagram
 
 from _oracles import qbinomial_pascal
 
@@ -365,3 +365,76 @@ def test_closed_stdout_ends_quietly():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert err == b""
+
+
+# a valid call of every verb, arguments after the verb
+VALID = {
+    "normalize": ["-m", "3", "-n", "3", "--gens", "[[2,1]]"],
+    "compare": ["-m", "3", "-n", "3", "--left", "[[1]]", "--right", "[[1,1]]"],
+    "power": ["-m", "3", "-n", "3", "-p", "2", "-d", "2"],
+    "symbolic": ["-m", "3", "-n", "3", "-p", "2", "-d", "2"],
+    "saturated": ["-m", "3", "-n", "3", "-p", "2", "-d", "2"],
+    "saturate": ["-m", "3", "-n", "3", "--gens", "[[2,1]]", "-p", "2"],
+    "zset": ["-m", "3", "-n", "3", "--kind", "power", "-p", "2", "-d", "2"],
+    "ext": ["-m", "3", "-n", "3", "--kind", "power", "-p", "3", "-d", "1",
+            "--window=-4..-3"],
+    "reg": ["-m", "3", "-n", "3", "--kind", "power", "-p", "2", "-d", "3"],
+    "lc": ["-m", "3", "-n", "3", "-p", "2"],
+    "betti": ["-m", "3", "-n", "3", "-a", "2", "-b", "1"],
+    "schurdim": ["-N", "3", "--weight", "[2,1]"],
+    "qbinom": ["4", "2"],
+    "selftest": [],
+}
+
+
+def _subparser_names(parser):
+    (action,) = [a for a in parser._actions if a.dest == "verb"]
+    return list(action.choices)
+
+
+def _parse(capsys, parser, argv):
+    try:
+        namespace, code = vars(parser.parse_args(argv)), 0
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, namespace
+
+
+def test_one_verb_parser_builds_only_that_verb():
+    assert _subparser_names(_build_parser("reg")) == ["reg"]
+    assert _subparser_names(_build_parser()) == list(VERBS)
+    assert len(VERBS) == 14 and set(VALID) == set(VERBS)
+    assert _subparser_names(_build_parser("frobnicate")) == list(VERBS)
+
+
+@pytest.mark.parametrize("verb", sorted(VERBS))
+def test_one_verb_parser_matches_full_parser(capsys, verb):
+    for rest in (["-h"], [], ["--bogus"], VALID[verb] + ["--format", "xml"],
+                 VALID[verb] + ["extra"], VALID[verb]):
+        argv = [verb, *rest]
+        one = _parse(capsys, _build_parser(verb), argv)
+        full = _parse(capsys, _build_parser(), argv)
+        assert one == full, argv
+
+
+LEAK_SEQUENCE = [
+    ["power", "-m", "3", "-n", "3", "-p", "2", "-d", "2"],
+    ["zset", "-m", "3", "-n", "3", "--gens", "[[1,1]]"],
+    ["reg", "-m", "3", "-n", "3", "--kind", "symbolic", "-p", "2", "-d", "3",
+     "--format", "json"],
+    ["lc", "-m", "3", "-n", "3", "-p", "2"],
+    ["qbinom", "5", "2"],
+]
+
+
+def test_calls_in_one_process_do_not_leak(capsys):
+    alone = {}
+    for argv in LEAK_SEQUENCE:
+        proc = subprocess.run([sys.executable, "-m", "glinv", *argv],
+                              capture_output=True, text=True, env=ENV)
+        alone[tuple(argv)] = (proc.returncode, proc.stdout)
+    for sequence in (LEAK_SEQUENCE, LEAK_SEQUENCE[::-1]):
+        for argv in sequence:
+            code, out, _ = run(capsys, argv)
+            assert (code, out) == alone[tuple(argv)], argv

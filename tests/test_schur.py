@@ -142,6 +142,14 @@ def test_character_indices_and_slicing():
     assert ch.multiplicity(4, (2,), (2,), 2) == 1
 
 
+@pytest.mark.parametrize("index,degree", [(0, 1.9), (0, True), (0, "1"), (0.0, 1), (False, 1)])
+def test_character_multiplicity_rejects_non_integer_keys(index, degree):
+    ch = EquivariantCharacter().add(0, (1,), (1,), 1)
+    with pytest.raises(ValueError):
+        ch.multiplicity(index, (1,), (1,), degree)
+    assert ch.multiplicity(0, (1,), (1,), 1) == 1
+
+
 def test_character_merge_add_eq():
     a = EquivariantCharacter().add(0, (1,), (1,), 1)
     b = EquivariantCharacter().add(0, (1,), (1,), 1)
