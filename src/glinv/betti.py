@@ -33,15 +33,12 @@ def h_rect(ctx: MatrixContext, r: int, s: int) -> EquivariantCharacter:
         raise ValueError("rectangle width must be positive")
     ch = EquivariantCharacter()
     edge = min(r, s)
+    betas = [(beta, conjugate(beta), size(beta)) for beta in enumerate_in_box(m - r, edge)]
     for alpha in enumerate_in_box(edge, n - r):
-        for beta in enumerate_in_box(m - r, edge):
-            k = size(alpha) + size(beta)
-            ch.add(
-                k,
-                attach(r, s, alpha, beta),
-                attach(r, s, conjugate(beta), conjugate(alpha)),
-                r * s + k,
-            )
+        alpha_c, a = conjugate(alpha), size(alpha)
+        for beta, beta_c, b in betas:
+            k = a + b
+            ch.add(k, attach(r, s, alpha, beta), attach(r, s, beta_c, alpha_c), r * s + k)
     return ch
 
 

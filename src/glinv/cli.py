@@ -164,13 +164,15 @@ def _parse_gens(text: str):
 
 
 def _read_ideal_file(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
     try:
+        if path == "-":
+            return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read ideal file {path}: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"ideal file {path} is not valid JSON: {exc}") from None
 
 
 _FAMILIES = {"power": power_of_minors, "symbolic": symbolic_power,
@@ -360,6 +362,8 @@ def _cmd_lc(args) -> int:
         ch = ds_character(ctx, args.ds, window)
         _print_character(ch, window, args.format, "D")
         return 0
+    if args.window is not None:
+        raise UsageError("--window needs --ds")
     table = lc_table(ctx, args.p)
     if args.format == "json":
         _emit_json({"p": args.p,

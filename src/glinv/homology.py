@@ -19,7 +19,7 @@ from itertools import combinations_with_replacement
 from math import inf
 
 from .ideals import InvariantIdeal, MatrixContext, ideal_leq
-from .partitions import Parts, enumerate_in_box, part, partition
+from .partitions import Parts, _integers, enumerate_in_box, part, partition
 from .schur import EquivariantCharacter
 
 
@@ -47,12 +47,13 @@ class ZPair:
 
 @dataclass(frozen=True)
 class DegreeWindow:
-    """Closed range [lo, hi] of internal degrees."""
+    """Closed range [lo, hi] of internal degrees, lo and hi integers."""
 
     lo: int
     hi: int
 
     def __post_init__(self):
+        _integers((self.lo, self.hi))
         if self.lo > self.hi:
             raise ValueError(f"empty degree window: {self.lo}..{self.hi}")
 
@@ -126,7 +127,7 @@ def _check_zpair(ctx: MatrixContext, zp: ZPair) -> None:
 
 
 def _st_data(ctx: MatrixContext, zp: ZPair):
-    """Yield (s, t, j, lower, upper) over the feasible data of a factor.
+    """Yield (s, j, lower, upper) over the feasible data (s, t) of a factor.
 
     j = m*n - l^2 - s*(m - n) - 2*sum(t). lower and upper bound lam entry
     by entry, indexed by 1-based position (index 0 unused). Position n is
@@ -163,12 +164,17 @@ def _st_data(ctx: MatrixContext, zp: ZPair):
                     break
                 lower[idx] = bound
             else:
-                yield s, t, m * n - l * l - s * (m - n) - 2 * sum(t), lower, upper
+                yield s, m * n - l * l - s * (m - n) - 2 * sum(t), lower, upper
 
 
-def _lambdas(ctx, lower, upper, window):
-    """Dominant length-n weights with lower <= lam <= upper entrywise and
-    total degree in the window.
+def _lambdas(ctx: MatrixContext, s: int, lower, upper, window):
+    """Terms (wm, lam, degree) for the dominant length-n weights lam with
+    lower <= lam <= upper entrywise and degree = sum(lam) in the window.
+
+    wm is the GL_m weight paired with lam: lam with the block (s-n)^(m-n)
+    inserted after position s and the tail raised by m-n. It is weakly
+    decreasing whenever the bounds give lam_s >= s - n and
+    lam_{s+1} <= s - m, as the bound lists of every Ext datum and of D_0 do.
 
     Entries are scanned left to right. The running upper bound at position
     idx is upper[idx], tightened to the previous entry and by the window
@@ -176,19 +182,22 @@ def _lambdas(ctx, lower, upper, window):
     The running lower bound is lower[idx], raised to
     ceil((lo - partial) / (n - idx + 1)): the entries from idx on are at
     most the current one, so below that value the sum cannot reach lo. At
-    the last position this is lo - partial, so every leaf lies in the window.
-    Every range is finite, so the enumeration terminates.
+    the last position this is lo - partial, so every leaf lies in the window
+    and its partial sum is the degree. Every range is finite, so the
+    enumeration terminates.
     """
-    n = ctx.n
+    m, n = ctx.m, ctx.n
     suffix = [0] * (n + 2)
     for idx in range(n, 0, -1):
         suffix[idx] = suffix[idx + 1] + lower[idx]
+    block = (s - n,) * (m - n)
     out = []
     acc = [0] * n
 
     def walk(idx: int, prev, partial: int) -> None:
         if idx > n:
-            out.append(tuple(acc))
+            lam = tuple(acc)
+            out.append((lam[:s] + block + tuple(v + m - n for v in lam[s:]), lam, partial))
             return
         ub = min(prev, upper[idx], window.hi - partial - suffix[idx + 1])
         lb = max(lower[idx], -((partial - window.lo) // (n - idx + 1)))
@@ -200,30 +209,26 @@ def _lambdas(ctx, lower, upper, window):
     return out
 
 
-def _insert_block(ctx: MatrixContext, s: int, lam: tuple[int, ...]) -> tuple[int, ...]:
-    """GL_m weight paired with lam: block (s-n)^(m-n) after position s,
-    tail raised by m-n. Weakly decreasing whenever lam keeps the bounds
-    lam_s >= s - n and lam_{s+1} <= s - m of the datum's bound lists."""
-    m, n = ctx.m, ctx.n
-    return lam[:s] + (s - n,) * (m - n) + tuple(v + (m - n) for v in lam[s:])
+def _ext_character(ctx: MatrixContext, pairs, window) -> EquivariantCharacter:
+    """Windowed character of the sum of Ext(J_{z,l}, S) over pairs, keyed by
+    cohomological index; every factor adds its terms to the one character."""
+    ch = EquivariantCharacter()
+    for zp in pairs:
+        for s, j, lower, upper in _st_data(ctx, zp):
+            for wm, lam, degree in _lambdas(ctx, s, lower, upper, window):
+                ch.add(j, wm, lam, degree)
+    return ch
 
 
 def ext_jzl(ctx: MatrixContext, zp: ZPair, window: DegreeWindow) -> EquivariantCharacter:
     """Windowed character of Ext(J_{z,l}, S), keyed by cohomological index."""
     _check_zpair(ctx, zp)
-    ch = EquivariantCharacter()
-    for s, t, j, lower, upper in _st_data(ctx, zp):
-        for lam in _lambdas(ctx, lower, upper, window):
-            ch.add(j, _insert_block(ctx, s, lam), lam, sum(lam))
-    return ch
+    return _ext_character(ctx, (zp,), window)
 
 
 def ext_quotient(a: InvariantIdeal, window: DegreeWindow) -> EquivariantCharacter:
     """Windowed character of Ext(S/a, S): the sum over all factors of S/a."""
-    ch = EquivariantCharacter()
-    for zp in zset(a):
-        ch.merge(ext_jzl(a.ctx, zp, window))
-    return ch
+    return _ext_character(a.ctx, zset(a), window)
 
 
 def ext_map_analysis(a: InvariantIdeal, b: InvariantIdeal, window: DegreeWindow):
@@ -238,24 +243,14 @@ def ext_map_analysis(a: InvariantIdeal, b: InvariantIdeal, window: DegreeWindow)
         raise ValueError("ext_map_analysis needs the first ideal to contain the second")
     za = zset(a)
     zb = zset(b)
-    kernel = EquivariantCharacter()
-    image = EquivariantCharacter()
-    cokernel = EquivariantCharacter()
-    for zp in za | zb:
-        if zp in za and zp in zb:
-            image.merge(ext_jzl(a.ctx, zp, window))
-        elif zp in za:
-            kernel.merge(ext_jzl(a.ctx, zp, window))
-        else:
-            cokernel.merge(ext_jzl(a.ctx, zp, window))
-    return kernel, image, cokernel
+    return tuple(_ext_character(a.ctx, pairs, window) for pairs in (za - zb, za & zb, zb - za))
 
 
 def _least_degrees(ctx: MatrixContext, zp: ZPair) -> dict[int, int]:
     """Least internal degree of Ext^j(J_{z,l}, S) for each j where it is
     nonzero: a feasible datum attains its least degree at lam = lower."""
     least: dict[int, int] = {}
-    for _, _, j, lower, _ in _st_data(ctx, zp):
+    for _, j, lower, _ in _st_data(ctx, zp):
         deg = sum(lower[1:])
         if deg < least.get(j, inf):
             least[j] = deg

@@ -14,6 +14,7 @@ from typing import Iterable
 
 from .partitions import (
     Parts,
+    _integers,
     leq,
     minimalize,
     part,
@@ -25,7 +26,7 @@ from .partitions import (
 
 @dataclass(frozen=True)
 class MatrixContext:
-    """Ambient space of m x n matrices, with the convention m >= n >= 1.
+    """Ambient space of m x n matrices, with integer sides m >= n >= 1.
 
     A transposed problem gives literally the same antichain combinatorics,
     so callers with m < n should swap the sides before building a context.
@@ -35,6 +36,7 @@ class MatrixContext:
     n: int
 
     def __post_init__(self):
+        _integers((self.m, self.n))
         if not (self.m >= self.n >= 1):
             raise ValueError(f"need m >= n >= 1, got m={self.m}, n={self.n}")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .homology import DegreeWindow, _insert_block, _lambdas
+from .homology import DegreeWindow, _lambdas
 from .ideals import MatrixContext
 from .partitions import qbinomial
 from .schur import EquivariantCharacter
@@ -75,6 +75,6 @@ def ds_character(ctx: MatrixContext, s: int, window: DegreeWindow) -> Equivarian
     # lo + (n-1)*m leaves the degree under lo
     lower = [window.lo + (n - 1) * m] * (n + 1)
     ch = EquivariantCharacter()
-    for lam in _lambdas(ctx, lower, [-m] * (n + 1), window):
-        ch.add(0, _insert_block(ctx, 0, lam), lam, sum(lam))
+    for wm, lam, degree in _lambdas(ctx, 0, lower, [-m] * (n + 1), window):
+        ch.add(0, wm, lam, degree)
     return ch

@@ -69,16 +69,13 @@ class EquivariantCharacter:
         self._terms[key] = self._terms.get(key, 0) + multiplicity
         return self
 
-    def merge(self, other: "EquivariantCharacter") -> "EquivariantCharacter":
-        terms = self._terms
-        for key, mult in other._terms.items():
-            terms[key] = terms.get(key, 0) + mult
-        return self
-
     def __add__(self, other: "EquivariantCharacter") -> "EquivariantCharacter":
         out = EquivariantCharacter()
-        out._terms.update(self._terms)
-        return out.merge(other)
+        terms = out._terms
+        terms.update(self._terms)
+        for key, mult in other._terms.items():
+            terms[key] = terms.get(key, 0) + mult
+        return out
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, EquivariantCharacter) and self._terms == other._terms

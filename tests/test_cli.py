@@ -175,6 +175,13 @@ def test_lc_ds_requires_window(capsys):
     assert "usage error" in err
 
 
+def test_lc_window_requires_ds(capsys):
+    code, out, err = run(capsys, ["lc", "-m", "3", "-n", "3", "-p", "1", "--window=-9..-9"])
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: --window needs --ds\n"
+
+
 def test_lc_ds_has_no_csv(capsys):
     code, _, err = run(capsys, ["lc", "-m", "2", "-n", "2", "-p", "1", "--ds", "0",
                                 "--window=-5..-4", "--format", "csv"])
@@ -338,6 +345,26 @@ def test_missing_ideal_file_is_a_domain_error(tmp_path, capsys):
     code, out, err = run(capsys, ["zset", "--in", str(tmp_path)])
     assert code == 1
     assert err.startswith("error:") and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("content", ["", "{m: 3}", '{"m": 3, "n": 3', b"\xd0\x00"])
+def test_ideal_file_that_is_not_json_is_a_domain_error(tmp_path, capsys, monkeypatch, content):
+    src = tmp_path / "ideal.json"
+    if isinstance(content, bytes):
+        src.write_bytes(content)
+    else:
+        src.write_text(content)
+    code, out, err = run(capsys, ["zset", "--in", str(src)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: ideal file {src} is not valid JSON: ")
+    assert len(err.splitlines()) == 1
+    monkeypatch.setattr(sys, "stdin", io.StringIO(src.read_text(errors="replace")))
+    code, out, err = run(capsys, ["zset", "--in", "-"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ideal file - is not valid JSON: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_ds_csv_is_refused_before_computing():

@@ -4,6 +4,7 @@ import pytest
 
 from glinv import (
     DegreeWindow,
+    EquivariantCharacter,
     MatrixContext,
     ZPair,
     attainable_indices,
@@ -17,6 +18,7 @@ from glinv import (
     power_of_minors,
     regularity,
     saturate,
+    saturated_power,
     saturation_filter,
     size,
     symbolic_power,
@@ -44,6 +46,12 @@ def test_degree_window():
     assert -6 not in w and -2 not in w
     with pytest.raises(ValueError):
         DegreeWindow(3, 2)
+
+
+@pytest.mark.parametrize("lo, hi", [(-6.5, -5), (-6, -5.0), (False, True), (-6, "-5")])
+def test_degree_window_rejects_non_integer_bounds(lo, hi):
+    with pytest.raises(ValueError, match="integers"):
+        DegreeWindow(lo, hi)
 
 
 def test_zset_ignores_redundant_generators():
@@ -206,11 +214,52 @@ def test_ext_map_analysis_saturation_map():
     dropped = zset(cube) - zset(sat)
     assert dropped == {ZPair((2, 2, 2, 2), 0), ZPair((2, 2, 2, 1), 1)}
     assert all(zp.l < 2 for zp in dropped)
-    expect = ext_jzl(ctx, ZPair((2, 2, 2, 2), 0), w)
-    expect.merge(ext_jzl(ctx, ZPair((2, 2, 2, 1), 1), w))
+    expect = ext_jzl(ctx, ZPair((2, 2, 2, 2), 0), w) + ext_jzl(ctx, ZPair((2, 2, 2, 1), 1), w)
     assert cokernel == expect
     with pytest.raises(ValueError):
         ext_map_analysis(cube, sat, w)
+
+
+def _least_ext_degree(a):
+    ctx = a.ctx
+    return min(ext_min_degree(ctx, zp, j)
+               for zp in zset(a) for j in attainable_indices(ctx, zp))
+
+
+def _factor_sum(ctx, pairs, w):
+    return sum((ext_jzl(ctx, zp, w) for zp in pairs), EquivariantCharacter())
+
+
+def test_ext_engines_equal_the_sum_of_their_factors():
+    # ext_quotient and ext_map_analysis add every factor's terms into the
+    # character they return; the sum of the factor characters must agree.
+    # Each window starts at the least Ext degree, so no character is empty
+    # for want of a low enough window.
+    quotients = cokernels = 0
+    for n in range(1, 5):
+        for m in (n, n + 1):
+            ctx = MatrixContext(m, n)
+            for p in range(1, n + 1):
+                for d in range(1, 4):
+                    for family in (power_of_minors, symbolic_power, saturated_power):
+                        a = family(ctx, p, d)
+                        if not zset(a):
+                            continue
+                        lo = _least_ext_degree(a)
+                        w = DegreeWindow(lo, lo + 3)
+                        ch = ext_quotient(a, w)
+                        assert ch and ch == _factor_sum(ctx, zset(a), w)
+                        quotients += 1
+                    a, b = symbolic_power(ctx, p, d), power_of_minors(ctx, p, d)
+                    za, zb = zset(a), zset(b)
+                    lo = min(_least_ext_degree(a), _least_ext_degree(b))
+                    w = DegreeWindow(lo, lo + 3)
+                    kernel, image, cokernel = ext_map_analysis(a, b, w)
+                    assert kernel == _factor_sum(ctx, za - zb, w)
+                    assert image == _factor_sum(ctx, za & zb, w)
+                    assert cokernel == _factor_sum(ctx, zb - za, w)
+                    cokernels += bool(cokernel)
+    assert (quotients, cokernels) == (156, 12)
 
 
 def test_attainable_indices_golden():

@@ -29,6 +29,12 @@ def test_context_requires_ordered_sides():
         MatrixContext(3, 0)
 
 
+@pytest.mark.parametrize("m, n", [(3.5, 2), (3, 2.0), (True, True), (2, True), ("3", 2)])
+def test_context_rejects_non_integer_sides(m, n):
+    with pytest.raises(ValueError, match="integers"):
+        MatrixContext(m, n)
+
+
 def test_make_ideal_normalizes():
     ideal = make_ideal(CTX3, [[2, 2], [2, 1], [3, 3, 3]])
     assert ideal.gens == ((2, 1),)
