@@ -51,10 +51,18 @@ from .partitions import (
     size,
     truncate_columns,
 )
-from .golden import run_golden_checks
 from .schur import EquivariantCharacter, IrredTerm, dim_schur, dim_term
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the reference corpus serves only selftest, so it loads on first use
+    if name == "run_golden_checks":
+        from .golden import run_golden_checks
+        return run_golden_checks
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BettiTable", "betti_polynomial", "betti_table", "h_rect",

@@ -26,7 +26,6 @@ import sys
 from itertools import groupby
 
 from .betti import betti_polynomial, betti_table
-from .golden import run_golden_checks
 from .homology import (
     DegreeWindow,
     ZPair,
@@ -441,6 +440,8 @@ def _cmd_qbinom(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .golden import run_golden_checks
+
     results = run_golden_checks()
     failures = 0
     for name, err in results:

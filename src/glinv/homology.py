@@ -15,11 +15,11 @@ regularity are computed exactly without windows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from math import inf
 
 from .ideals import InvariantIdeal, MatrixContext, ideal_leq
-from .partitions import Parts, _integers, enumerate_in_box, part, partition
+from .partitions import Parts, _integers, part, partition
 from .schur import EquivariantCharacter
 
 
@@ -68,14 +68,24 @@ def zset_of_generators(ctx: MatrixContext, gens) -> frozenset[ZPair]:
     x(c) <= z and height of column c+1 at most l+1, and every generator
     satisfying the first condition has that column height exactly l+1.
     Equivalently: among the generators with x(c) <= z, the least column
-    height is l+1. Each (c, z) therefore yields at most one l.
+    height h is l+1. Each (c, z) therefore yields at most one l.
 
-    For each c, least[z] is filled over the n x c box in the lexicographic
-    order of enumerate_in_box, which lists z after every partition inside
-    it: the least height among generators with x(c) = z, lowered to the
-    entries one box smaller, so that it covers every x(c) <= z. The work is
-    the size of the boxes, whatever the number of generators. A generator
-    with h rows longer than c has x(c) = (c^h, x_{h+1}, x_{h+2}, ...).
+    For each c the walk grows upward inside the n x c box, one box at a
+    time, in order of size. A generator with h >= 1 rows longer than c has
+    x(c) = (c^h, x_{h+1}, x_{h+2}, ...), a seed cell that starts with its
+    least h. A cell's least height is the minimum of its own seed and the
+    heights pushed from the cells one box smaller; a cell is read only
+    after every smaller cell, so all pushes have arrived. A generator with
+    h = 0 lies in the box itself (x(c) = x), and a cell containing one is in
+    the ideal: its least height is 0 and it yields no pair. Such a cell is
+    dropped and not grown, because every cell above it contains the same
+    generator and is in the ideal too. A trie over the generators with
+    x_1 <= c answers this membership test (_in_ideal). Every cell the walk
+    reaches contains a seed, so z_1 >= c, and lies in the box, so
+    z_1 <= c: each surviving cell has z_1 = c and gives the pair (z, h-1).
+    The work is the surviving cells and the cells one box above them, not
+    the box.
+
     Each pair meets the equal-rows condition of ZPair: a generator attaining
     h has x(c) <= z, so c <= z_i <= z_1 = c for i <= h.
     """
@@ -86,25 +96,67 @@ def zset_of_generators(ctx: MatrixContext, gens) -> frozenset[ZPair]:
             raise ValueError(f"generator {x} has more than {ctx.n} parts")
         xs.append(x)
     cmax = max((x[0] for x in xs if x), default=0)
-    absent = ctx.n + 1  # above every column height
+    trie = [inf, {}]
     pairs = []
     for c in range(cmax):
-        least: dict[Parts, int] = {}
+        levels: dict[int, dict[Parts, int]] = {}
         for x in xs:
             h = sum(1 for v in x if v > c)
-            t = (c,) * h + x[h:] if c else ()
-            if h < least.get(t, absent):
-                least[t] = h
-        for z in enumerate_in_box(ctx.n, c):
-            h = least.get(z, absent)
-            for i, v in enumerate(z):
-                if i + 1 == len(z) or z[i + 1] < v:
-                    smaller = z[:i] + (v - 1,) + z[i + 1:]
-                    h = min(h, least[smaller if smaller[-1] else smaller[:-1]])
-            least[z] = h
-            if 0 < h < absent and part(z, 1) == c:
+            if h:
+                t = (c,) * h + x[h:] if c else ()
+                cells = levels.setdefault(sum(t), {})
+                if h < cells.get(t, h + 1):
+                    cells[t] = h
+            elif part(x, 1) == c:  # x enters the box, and the trie, at this c
+                node, rest = trie, sum(x)
+                for v in x + (0,):
+                    node[0] = min(node[0], rest)
+                    rest -= v
+                    node = node[1].setdefault(v, [rest, {}])
+        k = min(levels, default=0)
+        while levels:
+            cells = levels.pop(k, {})
+            k += 1
+            for z, h in cells.items():
+                if _in_ideal(trie, z):
+                    continue
                 pairs.append(ZPair(z, h - 1))
+                grown = [z[:i] + (z[i] + 1,) + z[i + 1:]
+                         for i in range(1, len(z)) if z[i] < z[i - 1]]
+                if len(z) < ctx.n and c:
+                    grown.append(z + (1,))
+                above = levels.setdefault(k, {})
+                for y in grown:
+                    if h < above.get(y, h + 1):
+                        above[y] = h
     return frozenset(pairs)
+
+
+def _in_ideal(trie: list, z: Parts) -> bool:
+    """Whether some partition stored in the trie lies inside z.
+
+    A node is [least, children]: least is the fewest boxes that a partition
+    stored below the node still has from the node's depth on, and children
+    maps a row length to the next node. A stored partition x is the path
+    x_1, ..., x_k, 0 from the root; the trailing 0 marks its end. At depth
+    i the search leaves a node whose least exceeds the boxes of z from row
+    i+1 on, and follows a branch v only when v <= z_{i+1}; reaching a 0
+    means every row of x fits in z. The size bound keeps the search off
+    most of a trie whose partitions are larger than z, so its time follows
+    the stored paths that can fit, not the number of generators.
+    """
+    z += (0,)
+    room = list(accumulate(reversed(z), initial=0))[::-1]
+    stack = [(trie, 0)]
+    while stack:
+        (least, children), i = stack.pop()
+        if least <= room[i]:
+            for v, below in children.items():
+                if v <= z[i]:
+                    if not v:
+                        return True
+                    stack.append((below, i + 1))
+    return False
 
 
 def zset(a: InvariantIdeal) -> frozenset[ZPair]:

@@ -233,6 +233,43 @@ def zset_power_closed(n: int, p: int, d: int) -> set[tuple[tuple[int, ...], int]
     return pairs
 
 
+def zset_box_table(n: int, gens) -> set[tuple[tuple[int, ...], int]]:
+    """Factor indices (z, l) of S/I from one least-height table per column
+    count c over the whole n x c box.
+
+    gens may be raw: unsorted rows are rejected, zeros and repeats are
+    allowed. least[z] is the least column height h (rows longer than c)
+    over the generators x whose first c columns x(c) lie inside z. A cell
+    is filled from its own truncations and from the cells one box smaller,
+    which box_partitions lists before it. A cell with z_1 = c and
+    0 < h <= n gives the pair (z, h-1).
+    """
+    xs = []
+    for g in gens:
+        x = tuple(v for v in g if v)
+        if list(x) != sorted(x, reverse=True) or len(x) > n:
+            raise ValueError(f"not a partition with at most {n} rows: {g}")
+        xs.append(x)
+    absent = n + 1
+    pairs = set()
+    for c in range(max((x[0] for x in xs if x), default=0)):
+        least: dict[tuple[int, ...], int] = {}
+        for x in xs:
+            t = tuple(min(v, c) for v in x if v and c)
+            h = sum(1 for v in x if v > c)
+            least[t] = min(least.get(t, absent), h)
+        for z in box_partitions(n, c):
+            h = least.get(z, absent)
+            for i in range(len(z)):
+                if i + 1 == len(z) or z[i + 1] < z[i]:
+                    y = z[:i] + (z[i] - 1,) + z[i + 1:]
+                    h = min(h, least[y if y[-1] else y[:-1]])
+            least[z] = h
+            if 0 < h < absent and (z[0] if z else 0) == c:
+                pairs.add((z, h - 1))
+    return pairs
+
+
 def cauchy_counts(n: int, gens, pairs, top: int) -> list[tuple[int, int]]:
     """Both sides of the Cauchy identity for the factors of S/I, degree by degree.
 

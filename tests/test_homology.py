@@ -26,7 +26,8 @@ from glinv import (
     zset_of_generators,
 )
 
-from _oracles import cauchy_counts, ext_lambda_first, zset_power_closed
+import glinv.homology as homology
+from _oracles import cauchy_counts, ext_lambda_first, zset_box_table, zset_power_closed
 
 
 def test_zpair_validation():
@@ -98,6 +99,70 @@ def test_zset_satisfies_cauchy_identity_on_random_families():
         top = max(sum(g) for g in gens) + 3
         for degree, (outside, counted) in enumerate(cauchy_counts(n, gens, pairs, top)):
             assert outside == counted, (m, n, gens, degree)
+
+
+def test_zset_walk_equals_box_table_on_the_families():
+    for family in (power_of_minors, symbolic_power, saturated_power):
+        for n in range(1, 7):
+            for m in (n, n + 1):
+                ctx = MatrixContext(m, n)
+                for p in range(1, n + 1):
+                    for d in range(1, 7):
+                        gens = family(ctx, p, d).gens
+                        got = _plain(zset_of_generators(ctx, gens))
+                        assert got == zset_box_table(n, gens), (family.__name__, m, n, p, d)
+
+
+def test_zset_walk_equals_box_table_on_random_raw_families():
+    # repeated, redundant, empty and zero-padded generators, some with x_1 <= c
+    # for the smaller column counts c, so that cells inside the box are pruned
+    rng = random.Random(1284)
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        gens = []
+        for _ in range(rng.randint(0, 6)):
+            rows = sorted((rng.randint(1, 6) for _ in range(rng.randint(0, n))), reverse=True)
+            gens.append(tuple(rows) + (0,) * rng.randint(0, 2))
+        gens += rng.sample(gens, min(len(gens), rng.randint(0, 2)))
+        got = _plain(zset_of_generators(MatrixContext(n, n), gens))
+        assert got == zset_box_table(n, gens), (n, gens)
+
+
+@pytest.mark.parametrize("n, gens", [
+    (3, []),  # the zero ideal
+    (3, [(2, 1), ()]),  # the unit ideal, given redundantly
+    (3, [(3, 1), (3, 1), (3, 1, 0, 0)]),  # duplicates and trailing zeros
+    (3, [(2, 1), (2, 2), (3, 1), (2, 1, 1)]),  # supersets of (2, 1)
+    (4, [(2, 2, 2, 2), (5, 1)]),  # a generator with exactly n parts
+    (4, [(1, 1, 1), (4, 2)]),  # (1, 1, 1) prunes cells of every box c >= 1
+    (4, [(2, 2), (3, 3, 1), (6,)]),  # (2, 2) prunes cells of the boxes c >= 2
+    (5, [(1,), (3, 3, 3)]),  # the maximal ideal: no pair above c = 0
+])
+def test_zset_walk_equals_box_table_on_edge_cases(n, gens):
+    got = _plain(zset_of_generators(MatrixContext(n, n), gens))
+    assert got == zset_box_table(n, gens)
+
+
+def test_zset_rejects_generators_with_too_many_parts():
+    with pytest.raises(ValueError, match="more than 3 parts"):
+        zset_of_generators(MatrixContext(3, 3), [(2, 1), (1, 1, 1, 1)])
+
+
+@pytest.mark.parametrize("n, pairs, cells", [(8, 83, 112), (10, 94, 131)])
+def test_zset_walk_tests_cells_that_follow_the_pairs(monkeypatch, n, pairs, cells):
+    # the n x c boxes of c < 10 hold 48,620 cells at n = 8 and 167,960 at
+    # n = 10; the walk tests only the cells it reaches, each once
+    tested = []
+    in_ideal = homology._in_ideal
+
+    def counted(trie, z):
+        tested.append(z)
+        return in_ideal(trie, z)
+
+    monkeypatch.setattr(homology, "_in_ideal", counted)
+    got = zset(symbolic_power(MatrixContext(n, n), 4, 10))
+    assert len(got) == pairs
+    assert len(tested) == len(set(tested)) == cells
 
 
 def test_zset_of_maximal_ideal_powers():

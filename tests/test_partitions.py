@@ -110,7 +110,7 @@ def test_enumerate_in_box_order_and_count():
             assert len(set(got)) == len(got)
             assert all(len(x) <= rows and (not x or x[0] <= cols) for x in got)
             # every partition one box smaller than an entry comes before it,
-            # which the Z-set table relies on
+            # as the docstring states
             seen = set()
             for x in got:
                 for i, v in enumerate(x):
