@@ -15,11 +15,11 @@ regularity are computed exactly without windows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import inf
 
 from .ideals import InvariantIdeal, MatrixContext, ideal_leq
-from .partitions import Parts, _integers, part, partition
+from .partitions import Parts, _in_ideal, _index, _insert, _integers, part, partition
 from .schur import EquivariantCharacter
 
 
@@ -79,8 +79,9 @@ def zset_of_generators(ctx: MatrixContext, gens) -> frozenset[ZPair]:
     h = 0 lies in the box itself (x(c) = x), and a cell containing one is in
     the ideal: its least height is 0 and it yields no pair. Such a cell is
     dropped and not grown, because every cell above it contains the same
-    generator and is in the ideal too. A trie over the generators with
-    x_1 <= c answers this membership test (_in_ideal). Every cell the walk
+    generator and is in the ideal too. The containment index of
+    glinv.partitions answers this membership test (_in_ideal); it holds the
+    generators with x_1 <= c, each entering at c = x_1. Every cell the walk
     reaches contains a seed, so z_1 >= c, and lies in the box, so
     z_1 <= c: each surviving cell has z_1 = c and gives the pair (z, h-1).
     The work is the surviving cells and the cells one box above them, not
@@ -96,7 +97,7 @@ def zset_of_generators(ctx: MatrixContext, gens) -> frozenset[ZPair]:
             raise ValueError(f"generator {x} has more than {ctx.n} parts")
         xs.append(x)
     cmax = max((x[0] for x in xs if x), default=0)
-    trie = [inf, {}]
+    trie = _index()
     pairs = []
     for c in range(cmax):
         levels: dict[int, dict[Parts, int]] = {}
@@ -107,12 +108,8 @@ def zset_of_generators(ctx: MatrixContext, gens) -> frozenset[ZPair]:
                 cells = levels.setdefault(sum(t), {})
                 if h < cells.get(t, h + 1):
                     cells[t] = h
-            elif part(x, 1) == c:  # x enters the box, and the trie, at this c
-                node, rest = trie, sum(x)
-                for v in x + (0,):
-                    node[0] = min(node[0], rest)
-                    rest -= v
-                    node = node[1].setdefault(v, [rest, {}])
+            elif part(x, 1) == c:  # x enters the box, and the index, at this c
+                _insert(trie, x)
         k = min(levels, default=0)
         while levels:
             cells = levels.pop(k, {})
@@ -130,33 +127,6 @@ def zset_of_generators(ctx: MatrixContext, gens) -> frozenset[ZPair]:
                     if h < above.get(y, h + 1):
                         above[y] = h
     return frozenset(pairs)
-
-
-def _in_ideal(trie: list, z: Parts) -> bool:
-    """Whether some partition stored in the trie lies inside z.
-
-    A node is [least, children]: least is the fewest boxes that a partition
-    stored below the node still has from the node's depth on, and children
-    maps a row length to the next node. A stored partition x is the path
-    x_1, ..., x_k, 0 from the root; the trailing 0 marks its end. At depth
-    i the search leaves a node whose least exceeds the boxes of z from row
-    i+1 on, and follows a branch v only when v <= z_{i+1}; reaching a 0
-    means every row of x fits in z. The size bound keeps the search off
-    most of a trie whose partitions are larger than z, so its time follows
-    the stored paths that can fit, not the number of generators.
-    """
-    z += (0,)
-    room = list(accumulate(reversed(z), initial=0))[::-1]
-    stack = [(trie, 0)]
-    while stack:
-        (least, children), i = stack.pop()
-        if least <= room[i]:
-            for v, below in children.items():
-                if v <= z[i]:
-                    if not v:
-                        return True
-                    stack.append((below, i + 1))
-    return False
 
 
 def zset(a: InvariantIdeal) -> frozenset[ZPair]:
@@ -198,13 +168,15 @@ def _st_data(ctx: MatrixContext, zp: ZPair):
     m, n = ctx.m, ctx.n
     z, l = zp.z, zp.l
     last = l - part(z, l + 1) - m
+    # pin i of a datum is t_i - shift[i-1]; z is read once per factor
+    shift = [part(z, n + 1 - i) + m for i in range(1, n - l + 1)]
     for s in range(l + 1):
         for t in combinations_with_replacement(range(s, l + 1), n - l):
             lower = [-inf] * (n + 1)
             upper = [inf] * (n + 1)
             lower[n] = upper[n] = last
-            for i, ti in enumerate(t, start=1):
-                lower[ti + i] = upper[ti + i] = ti - part(z, n + 1 - i) - m
+            for i, (ti, sh) in enumerate(zip(t, shift), start=1):
+                lower[ti + i] = upper[ti + i] = ti - sh
             upper[s + 1] = min(upper[s + 1], s - m)
             bound = -inf
             for idx in range(n, 0, -1):

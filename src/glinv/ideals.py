@@ -14,8 +14,9 @@ from typing import Iterable
 
 from .partitions import (
     Parts,
+    _in_ideal,
+    _index,
     _integers,
-    leq,
     minimalize,
     part,
     partition,
@@ -55,6 +56,9 @@ class InvariantIdeal:
     gens: tuple[Parts, ...]
 
     def __post_init__(self):
+        if not isinstance(self.gens, tuple):
+            raise ValueError("gens must be a tuple of partitions, not "
+                             f"{type(self.gens).__name__}")
         for g in self.gens:
             if partition(g) != g:
                 raise ValueError(f"generator {g} is not canonical")
@@ -92,11 +96,13 @@ def ideal_leq(a: InvariantIdeal, b: InvariantIdeal) -> bool:
     """True when a contains b as ideals.
 
     The antichain order runs opposite to inclusion: a >= b as ideals exactly
-    when every generator of b contains some generator of a as a diagram.
+    when every generator of b contains some generator of a as a diagram,
+    which the containment index of a.gens answers (partitions._in_ideal).
     """
     if a.ctx != b.ctx:
         raise ValueError("ideals live in different matrix contexts")
-    return all(any(leq(x, y) for x in a.gens) for y in b.gens)
+    trie = _index(a.gens)
+    return all(_in_ideal(trie, y) for y in b.gens)
 
 
 def power_of_minors(ctx: MatrixContext, p: int, d: int) -> InvariantIdeal:

@@ -7,12 +7,14 @@ decreasing integer tuples of a fixed length whose entries may be negative.
 A Gauss polynomial is the tuple of its coefficients, indexed by the exponent
 of q; the multiplicity tables read them as multiplicities.
 
-All arithmetic is exact; nothing in this module touches floating point.
+All arithmetic is exact; the only floats in this module are the infinite
+bounds of an empty containment index, which are only compared.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
+from math import inf
 from operator import index
 from typing import Iterable, Iterator
 
@@ -86,13 +88,92 @@ def minimalize(xs: Iterable[Parts]) -> tuple[Parts, ...]:
 
     The result is an antichain with the same up-set under leq as the input.
     A partition strictly inside another has fewer boxes, so the distinct
-    inputs are taken in order of size and each is tested only against the
-    kept partitions of smaller size.
+    inputs are taken in order of size, and each is kept unless the
+    containment index of the kept partitions of smaller size finds one
+    inside it (_in_ideal). A size class enters the index only when a larger
+    class is about to be tested, and nothing is queried while the index is
+    empty: a family of one size inserts and queries nothing.
     """
     keep: list[Parts] = []
+    trie = _index()
+    fresh: list[Parts] = []
     for _, same_size in groupby(sorted(set(xs), key=sum), key=sum):
-        keep += [x for x in same_size if not any(leq(y, x) for y in keep)]
+        for x in fresh:
+            _insert(trie, x)
+        fresh = [x for x in same_size if not (keep and _in_ideal(trie, x))]
+        keep += fresh
     return tuple(sorted(keep, reverse=True))
+
+
+def _index(xs: Iterable[Parts] = ()) -> list:
+    """Containment index of the partitions xs, a trie that _insert grows
+    and _in_ideal queries; callers hold it and never read its nodes.
+
+    A node is [least, rows, children]. least and rows are the fewest boxes
+    and the fewest rows that a partition stored below the node still has
+    from the node's depth on (infinite while nothing is stored), and
+    children maps a row length to the next node. A stored partition x is
+    the path x_1, ..., x_k from the root. Rows are positive, so least is 0
+    exactly at a node where a stored partition ends.
+    """
+    trie = [inf, inf, {}]
+    for x in xs:
+        _insert(trie, x)
+    return trie
+
+
+def _insert(trie: list, x: Parts) -> None:
+    """Store the partition x in the index, lowering the bounds along its path."""
+    node, rest, rows = trie, sum(x), len(x)
+    if rest < node[0]:
+        node[0] = rest
+    if rows < node[1]:
+        node[1] = rows
+    for v in x:
+        rest -= v
+        rows -= 1
+        child = node[2].get(v)
+        if child is None:
+            child = node[2][v] = [rest, rows, {}]
+        else:
+            if rest < child[0]:
+                child[0] = rest
+            if rows < child[1]:
+                child[1] = rows
+        node = child
+
+
+def _in_ideal(trie: list, z: Parts) -> bool:
+    """Whether some partition stored in the index lies inside z.
+
+    The search holds the children of a node at depth i and the boxes of z
+    from row i+1 on. It follows a branch v only when v <= z_{i+1}, and
+    succeeds at a child where a stored partition ends, since every row of
+    that partition fit in z on the way. It skips a child whose stored
+    partitions all have more boxes or more rows left than z has below it.
+    These bounds keep the search off most of an index whose partitions are
+    larger or longer than z, so its time follows the stored paths that can
+    fit, not the number of partitions stored.
+    """
+    least, rows, children = trie
+    if not least:
+        return True
+    room, k = sum(z), len(z)
+    if least > room or rows > k:
+        return False
+    stack = [(children, 0, room)]
+    while stack:
+        children, i, room = stack.pop()
+        zi = z[i]
+        room -= zi
+        i += 1
+        for v, (least, rows, below) in children.items():
+            if v <= zi:
+                if not least:
+                    return True
+                if least <= room and rows <= k - i:
+                    stack.append((below, i, room))
+    return False
 
 
 def enumerate_in_box(rows: int, cols: int) -> list[Parts]:

@@ -8,7 +8,7 @@ Values derived from these oracles are frozen into the test files.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 
 
 def conjugate_boxes(x: tuple[int, ...]) -> tuple[int, ...]:
@@ -82,6 +82,27 @@ def box_partitions(rows: int, cols: int) -> list[tuple[int, ...]]:
 
     grow((), cols, rows)
     return out
+
+
+def inside(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
+    """Diagram x lies inside diagram y: no more rows, and row by row no longer."""
+    return len(x) <= len(y) and all(a <= b for a, b in zip(x, y))
+
+
+def minimalize_scan(xs) -> tuple[tuple[int, ...], ...]:
+    """Minimal elements of a family of canonical partitions, sorted
+    descending: the distinct inputs in order of size, each kept unless a
+    kept partition of smaller size lies inside it."""
+    keep: list[tuple[int, ...]] = []
+    for _, same_size in groupby(sorted(set(xs), key=sum), key=sum):
+        keep += [x for x in same_size if not any(inside(y, x) for y in keep)]
+    return tuple(sorted(keep, reverse=True))
+
+
+def ideal_leq_scan(a_gens, b_gens) -> bool:
+    """The ideal generated by a_gens contains the one generated by b_gens:
+    every generator of b contains some generator of a as a diagram."""
+    return all(any(inside(x, y) for x in a_gens) for y in b_gens)
 
 
 def in_symbolic_power(x: tuple[int, ...], p: int, d: int) -> bool:

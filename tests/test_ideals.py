@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
+import glinv.partitions as partitions
 from glinv import (
     InvariantIdeal,
     MatrixContext,
     ideal_leq,
     make_ideal,
+    minimalize,
     power_of_minors,
     saturate,
     saturated_power,
@@ -14,7 +18,7 @@ from glinv import (
     symbolic_power,
 )
 
-from _oracles import succ_min_brute, symbolic_generators_dep
+from _oracles import ideal_leq_scan, minimalize_scan, succ_min_brute, symbolic_generators_dep
 
 CTX3 = MatrixContext(3, 3)
 CTX4 = MatrixContext(4, 4)
@@ -88,6 +92,80 @@ def test_ideal_leq_is_reverse_containment():
         assert ideal_leq(other, zero)
     with pytest.raises(ValueError):
         ideal_leq(minors1, make_ideal(CTX4, [[1]]))
+
+
+@pytest.mark.parametrize("gens", [[(1,)], []])
+def test_constructor_names_the_tuple_it_expects(gens):
+    with pytest.raises(ValueError, match="gens must be a tuple of partitions, not list"):
+        InvariantIdeal(CTX3, gens)
+
+
+def test_minimalize_and_ideal_leq_equal_the_scans_on_the_families():
+    # raw families from the named ones: each antichain, its stripped
+    # generators for every p, and the union of the members at d and d + 1
+    for n in range(1, 7):
+        for m in (n, n + 1):
+            ctx = MatrixContext(m, n)
+            for p in range(1, n + 1):
+                ideals = [make_ideal(ctx, []), make_ideal(ctx, [[]])]
+                for family in (power_of_minors, symbolic_power, saturated_power):
+                    members = [family(ctx, p, d) for d in range(1, 7)]
+                    raws = [a.gens + b.gens for a, b in zip(members, members[1:])]
+                    raws += [saturation_generators(a, q) for a in members for q in range(n + 1)]
+                    for raw in raws + [a.gens for a in members]:
+                        assert minimalize(raw) == minimalize_scan(raw), (m, n, p, raw)
+                    ideals += members
+                for a in ideals:
+                    for b in ideals:
+                        assert ideal_leq(a, b) == ideal_leq_scan(a.gens, b.gens), (a, b)
+
+
+def test_minimalize_and_ideal_leq_equal_the_scans_on_random_raw_families():
+    # mixed sizes, repeats and the occasional empty partition; each ideal is
+    # compared with the previous one of the same n and with zero and unit
+    rng = random.Random(3011)
+    previous = {}
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        raw = [tuple(sorted((rng.randint(1, 6) for _ in range(rng.randint(1, n))), reverse=True))
+               for _ in range(rng.randint(0, 8))]
+        raw += rng.sample(raw, min(len(raw), rng.randint(0, 2)))
+        if rng.random() < 0.05:
+            raw.append(())
+        rng.shuffle(raw)
+        assert minimalize(raw) == minimalize_scan(raw), raw
+        ctx = MatrixContext(n, n)
+        a = InvariantIdeal(ctx, minimalize(raw))
+        for b in (previous.get(n, a), make_ideal(ctx, []), make_ideal(ctx, [[]])):
+            assert ideal_leq(a, b) == ideal_leq_scan(a.gens, b.gens), (a, b)
+            assert ideal_leq(b, a) == ideal_leq_scan(b.gens, a.gens), (b, a)
+        previous[n] = a
+
+
+@pytest.mark.parametrize("family, p, d, inserted, queried", [
+    (saturated_power, 4, 10, 1128, 1459),
+    (power_of_minors, 5, 12, 0, 0),
+])
+def test_constructor_check_queries_the_index_once_per_generator_above_the_least_size(
+        monkeypatch, family, p, d, inserted, queried):
+    # the saturated family has 1,468 generators, 9 of them of the least size
+    # 34 and 340 of the largest size 40; the power has 16,660 of one size
+    calls = {"inserted": 0, "queried": 0}
+    insert, in_ideal = partitions._insert, partitions._in_ideal
+
+    def counted_insert(trie, x):
+        calls["inserted"] += 1
+        return insert(trie, x)
+
+    def counted_in_ideal(trie, z):
+        calls["queried"] += 1
+        return in_ideal(trie, z)
+
+    monkeypatch.setattr(partitions, "_insert", counted_insert)
+    monkeypatch.setattr(partitions, "_in_ideal", counted_in_ideal)
+    a = family(MatrixContext(10, 10), p, d)
+    assert calls == {"inserted": inserted, "queried": queried}
+    assert queried <= len(a.gens)
 
 
 def test_power_edge_cases():
