@@ -6,10 +6,14 @@ output draws Young diagrams and small grids, and csv is available for the
 tabular verbs (zset, lc, betti, qbinom).
 
 The verbs, their arguments and handlers are one table, VERBS. A call whose
-first word (after an optional 'ideal') is a verb builds only that verb's
-subparser; any other call builds all of them, for the top-level help and
-the unknown-verb error. Either way a call builds its own parser, so nothing
-is shared between calls in one process.
+first word (after an optional 'ideal') is a verb uses a parser with only
+that verb's subparser; any other call uses one with all of them, for the
+top-level help and the unknown-verb error. Each of these parsers is built
+on its first use in a process and reused by later calls of main, so a
+process holds at most len(VERBS) + 1 of them. Reuse leaves no trace in a
+later call: every parse fills a fresh namespace, no argument accumulates
+or has a mutable default, and help is laid out for the terminal width of
+the moment it is printed.
 
 Exit codes: 0 success, 1 domain error (reported as a JSON object on stdout
 under --format json, otherwise on stderr) or stdout closed by its reader
@@ -23,6 +27,7 @@ import json
 import os
 import re
 import sys
+from functools import cache
 from itertools import groupby
 
 from .betti import betti_polynomial, betti_table
@@ -78,7 +83,7 @@ def _run(argv: list[str] | None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "ideal":
         argv = argv[1:]
-    parser = _build_parser(argv[0] if argv else None)
+    parser = _build_parser(argv[0] if argv and argv[0] in VERBS else None)
     args = parser.parse_args(argv)
     try:
         handler = args.handler
@@ -98,11 +103,19 @@ def _run(argv: list[str] | None) -> int:
         return 1
 
 
+@cache
 def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     """The glinv parser with only verb's subparser if verb is a key of VERBS,
     and with every subparser otherwise (no arguments, an option first, an
     unknown word). A subparser's prog is "glinv <verb>" whichever others are
-    built, so its help and usage errors do not depend on them."""
+    built, so its help and usage errors do not depend on them.
+
+    Each parser is built on its first use in a process and returned again
+    afterwards; _run passes None for any word that is not a verb, so calls
+    through main hold at most len(VERBS) + 1 parsers. Reuse carries nothing
+    from one call to the next: parse_args fills a fresh Namespace, no
+    argument has a mutable default or an accumulating action, the progs are
+    fixed, and the help width is read when help is formatted."""
     parser = argparse.ArgumentParser(
         prog="glinv",
         description="Exact invariants of GL-stable ideals in a generic matrix ring.",

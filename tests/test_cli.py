@@ -17,7 +17,12 @@ POWER_JSON = '{"gens": [[3, 3], [3, 2, 1], [2, 2, 2]], "m": 3, "n": 3}'
 
 
 def run(capsys, argv):
-    code = main(argv)
+    """Exit status, stdout and stderr of main(argv); help and argparse's
+    usage errors end in SystemExit, whose code is the status."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -430,6 +435,7 @@ def _parse(capsys, parser, argv):
 
 def test_one_verb_parser_builds_only_that_verb():
     assert _subparser_names(_build_parser("reg")) == ["reg"]
+    assert _build_parser("reg") is _build_parser("reg")
     assert _subparser_names(_build_parser()) == list(VERBS)
     assert len(VERBS) == 14 and set(VALID) == set(VERBS)
     assert _subparser_names(_build_parser("frobnicate")) == list(VERBS)
@@ -445,23 +451,46 @@ def test_one_verb_parser_matches_full_parser(capsys, verb):
         assert one == full, argv
 
 
+# valid calls interleaved with help and usage errors, which exit through
+# SystemExit from the reused parsers
 LEAK_SEQUENCE = [
     ["power", "-m", "3", "-n", "3", "-p", "2", "-d", "2"],
+    ["-h"],
     ["zset", "-m", "3", "-n", "3", "--gens", "[[1,1]]"],
+    ["reg", "-h"],
+    ["reg", "--bogus"],
     ["reg", "-m", "3", "-n", "3", "--kind", "symbolic", "-p", "2", "-d", "3",
      "--format", "json"],
+    ["reg", "-p", "x"],
+    ["lc", "-m", "3", "-n", "3", "-p", "2", "--format", "xml"],
     ["lc", "-m", "3", "-n", "3", "-p", "2"],
+    ["qbinom", "5", "2", "extra"],
+    ["power", "-m", "3"],
+    ["frobnicate"],
     ["qbinom", "5", "2"],
+    [],
 ]
 
 
-def test_calls_in_one_process_do_not_leak(capsys):
-    alone = {}
-    for argv in LEAK_SEQUENCE:
-        proc = subprocess.run([sys.executable, "-m", "glinv", *argv],
-                              capture_output=True, text=True, env=ENV)
-        alone[tuple(argv)] = (proc.returncode, proc.stdout)
-    for sequence in (LEAK_SEQUENCE, LEAK_SEQUENCE[::-1]):
+def test_calls_in_one_process_do_not_leak(capsys, monkeypatch):
+    # each pass has its own help width, which a reused parser must read
+    # when it formats, not keep from the call that built it
+    passes = [(LEAK_SEQUENCE, "80"), (LEAK_SEQUENCE[::-1], "64")]
+    for sequence, columns in passes:
+        alone = {}
         for argv in sequence:
-            code, out, _ = run(capsys, argv)
-            assert (code, out) == alone[tuple(argv)], argv
+            proc = subprocess.run([sys.executable, "-m", "glinv", *argv],
+                                  capture_output=True, text=True,
+                                  env=dict(ENV, COLUMNS=columns))
+            alone[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in sequence:
+            assert run(capsys, argv) == alone[tuple(argv)], argv
+
+
+def test_parser_cache_is_bounded(capsys):
+    _build_parser.cache_clear()
+    for argv in [[verb, "-h"] for verb in VERBS] + [[f"word{i}"] for i in range(20)]:
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert _build_parser.cache_info().currsize <= len(VERBS) + 1
