@@ -9,11 +9,7 @@ The verbs, their arguments and handlers are one table, VERBS. A call whose
 first word (after an optional 'ideal') is a verb uses a parser with only
 that verb's subparser; any other call uses one with all of them, for the
 top-level help and the unknown-verb error. Each of these parsers is built
-on its first use in a process and reused by later calls of main, so a
-process holds at most len(VERBS) + 1 of them. Reuse leaves no trace in a
-later call: every parse fills a fresh namespace, no argument accumulates
-or has a mutable default, and help is laid out for the terminal width of
-the moment it is printed.
+once per process and reused by later calls of main.
 
 Exit codes: 0 success, 1 domain error (reported as a JSON object on stdout
 under --format json, otherwise on stderr) or stdout closed by its reader
