@@ -45,6 +45,15 @@ class ZPair:
             raise ValueError(f"rows 1..{self.l + 1} of z={self.z} must agree")
 
 
+def _trusted_pair(z: Parts, l: int) -> ZPair:
+    """ZPair(z, l) without the constructor's checks, for a pair that meets
+    them by construction."""
+    zp = object.__new__(ZPair)
+    object.__setattr__(zp, "z", z)
+    object.__setattr__(zp, "l", l)
+    return zp
+
+
 @dataclass(frozen=True)
 class DegreeWindow:
     """Closed range [lo, hi] of internal degrees, lo and hi integers."""
@@ -96,6 +105,13 @@ def zset_of_generators(ctx: MatrixContext, gens) -> frozenset[ZPair]:
         if len(x) > ctx.n:
             raise ValueError(f"generator {x} has more than {ctx.n} parts")
         xs.append(x)
+    return _zset_walk(ctx, xs)
+
+
+def _zset_walk(ctx: MatrixContext, xs) -> frozenset[ZPair]:
+    """The walk of zset_of_generators over canonical generators with at most
+    n parts. Its cells are canonical and meet the equal-rows condition by
+    construction, so the pairs skip the ZPair checks (_trusted_pair)."""
     cmax = max((x[0] for x in xs if x), default=0)
     trie = _index()
     pairs = []
@@ -117,7 +133,7 @@ def zset_of_generators(ctx: MatrixContext, gens) -> frozenset[ZPair]:
             for z, h in cells.items():
                 if _in_ideal(trie, z):
                     continue
-                pairs.append(ZPair(z, h - 1))
+                pairs.append(_trusted_pair(z, h - 1))
                 grown = [z[:i] + (z[i] + 1,) + z[i + 1:]
                          for i in range(1, len(z)) if z[i] < z[i - 1]]
                 if len(z) < ctx.n and c:
@@ -130,8 +146,8 @@ def zset_of_generators(ctx: MatrixContext, gens) -> frozenset[ZPair]:
 
 
 def zset(a: InvariantIdeal) -> frozenset[ZPair]:
-    """Composition factor indices of S/a."""
-    return zset_of_generators(a.ctx, a.gens)
+    """Composition factor indices of S/a; a.gens is canonical already."""
+    return _zset_walk(a.ctx, a.gens)
 
 
 def saturation_filter(pairs, p: int) -> frozenset[ZPair]:
@@ -154,27 +170,32 @@ def _st_data(ctx: MatrixContext, zp: ZPair):
     j = m*n - l^2 - s*(m - n) - 2*sum(t). lower and upper bound lam entry
     by entry, indexed by 1-based position (index 0 unused). Position n is
     pinned to l - z_{l+1} - m and position t_i + i to t_i - z_{n+1-i} - m;
-    these positions strictly increase, and where t_{n-l} + n - l = n the two
-    pins agree. A pinned position has lower = upper = its pin, and upper[s+1]
-    is at most s - m; every other upper is infinite. A free position has
-    lower the nearest pin after it, raised to s - n on positions 1..s.
+    these positions strictly increase. A pinned position has
+    lower = upper = its pin, and upper[s+1] is at most s - m; every other
+    upper is infinite. A free position has lower the nearest pin after it,
+    raised to s - n on positions 1..s.
 
     The datum is feasible exactly when lower is weakly decreasing and stays
     at or under upper. lower is filled from position n down and the datum
     dropped at the first violation: a pin below a later pin, a pin below
     s - n on positions 1..s, or lower[s+1] above s - m. For a feasible datum
     lam = lower is dominant, so sum(lower[1:]) is its minimal internal degree.
+
+    Only t with t_{n-l} = l can be feasible, so the scan takes t_1..t_{n-l-1}
+    and appends l. Pin n-l, t_{n-l} - z_{l+1} - m, sits at or before position
+    n and so must be at least the position-n pin l - z_{l+1} - m; that forces
+    t_{n-l} >= l, and t_{n-l} <= l always. With t_{n-l} = l pin n-l is the
+    position-n pin itself.
     """
     m, n = ctx.m, ctx.n
     z, l = zp.z, zp.l
-    last = l - part(z, l + 1) - m
     # pin i of a datum is t_i - shift[i-1]; z is read once per factor
     shift = [part(z, n + 1 - i) + m for i in range(1, n - l + 1)]
     for s in range(l + 1):
-        for t in combinations_with_replacement(range(s, l + 1), n - l):
+        for head in combinations_with_replacement(range(s, l + 1), n - l - 1):
+            t = head + (l,)
             lower = [-inf] * (n + 1)
             upper = [inf] * (n + 1)
-            lower[n] = upper[n] = last
             for i, (ti, sh) in enumerate(zip(t, shift), start=1):
                 lower[ti + i] = upper[ti + i] = ti - sh
             upper[s + 1] = min(upper[s + 1], s - m)
@@ -272,12 +293,66 @@ def ext_map_analysis(a: InvariantIdeal, b: InvariantIdeal, window: DegreeWindow)
 
 def _least_degrees(ctx: MatrixContext, zp: ZPair) -> dict[int, int]:
     """Least internal degree of Ext^j(J_{z,l}, S) for each j where it is
-    nonzero: a feasible datum attains its least degree at lam = lower."""
+    nonzero, by a dynamic program over the pins of the data (s, t).
+
+    Write k = n - l and v_i = t_i - z_{n+1-i} - m for pin i of _st_data, at
+    position t_i + i. A datum is feasible exactly when
+      - t_1 <= s + z_n, that is v_1 <= s - m: lower[s+1] is the largest pin;
+      - t_i - t_{i-1} <= z_{n+1-i} - z_{n+2-i} for i >= 2: the pins weakly
+        decrease;
+      - t_k = l, as _st_data shows.
+    Its least degree is the sum of lower. Positions 1..s take s - n, because
+    v_1 <= s - m <= s - n; the positions after pin i-1, up to pin i, take
+    v_i; pin k is position n. So the least degree is
+      s(s - n) + (t_1 + 1 - s) v_1 + sum_{i >= 2} (t_i - t_{i-1} + 1) v_i,
+    and the index is j = mn - l^2 - s(m - n) - 2 sum(t).
+
+    Equal rows of z allow no step between their pins, so the program runs
+    over the blocks of equal entries among z_n, z_{n-1}, ..., z_{l+1}. Block
+    b has value y_b and r_b rows, and its pins share one t_b. With t_0 = s
+    and y_0 = 0 a datum is feasible when 0 <= t_b - t_{b-1} <= y_b - y_{b-1}
+    and the last block B has t_B = l; its least degree is
+    s(s - n) + sum_b (t_b - t_{b-1} + r_b)(t_b - y_b - m), and
+    sum(t) = sum_b r_b t_b.
+
+    The program starts at t_B = l and walks down the blocks. At block b the
+    state is (t_b, sum of r_c t_c over c >= b), and its value is the least
+    sum of the terms of blocks b+1..B. Only block 1's term reads s, so one
+    pass serves every s: a state (t_1, total) at block 1 gives a datum for
+    each s with t_1 - y_1 <= s <= t_1. Every state reaches one (s = t_1),
+    so the work follows the feasible data, not the tuples t.
+    """
+    m, n = ctx.m, ctx.n
+    z, l = zp.z, zp.l
+    rows = z[l:]  # z_{l+1}, z_{l+2}, ...; the rest of z_{l+1..n} is 0
+    blocks = [[0, n - l - len(rows)]] if len(rows) < n - l else []
+    for y in reversed(rows):
+        if blocks and blocks[-1][0] == y:
+            blocks[-1][1] += 1
+        else:
+            blocks.append([y, 1])
+    y, r = blocks.pop()
+    states = {(l, r * l): 0}
+    while blocks:
+        y_below, r_below = blocks.pop()
+        below: dict[tuple[int, int], int] = {}
+        for (u, total), deg in states.items():  # u is t_b, t below is t_{b-1}
+            v = u - y - m
+            for t in range(max(0, u - y + y_below), u + 1):
+                key = (t, total + r_below * t)
+                d = deg + (u - t + r) * v
+                if d < below.get(key, inf):
+                    below[key] = d
+        states = below
+        y, r = y_below, r_below
     least: dict[int, int] = {}
-    for _, j, lower, _ in _st_data(ctx, zp):
-        deg = sum(lower[1:])
-        if deg < least.get(j, inf):
-            least[j] = deg
+    for (t, total), deg in states.items():
+        v = t - y - m
+        for s in range(max(0, t - y), t + 1):
+            j = m * n - l * l - s * (m - n) - 2 * total
+            d = s * (s - n) + (t - s + r) * v + deg
+            if d < least.get(j, inf):
+                least[j] = d
     return least
 
 

@@ -207,6 +207,51 @@ def ext_lambda_first(m: int, n: int, z: tuple[int, ...], l: int,
     return sorted(out)
 
 
+def st_data_scan(m: int, n: int, z: tuple[int, ...], l: int) -> list[tuple]:
+    """Every feasible Ext datum (s, t) of the factor (z, l), trying every
+    weakly increasing t in [s, l]^(n-l) for each s in 0..l.
+
+    Pin i sits at position t_i + i with value t_i - z_{n+1-i} - m, and
+    position n carries l - z_{l+1} - m. The least candidate weight takes at
+    each position the largest pin at or after it, and at least s - n on
+    positions 1..s. The datum is feasible when that weight still meets every
+    pin and its entry s+1 is at most s - m. Returns (s, j, lower, upper)
+    with j = mn - l^2 - s(m - n) - 2 sum(t), lower the least weight, and
+    upper the entrywise cap: the pins, s - m at position s+1, else inf.
+    """
+    def row(y, i):
+        return y[i - 1] if 0 < i <= len(y) else 0
+
+    inf = float("inf")
+    out = []
+    for s in range(l + 1):
+        for t in combinations_with_replacement(range(s, l + 1), n - l):
+            # pin n-l lands on position n only when t_{n-l} = l, with the same value
+            pins = {n: l - row(z, l + 1) - m}
+            for i, ti in enumerate(t, start=1):
+                pins[ti + i] = ti - row(z, n + 1 - i) - m
+            lower = [0] * n
+            top = -inf
+            for p in range(n, 0, -1):
+                top = max(top, pins.get(p, -inf), s - n if p <= s else -inf)
+                lower[p - 1] = top
+            upper = [pins.get(p, inf) for p in range(1, n + 1)]
+            upper[s] = min(upper[s], s - m)
+            if all(lower[p - 1] == v for p, v in pins.items()) and lower[s] <= s - m:
+                j = m * n - l * l - s * (m - n) - 2 * sum(t)
+                out.append((s, j, tuple(lower), tuple(upper)))
+    return out
+
+
+def least_degrees_scan(m: int, n: int, z: tuple[int, ...], l: int) -> dict[int, int]:
+    """Least internal degree of Ext^j(J_{z,l}, S) for each j where it is
+    nonzero: the least sum of a feasible datum's least weight."""
+    least: dict[int, int] = {}
+    for _, j, lower, _ in st_data_scan(m, n, z, l):
+        least[j] = min(sum(lower), least.get(j, sum(lower)))
+    return least
+
+
 def lc_rows_oracle(m: int, n: int, p: int) -> dict[int, dict[int, int]]:
     """Local cohomology multiplicity grid assembled with the Pascal oracle."""
     rows: dict[int, dict[int, int]] = {}

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -27,7 +28,14 @@ from glinv import (
 )
 
 import glinv.homology as homology
-from _oracles import cauchy_counts, ext_lambda_first, zset_box_table, zset_power_closed
+from _oracles import (
+    cauchy_counts,
+    ext_lambda_first,
+    least_degrees_scan,
+    st_data_scan,
+    zset_box_table,
+    zset_power_closed,
+)
 
 
 def test_zpair_validation():
@@ -36,9 +44,29 @@ def test_zpair_validation():
     with pytest.raises(ValueError):
         ZPair((2, 1), 1)  # rows 1..2 differ
     with pytest.raises(ValueError):
+        ZPair((2, 2), 2)  # row 3 is 0, not 2
+    with pytest.raises(ValueError):
         ZPair((1, 0), 0)  # not canonical
     with pytest.raises(ValueError):
+        ZPair((1, 2), 0)  # not weakly decreasing
+    with pytest.raises(ValueError):
+        ZPair((1, -1), 0)  # negative row
+    with pytest.raises(ValueError):
+        ZPair((True,), 0)  # boolean row
+    with pytest.raises(ValueError):
         ZPair((1,), -1)
+
+
+def test_walk_pairs_equal_checked_pairs():
+    # the walk builds its pairs without the constructor's checks; each must
+    # pass them and be equal, with the same hash, to the checked pair
+    ctx = MatrixContext(6, 6)
+    for family in (power_of_minors, symbolic_power, saturated_power):
+        for p in range(1, 7):
+            for d in range(1, 5):
+                for zp in zset(family(ctx, p, d)):
+                    checked = ZPair(zp.z, zp.l)
+                    assert type(zp) is ZPair and zp == checked and hash(zp) == hash(checked)
 
 
 def test_degree_window():
@@ -148,6 +176,12 @@ def test_zset_rejects_generators_with_too_many_parts():
         zset_of_generators(MatrixContext(3, 3), [(2, 1), (1, 1, 1, 1)])
 
 
+@pytest.mark.parametrize("gens", [[(1, 2)], [(2, -1)], [(True, 1)]])
+def test_zset_rejects_generators_that_are_not_partitions(gens):
+    with pytest.raises(ValueError):
+        zset_of_generators(MatrixContext(3, 3), gens)
+
+
 @pytest.mark.parametrize("n, pairs, cells", [(8, 83, 112), (10, 94, 131)])
 def test_zset_walk_tests_cells_that_follow_the_pairs(monkeypatch, n, pairs, cells):
     # the n x c boxes of c < 10 hold 48,620 cells at n = 8 and 167,960 at
@@ -236,6 +270,76 @@ def test_scan_matches_weight_first_oracle():
                 assert attainable_indices(ctx, zp) == sorted(least), (m, zp)
                 for j in range(m * n + 2):
                     assert ext_min_degree(ctx, zp, j) == least.get(j), (m, zp, j)
+
+
+def _family_factors():
+    """The distinct factors of the three families over n <= 7,
+    m in {n, n+1, n+2}, p <= n and d <= 5, with their contexts."""
+    seen = set()
+    for n in range(1, 8):
+        for m in (n, n + 1, n + 2):
+            ctx = MatrixContext(m, n)
+            for p in range(1, n + 1):
+                for d in range(1, 6):
+                    for family in (power_of_minors, symbolic_power, saturated_power):
+                        for zp in zset(family(ctx, p, d)):
+                            if (m, zp) not in seen:
+                                seen.add((m, zp))
+                                yield ctx, zp
+
+
+def test_least_degree_program_matches_scan_on_the_families():
+    # every datum the full scan finds feasible is one the pruned _st_data
+    # yields, and the program's least degrees are the scan's
+    count = 0
+    for ctx, zp in _family_factors():
+        data = st_data_scan(ctx.m, ctx.n, zp.z, zp.l)
+        pruned = Counter((s, j, tuple(lower[1:]), tuple(upper[1:]))
+                         for s, j, lower, upper in homology._st_data(ctx, zp))
+        assert pruned == Counter(data), (ctx, zp)
+        least = {}
+        for _, j, lower, _ in data:
+            least[j] = min(sum(lower), least.get(j, sum(lower)))
+        assert homology._least_degrees(ctx, zp) == least, (ctx, zp)
+        count += 1
+    assert count == 1497
+
+
+def test_least_degree_program_matches_scan_on_random_raw_families():
+    rng = random.Random(1013)
+    factors = 0
+    for _ in range(320):
+        n = rng.randint(1, 6)
+        m = n + rng.randint(0, 2)
+        ctx = MatrixContext(m, n)
+        gens = [sorted((rng.randint(1, 5) for _ in range(rng.randint(0, n))), reverse=True)
+                for _ in range(rng.randint(1, 5))]
+        for zp in zset_of_generators(ctx, gens):
+            assert homology._least_degrees(ctx, zp) == least_degrees_scan(m, n, zp.z, zp.l), (
+                m, n, gens, zp)
+            factors += 1
+    assert factors == 3363
+
+
+@pytest.mark.parametrize("m, n, z, l", [
+    (1, 1, (), 0),
+    (3, 1, (4,), 0),
+    (4, 4, (3, 1), 0),  # l = 0: one datum, s = 0 and t = 0
+    (6, 4, (2, 2, 2, 1), 0),
+    (4, 4, (2, 2, 2, 2), 3),  # l = n - 1: t = (l,)
+    (6, 4, (1, 1, 1, 1), 3),
+    (3, 3, (), 2),  # z = ()
+    (5, 5, (), 0),
+    (7, 5, (), 4),
+    (6, 6, (3, 3, 3, 2, 2), 2),  # m = n, blocks of equal rows
+    (8, 6, (4, 4, 3, 1, 1, 1), 1),  # m = n + 2
+    (8, 6, (5, 5, 5, 5, 2), 3),
+])
+def test_least_degree_program_matches_scan_on_edge_cases(m, n, z, l):
+    ctx, zp = MatrixContext(m, n), ZPair(z, l)
+    least = least_degrees_scan(m, n, z, l)
+    assert least and homology._least_degrees(ctx, zp) == least
+    assert attainable_indices(ctx, zp) == sorted(least)
 
 
 def test_ext_of_maximal_ideal_powers():
