@@ -4,12 +4,14 @@
 Prints the numeric Betti table of the b-th powers of the a x a minors of a
 generic m x n matrix, then the equivariant strand decomposition: for every
 homological index the irreducible summands with their weights, internal
-degrees, multiplicities, and dimensions.
+degrees, multiplicities, and dimensions. A domain error, such as a minor
+size larger than n, is one "error: ..." line on stderr and exit status 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 from itertools import groupby
 
 from glinv import MatrixContext, betti_polynomial, betti_table, dim_term
@@ -24,8 +26,12 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("b", type=int, help="power")
     args = ap.parse_args(argv)
 
-    ctx = MatrixContext(args.m, args.n)
-    bp = betti_polynomial(ctx, args.a, args.b)
+    try:
+        ctx = MatrixContext(args.m, args.n)
+        bp = betti_polynomial(ctx, args.a, args.b)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     tab = betti_table(bp, ctx)
 
     print(f"powers b={args.b} of the {args.a}x{args.a} minors, "

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ideals import MatrixContext
-from .partitions import attach, conjugate, enumerate_in_box, qbinomial, size
+from .partitions import _integer, attach, conjugate, enumerate_in_box, qbinomial, size
 from .schur import EquivariantCharacter
 
 
@@ -27,10 +27,7 @@ def h_rect(ctx: MatrixContext, r: int, s: int) -> EquivariantCharacter:
     attach(r, s, beta', alpha').
     """
     m, n = ctx.m, ctx.n
-    if not 1 <= r <= n:
-        raise ValueError(f"rectangle height out of range for n={n}: {r}")
-    if s < 1:
-        raise ValueError("rectangle width must be positive")
+    r, s = _integer(r, "rectangle height r", 1, n), _integer(s, "rectangle width s", 1)
     ch = EquivariantCharacter()
     edge = min(r, s)
     betas = [(beta, conjugate(beta), size(beta)) for beta in enumerate_in_box(m - r, edge)]
@@ -52,10 +49,7 @@ def betti_polynomial(ctx: MatrixContext, a: int, b: int) -> EquivariantCharacter
     weighted by the corresponding Gauss coefficient.
     """
     m, n = ctx.m, ctx.n
-    if not 1 <= a <= n:
-        raise ValueError(f"minor size out of range for n={n}: {a}")
-    if b < 1:
-        raise ValueError("power must be positive")
+    a, b = _integer(a, "minor size a", 1, n), _integer(b, "power b", 1)
     out = EquivariantCharacter()
     for t in range(n - a + 1):
         block = h_rect(ctx, a + t, b + t).items()

@@ -45,7 +45,7 @@ from .ideals import (
     symbolic_power,
 )
 from .loccoh import ds_character, lc_table
-from .partitions import dominant_weight, qbinomial, size
+from .partitions import _integer, dominant_weight, qbinomial, size
 from .schur import EquivariantCharacter, dim_schur
 
 
@@ -139,27 +139,11 @@ def _context(m: int, n: int) -> MatrixContext:
     return MatrixContext(m, n)
 
 
-def _is_int(value) -> bool:
-    """JSON integer: an int that is not a bool (json reads true as True)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _int_list(data, what: str) -> list:
-    """data itself if it is a list of JSON integers; a domain error otherwise,
-    so that 2.7 or true is never coerced by a later int()."""
-    if not isinstance(data, list):
-        raise ValueError(f"{what} must be a JSON list of integers")
-    for v in data:
-        if not _is_int(v):
-            raise ValueError(f"{what} must hold integers only, got {json.dumps(v)}")
-    return data
-
-
 def _check_gens(data) -> list:
-    if not isinstance(data, list):
+    """data itself if it is a list of lists; make_ideal checks the entries
+    (partitions._integers), so that 2.7 or true is never coerced."""
+    if not (isinstance(data, list) and all(isinstance(g, list) for g in data)):
         raise ValueError("generators must be a JSON list of integer lists")
-    for g in data:
-        _int_list(g, "each generator")
     return data
 
 
@@ -195,10 +179,8 @@ def _resolve_ideal(args) -> InvariantIdeal:
             m, n, gens = data["m"], data["n"], data["gens"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"ideal file must carry keys m, n, gens: {exc}") from None
-        if not (_is_int(m) and _is_int(n)):
-            raise ValueError("ideal file keys m and n must be integers, "
-                             f"got {json.dumps(m)} and {json.dumps(n)}")
-        return make_ideal(_context(m, n), _check_gens(gens))
+        ctx = _context(_integer(m, "ideal file key m"), _integer(n, "ideal file key n"))
+        return make_ideal(ctx, _check_gens(gens))
     if args.m is None or args.n is None:
         raise UsageError("need -m and -n (or --in FILE)")
     ctx = _context(args.m, args.n)
@@ -420,7 +402,9 @@ def _cmd_schurdim(args) -> int:
         weight = json.loads(args.weight)
     except json.JSONDecodeError as exc:
         raise ValueError(f"weight is not valid JSON: {exc}") from None
-    weight = dominant_weight(_int_list(weight, "weight"))
+    if not isinstance(weight, list):
+        raise ValueError("weight must be a JSON list of integers")
+    weight = dominant_weight(weight)
     dim = dim_schur(weight, args.N)
     if args.format == "json":
         _emit_json({"N": args.N, "weight": list(weight), "dim": dim})

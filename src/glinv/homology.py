@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import inf
 
-from .ideals import InvariantIdeal, MatrixContext, ideal_leq
-from .partitions import Parts, _in_ideal, _index, _insert, _integers, part, partition
+from .ideals import InvariantIdeal, MatrixContext, _generators, ideal_leq
+from .partitions import Parts, _in_ideal, _index, _insert, _integer, _integers, part, partition
 from .schur import EquivariantCharacter
 
 
@@ -38,8 +38,7 @@ class ZPair:
     def __post_init__(self):
         if partition(self.z) != self.z:
             raise ValueError(f"z is not canonical: {self.z}")
-        if self.l < 0:
-            raise ValueError("l must be nonnegative")
+        object.__setattr__(self, "l", _integer(self.l, "l", 0))
         head = part(self.z, 1)
         if any(part(self.z, i) != head for i in range(2, self.l + 2)):
             raise ValueError(f"rows 1..{self.l + 1} of z={self.z} must agree")
@@ -99,13 +98,7 @@ def zset_of_generators(ctx: MatrixContext, gens) -> frozenset[ZPair]:
     Each pair meets the equal-rows condition of ZPair: a generator attaining
     h has x(c) <= z, so c <= z_i <= z_1 = c for i <= h.
     """
-    xs = []
-    for g in gens:
-        x = partition(g)
-        if len(x) > ctx.n:
-            raise ValueError(f"generator {x} has more than {ctx.n} parts")
-        xs.append(x)
-    return _zset_walk(ctx, xs)
+    return _zset_walk(ctx, _generators(ctx, gens))
 
 
 def _zset_walk(ctx: MatrixContext, xs) -> frozenset[ZPair]:
@@ -152,16 +145,14 @@ def zset(a: InvariantIdeal) -> frozenset[ZPair]:
 
 def saturation_filter(pairs, p: int) -> frozenset[ZPair]:
     """Factor indices surviving saturation by the p x p minors: l >= p."""
-    if p < 0:
-        raise ValueError("p must be nonnegative")
+    p = _integer(p, "minor size p", 0)
     return frozenset(zp for zp in pairs if zp.l >= p)
 
 
 def _check_zpair(ctx: MatrixContext, zp: ZPair) -> None:
     if len(zp.z) > ctx.n:
         raise ValueError(f"z={zp.z} has more than {ctx.n} parts")
-    if zp.l > ctx.n - 1:
-        raise ValueError(f"l={zp.l} out of range for n={ctx.n}")
+    _integer(zp.l, "l", 0, ctx.n - 1)
 
 
 def _st_data(ctx: MatrixContext, zp: ZPair):
@@ -365,7 +356,7 @@ def attainable_indices(ctx: MatrixContext, zp: ZPair) -> list[int]:
 def ext_min_degree(ctx: MatrixContext, zp: ZPair, j: int) -> int | None:
     """Least internal degree of Ext^j(J_{z,l}, S), or None when it vanishes."""
     _check_zpair(ctx, zp)
-    return _least_degrees(ctx, zp).get(j)
+    return _least_degrees(ctx, zp).get(_integer(j, "j"))
 
 
 def regularity(a: InvariantIdeal) -> int:

@@ -16,6 +16,7 @@ from .partitions import (
     Parts,
     _in_ideal,
     _index,
+    _integer,
     _integers,
     minimalize,
     part,
@@ -59,14 +60,9 @@ class InvariantIdeal:
         if not isinstance(self.gens, tuple):
             raise ValueError("gens must be a tuple of partitions, not "
                              f"{type(self.gens).__name__}")
-        for g in self.gens:
-            if partition(g) != g:
-                raise ValueError(f"generator {g} is not canonical")
-            if len(g) > self.ctx.n:
-                raise ValueError(f"generator {g} has more than {self.ctx.n} parts")
-        if minimalize(self.gens) != self.gens:
-            raise ValueError("generators are not an antichain in descending "
-                             "lexicographic order")
+        if minimalize(_generators(self.ctx, self.gens)) != self.gens:
+            raise ValueError("generators are not canonical partitions forming an "
+                             "antichain in descending lexicographic order")
 
     @property
     def is_zero(self) -> bool:
@@ -83,13 +79,19 @@ def make_ideal(ctx: MatrixContext, gens: Iterable[Iterable[int]]) -> InvariantId
     Canonicalizes each generator, discards the non-minimal ones, and sorts.
     An empty family gives the zero ideal.
     """
+    return InvariantIdeal(ctx, minimalize(_generators(ctx, gens)))
+
+
+def _generators(ctx: MatrixContext, gens) -> list[Parts]:
+    """Each generator canonicalized by partition; one with more than n parts
+    is a ValueError."""
     xs = []
     for g in gens:
         x = partition(g)
         if len(x) > ctx.n:
             raise ValueError(f"generator {x} has more than {ctx.n} parts")
         xs.append(x)
-    return InvariantIdeal(ctx, minimalize(xs))
+    return xs
 
 
 def ideal_leq(a: InvariantIdeal, b: InvariantIdeal) -> bool:
@@ -112,9 +114,7 @@ def power_of_minors(ctx: MatrixContext, p: int, d: int) -> InvariantIdeal:
     at most d, in the descending order the constructor checks; equal sizes
     make the family an antichain outright. d = 0 gives the unit ideal.
     """
-    _check_p(ctx, p)
-    if d < 0:
-        raise ValueError("exponent must be nonnegative")
+    p, d = _integer(p, "minor size p", 1, ctx.n), _integer(d, "exponent d", 0)
     return InvariantIdeal(ctx, tuple(partitions_of_size_in_box(p * d, ctx.n, d)))
 
 
@@ -127,9 +127,7 @@ def symbolic_power(ctx: MatrixContext, p: int, d: int) -> InvariantIdeal:
     Built in the descending order the constructor checks: c falls, and the
     tails descend under each c.
     """
-    _check_p(ctx, p)
-    if d < 0:
-        raise ValueError("exponent must be nonnegative")
+    p, d = _integer(p, "minor size p", 1, ctx.n), _integer(d, "exponent d", 0)
     return InvariantIdeal(ctx, tuple(
         partition((c,) * p + tail) for c in range(d, -1, -1)
         for tail in partitions_of_size_in_box(d - c, ctx.n - p, c)))
@@ -146,12 +144,11 @@ def saturated_power(ctx: MatrixContext, p: int, d: int) -> InvariantIdeal:
     the descending order the constructor checks: c falls, and the tails
     descend under each c.
     """
-    _check_p(ctx, p)
-    if d < 0:
-        raise ValueError("exponent must be nonnegative")
+    p, d = _integer(p, "minor size p", 1, ctx.n), _integer(d, "exponent d", 0)
     return InvariantIdeal(ctx, tuple(
         partition((c, c) + tail) for c in range(d, -1, -1)
-        for tail in partitions_of_size_in_box((p - 1) * d - c, ctx.n - 2, c)))
+        # rows 3..n, none when n = 1
+        for tail in partitions_of_size_in_box((p - 1) * d - c, max(ctx.n - 2, 0), c)))
 
 
 def strip_short_columns(x, p: int) -> Parts:
@@ -160,8 +157,7 @@ def strip_short_columns(x, p: int) -> Parts:
     Equivalently x(c) where c = x_{p+1} counts the columns of height greater
     than p. Identity at p = 0; the zero partition for p >= height of x.
     """
-    if p < 0:
-        raise ValueError("p must be nonnegative")
+    p = _integer(p, "height p", 0)
     xx = partition(x)
     return truncate_columns(xx, part(xx, p + 1))
 
@@ -173,7 +169,7 @@ def saturation_generators(a: InvariantIdeal, p: int) -> tuple[Parts, ...]:
     generates the saturated ideal but need not be an antichain. Sorted
     descending with duplicates removed.
     """
-    _check_sat_p(a.ctx, p)
+    p = _integer(p, "minor size p", 0, a.ctx.n)
     return tuple(sorted({strip_short_columns(x, p) for x in a.gens}, reverse=True))
 
 
@@ -195,8 +191,7 @@ def succ_min(ctx: MatrixContext, z, l: int) -> tuple[Parts, ...]:
     any member of the set dominates the candidate built from any row
     witnessing its membership.
     """
-    if not 0 <= l <= ctx.n - 1:
-        raise ValueError(f"l out of range for n={ctx.n}: {l}")
+    l = _integer(l, "l", 0, ctx.n - 1)
     zz = partition(z)
     if len(zz) > ctx.n:
         raise ValueError(f"{zz} has more than {ctx.n} parts")
@@ -208,13 +203,3 @@ def succ_min(ctx: MatrixContext, z, l: int) -> tuple[Parts, ...]:
             for j in range(1, ctx.n + 1)
         )))
     return minimalize(ramps)
-
-
-def _check_p(ctx: MatrixContext, p: int) -> None:
-    if not 1 <= p <= ctx.n:
-        raise ValueError(f"minor size out of range for n={ctx.n}: {p}")
-
-
-def _check_sat_p(ctx: MatrixContext, p: int) -> None:
-    if not 0 <= p <= ctx.n:
-        raise ValueError(f"minor size out of range for n={ctx.n}: {p}")

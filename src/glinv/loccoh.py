@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .homology import DegreeWindow, _lambdas
 from .ideals import MatrixContext
-from .partitions import qbinomial
+from .partitions import _integer, qbinomial
 from .schur import EquivariantCharacter
 
 
@@ -36,8 +36,7 @@ def lc_table(ctx: MatrixContext, p: int) -> LCTable:
     indices carrying D_s share the parity of that shift, and for square
     matrices the whole table lives in one parity class.
     """
-    if not 1 <= p <= ctx.n:
-        raise ValueError(f"minor size out of range for n={ctx.n}: {p}")
+    p = _integer(p, "minor size p", 1, ctx.n)
     m, n = ctx.m, ctx.n
     rows: dict[int, dict[int, int]] = {}
     for s in range(p):
@@ -63,9 +62,7 @@ def ds_character(ctx: MatrixContext, s: int, window: DegreeWindow) -> Equivarian
     constraints leave the leading entries unbounded above, every degree
     slice is infinite dimensional, and the query is rejected.
     """
-    if not 0 <= s <= ctx.n - 1:
-        raise ValueError(f"s out of range for n={ctx.n}: {s}")
-    if s >= 1:
+    if _integer(s, "s", 0, ctx.n - 1) >= 1:
         raise ValueError(
             f"D_{s} has infinite dimensional degree slices; "
             "only the s = 0 factor admits a windowed character"

@@ -52,6 +52,24 @@ def _integers(entries: Iterable[int]) -> tuple[int, ...]:
         raise ValueError(f"entries must be integers: {exc}") from None
 
 
+def _integer(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """value as an int in lo..hi, a missing bound leaving that side open.
+
+    A bool or a value without __index__ is a ValueError, by the rule of
+    _integers; so is a value out of range. The message names the argument.
+    A plain int skips the type test.
+    """
+    if type(value) is not int:
+        if isinstance(value, bool) or not hasattr(value, "__index__"):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = index(value)
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        bounds = (f"at least {lo}" if hi is None else f"at most {hi}" if lo is None
+                  else f"in {lo}..{hi}")
+        raise ValueError(f"{name} must be {bounds}, got {value}")
+    return value
+
+
 def part(x: Parts, i: int) -> int:
     """Row i of x, 1-based, reading zero past the last row."""
     return x[i - 1] if 0 < i <= len(x) else 0
@@ -78,8 +96,7 @@ def leq(x: Parts, y: Parts) -> bool:
 
 def truncate_columns(x: Parts, c: int) -> Parts:
     """First c columns of x: every row clipped to length at most c."""
-    if c < 0:
-        raise ValueError("column count must be nonnegative")
+    c = _integer(c, "column count c", 0)
     return partition(min(v, c) for v in x)
 
 
@@ -183,9 +200,7 @@ def enumerate_in_box(rows: int, cols: int) -> list[Parts]:
     first, as the walk yields them, not by size. A partition y inside x comes
     before x: y is lower at the first row where they differ, or a prefix of x.
     """
-    if rows < 0 or cols < 0:
-        raise ValueError("box sides must be nonnegative")
-    return list(_box(rows, cols))
+    return list(_box(_integer(rows, "rows", 0), _integer(cols, "cols", 0)))
 
 
 def _box(rows: int, cap: int) -> Iterator[Parts]:
@@ -199,10 +214,11 @@ def _box(rows: int, cap: int) -> Iterator[Parts]:
 
 def partitions_of_size_in_box(total: int, rows: int, cols: int) -> list[Parts]:
     """Partitions of `total` with at most `rows` parts, each at most `cols`,
-    in strictly descending lexicographic order, as the walk yields them."""
-    if total < 0:
-        return []
-    return list(_sized(total, rows, cols))
+    in strictly descending lexicographic order, as the walk yields them; none
+    when total is negative."""
+    total = _integer(total, "total")
+    rows, cols = _integer(rows, "rows", 0), _integer(cols, "cols", 0)
+    return list(_sized(total, rows, cols)) if total >= 0 else []
 
 
 def _sized(total: int, rows: int, cap: int) -> Iterator[Parts]:
@@ -225,8 +241,7 @@ def attach(r: int, s: int, a: Parts, b: Parts) -> Parts:
     at most r parts and b needs b_1 <= s for the result to be a partition.
     The size is always r*s + |a| + |b|.
     """
-    if r < 1 or s < 1:
-        raise ValueError("rectangle sides must be positive")
+    r, s = _integer(r, "rectangle height r", 1), _integer(s, "rectangle width s", 1)
     if len(a) > r:
         raise ValueError(f"{a} has more than {r} parts")
     if b and b[0] > s:
@@ -254,7 +269,7 @@ def pad_weight(w: Iterable[int], N: int) -> Weight:
     Only meaningful when the missing entries can be read as zeros, so a
     shorter weight with a negative tail is rejected.
     """
-    ww = dominant_weight(w)
+    N, ww = _integer(N, "N", 0), dominant_weight(w)
     if len(ww) > N:
         raise ValueError(f"{ww} is longer than {N}")
     if len(ww) < N and ww and ww[-1] < 0:
@@ -274,8 +289,7 @@ def qbinomial(a: int, b: int) -> tuple[int, ...]:
     at q^top throughout. The coefficients are positive and sum to the
     ordinary binomial coefficient.
     """
-    if a < 0 or b < 0:
-        raise ValueError("arguments must be nonnegative")
+    a, b = _integer(a, "a", 0), _integer(b, "b", 0)
     if b > a:
         return ()
     top = b * (a - b)

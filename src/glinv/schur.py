@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import perm
 
-from .partitions import Weight, _integers, dominant_weight, pad_weight
+from .partitions import Weight, _integer, dominant_weight, pad_weight
 
 
 def dim_schur(w, N: int) -> int:
@@ -14,16 +15,27 @@ def dim_schur(w, N: int) -> int:
     numerator and denominator accumulated separately and the final division
     checked to be exact. w is validated once, by pad_weight, which zero-pads a
     weight shorter than N on the right and so requires a nonnegative tail.
+
+    With k the number of entries before the trailing zeros, the pairs inside
+    the zero tail give 1, and row i < k (where w_i > 0) gives over the tail
+    prod_{j=k}^{N-1} (w_i + j - i) / (j - i)
+    = perm(w_i + N-1-i, w_i) / perm(w_i + k-1-i, w_i), a product of 2 w_i
+    factors, so a zero tail costs no N^2 work.
     """
-    if N < 1:
-        raise ValueError("N must be positive")
+    N = _integer(N, "N", 1)
     ww = pad_weight(w, N)
+    k = N
+    while k and not ww[k - 1]:
+        k -= 1
     num = 1
     den = 1
-    for i in range(N):
-        for j in range(i + 1, N):
+    for i in range(k):
+        for j in range(i + 1, k):
             num *= ww[i] - ww[j] + j - i
             den *= j - i
+        if k < N:
+            num *= perm(ww[i] + N - 1 - i, ww[i])
+            den *= perm(ww[i] + k - 1 - i, ww[i])
     if num % den:
         raise ArithmeticError(f"dimension product not integral for {ww}")
     return num // den
@@ -99,8 +111,8 @@ class EquivariantCharacter:
     def multiplicity(self, index: int, wm, wn, degree: int) -> int:
         """Multiplicity of the summand keyed (index, degree, wm, wn), 0 if absent;
         a non-integer or bool index or degree is a ValueError, never truncated."""
-        index, degree = _integers((index, degree))
-        key = (index, degree, dominant_weight(wm), dominant_weight(wn))
+        key = (_integer(index, "index"), _integer(degree, "degree"),
+               dominant_weight(wm), dominant_weight(wn))
         return self._terms.get(key, 0)
 
     def dimension_table(self, m: int, n: int) -> dict[tuple[int, int], int]:

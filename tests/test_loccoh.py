@@ -4,10 +4,14 @@ import pytest
 
 from glinv import (
     DegreeWindow,
+    EquivariantCharacter,
     MatrixContext,
     ds_character,
+    ext_quotient,
     lc_support,
     lc_table,
+    power_of_minors,
+    symbolic_power,
 )
 
 from _oracles import d0_terms_brute, lc_rows_oracle
@@ -151,3 +155,56 @@ def test_ds_character_matches_brute_force_oracle():
                     want = [(0, wm, wn, deg, 1)
                             for wm, wn, deg in d0_terms_brute(m, n, lo, hi)]
                     assert got == want, (m, n, lo, hi)
+
+
+def _copies_at(ch, j, copies=1):
+    """copies of the index-0 character ch, keyed by index j."""
+    out = EquivariantCharacter()
+    for _, term in ch.items():
+        out.add(j, term.wm, term.wn, term.degree, term.multiplicity * copies)
+    return out
+
+
+def test_ext_of_powers_of_the_maximal_ideal_is_d0():
+    """I_1 is the maximal ideal, and Ext(S/I_1^d, S) is the part of
+    H^{mn}_{I_1}(S) = D_0 in degrees above -mn-d, at index mn: on the window
+    [-mn-d+1, -mn] it equals the windowed D_0."""
+    for n in range(1, 5):
+        for m in (n, n + 1, n + 2):
+            ctx = MatrixContext(m, n)
+            for d in range(1, 7):
+                window = DegreeWindow(-m * n - d + 1, -m * n)
+                got = ext_quotient(power_of_minors(ctx, 1, d), window)
+                assert got == _copies_at(ds_character(ctx, 0, window), m * n), (m, n, d)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_ext_of_symbolic_powers_tends_to_local_cohomology(n):
+    """Ext^j(S/I_p^(d), S) -> H^j_{I_p}(S) is injective with colimit H^j over
+    d. D_0 has lam_1 <= -m and every D_s with s >= 1 has lam_1 >= s - n > -m,
+    so on a fixed window and for large d the terms with wn_1 <= -m at index j
+    are lc_table(ctx, p).rows[j][0] copies of D_0.
+
+    The least such d, on the window [-mn-w, -mn], is (p-1)(n-p+1) + 1 + w
+    for n <= 4, every m in n..n+2, p <= n and w <= 2. This bound is observed,
+    not derived: the test pins it, with the sides unequal at every d before
+    it and equal at it and at the three d after it.
+    """
+    for m in (n, n + 1, n + 2):
+        ctx = MatrixContext(m, n)
+        for p in range(1, n + 1):
+            rows = lc_table(ctx, p).rows
+            for w in range(3):
+                window = DegreeWindow(-m * n - w, -m * n)
+                d0 = ds_character(ctx, 0, window)
+                want = EquivariantCharacter()
+                for j, row in rows.items():
+                    if row.get(0, 0):
+                        want = want + _copies_at(d0, j, row[0])
+                least = (p - 1) * (n - p + 1) + 1 + w
+                for d in range(least + 4):
+                    got = EquivariantCharacter()
+                    for j, term in ext_quotient(symbolic_power(ctx, p, d), window).items():
+                        if term.wn[0] <= -m:
+                            got.add(j, term.wm, term.wn, term.degree, term.multiplicity)
+                    assert (got == want) == (d >= least), (m, n, p, w, d)

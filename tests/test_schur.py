@@ -38,6 +38,22 @@ def test_dim_schur_matches_tableau_count_in_a_box():
             assert dim_schur(shape, N) == ssyt_count(shape, N)
 
 
+def test_dim_schur_zero_tail_matches_tableau_count():
+    # the tail product is taken in closed form whenever the weight has fewer
+    # nonzero entries than N, including rows whose own ratio is not integral
+    for N in range(1, 8):
+        for shape in enumerate_in_box(4, 3):
+            if len(shape) <= N:
+                assert dim_schur(shape, N) == ssyt_count(shape, N), (shape, N)
+
+
+def test_dim_schur_zero_tail_at_large_N():
+    N = 10 ** 5
+    assert dim_schur((1,), N) == N
+    assert dim_schur((2,), N) == N * (N + 1) // 2
+    assert dim_schur((1, 1), N) == N * (N - 1) // 2
+
+
 def test_dim_schur_negative_weights():
     # duality: the dual weight spans a representation of the same dimension
     for w in ((2, 1), (3, 0, -1), (0, -2, -2)):

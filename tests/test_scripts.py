@@ -23,6 +23,20 @@ def test_script_runs(script, args, header):
     assert proc.stdout.splitlines()[0] == header
 
 
+@pytest.mark.parametrize("args,message", [
+    (["3", "3", "4", "1"], "error: minor size a must be in 1..3, got 4\n"),
+    (["2", "3", "1", "1"], "error: need m >= n >= 1, got m=2, n=3\n"),
+])
+def test_betti_report_domain_error_is_one_line(args, message):
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "betti_report.py"), *args],
+        capture_output=True, text=True, env=ENV,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == message
+
+
 @pytest.mark.parametrize("script,args", [
     ("betti_report.py", ["3", "3", "2", "1"]),
     ("regularity_scan.py", ["--max-n", "3", "--max-d", "3"]),
