@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ideals import MatrixContext
-from .partitions import _integer, attach, conjugate, enumerate_in_box, qbinomial, size
+from .partitions import _integer, conjugate, enumerate_in_box, part, qbinomial, size
 from .schur import EquivariantCharacter
 
 
@@ -30,12 +30,16 @@ def h_rect(ctx: MatrixContext, r: int, s: int) -> EquivariantCharacter:
     r, s = _integer(r, "rectangle height r", 1, n), _integer(s, "rectangle width s", 1)
     ch = EquivariantCharacter()
     edge = min(r, s)
-    betas = [(beta, conjugate(beta), size(beta)) for beta in enumerate_in_box(m - r, edge)]
+    # attach(r, s, x, y) is (s + x_1, ..., s + x_r) + y, canonical as built:
+    # alpha and beta' have at most edge <= r rows, beta_1, alpha'_1 <= edge <= s
+    betas = [(beta, tuple(s + part(conjugate(beta), i) for i in range(1, r + 1)), size(beta))
+             for beta in enumerate_in_box(m - r, edge)]
     for alpha in enumerate_in_box(edge, n - r):
+        row = tuple(s + part(alpha, i) for i in range(1, r + 1))
         alpha_c, a = conjugate(alpha), size(alpha)
-        for beta, beta_c, b in betas:
+        for beta, col, b in betas:
             k = a + b
-            ch.add(k, attach(r, s, alpha, beta), attach(r, s, beta_c, alpha_c), r * s + k)
+            ch.add(k, row + beta, col + alpha_c, r * s + k)
     return ch
 
 

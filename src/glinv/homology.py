@@ -15,7 +15,6 @@ regularity are computed exactly without windows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from math import inf
 
 from .ideals import InvariantIdeal, MatrixContext, _generators, ideal_leq
@@ -155,52 +154,49 @@ def _check_zpair(ctx: MatrixContext, zp: ZPair) -> None:
     _integer(zp.l, "l", 0, ctx.n - 1)
 
 
+def _blocks(n: int, z: Parts, l: int) -> list[list[int]]:
+    """Blocks [y, r] of equal entries among z_n, z_{n-1}, ..., z_{l+1},
+    bottom first: r rows of value y, the values strictly increasing."""
+    rows = z[l:]  # z_{l+1}, z_{l+2}, ...; the rest of z_{l+1..n} is 0
+    blocks = [[0, n - l - len(rows)]] if len(rows) < n - l else []
+    for y in reversed(rows):
+        if blocks and blocks[-1][0] == y:
+            blocks[-1][1] += 1
+        else:
+            blocks.append([y, 1])
+    return blocks
+
+
 def _st_data(ctx: MatrixContext, zp: ZPair):
-    """Yield (s, j, lower, upper) over the feasible data (s, t) of a factor.
+    """Yield (s, j, lower, upper) over the feasible data (s, t) of a factor,
+    as _least_degrees' docstring derives them, and try no other datum.
 
-    j = m*n - l^2 - s*(m - n) - 2*sum(t). lower and upper bound lam entry
-    by entry, indexed by 1-based position (index 0 unused). Position n is
-    pinned to l - z_{l+1} - m and position t_i + i to t_i - z_{n+1-i} - m;
-    these positions strictly increase. A pinned position has
-    lower = upper = its pin, and upper[s+1] is at most s - m; every other
-    upper is infinite. A free position has lower the nearest pin after it,
-    raised to s - n on positions 1..s.
-
-    The datum is feasible exactly when lower is weakly decreasing and stays
-    at or under upper. lower is filled from position n down and the datum
-    dropped at the first violation: a pin below a later pin, a pin below
-    s - n on positions 1..s, or lower[s+1] above s - m. For a feasible datum
-    lam = lower is dominant, so sum(lower[1:]) is its minimal internal degree.
-
-    Only t with t_{n-l} = l can be feasible, so the scan takes t_1..t_{n-l-1}
-    and appends l. Pin n-l, t_{n-l} - z_{l+1} - m, sits at or before position
-    n and so must be at least the position-n pin l - z_{l+1} - m; that forces
-    t_{n-l} >= l, and t_{n-l} <= l always. With t_{n-l} = l pin n-l is the
-    position-n pin itself.
+    The walk is the program's, down the blocks from t_B = l, but it keeps
+    every path; each is a feasible datum. lower and upper are indexed by
+    1-based position (index 0 unused): lower is s - n on positions 1..s,
+    then block b fills t_b - t_{b-1} + r_b positions with its pin
+    t_b - y_b - m; upper holds the pins, s - m at position s+1 when no pin
+    is there, and inf elsewhere.
     """
     m, n = ctx.m, ctx.n
-    z, l = zp.z, zp.l
-    # pin i of a datum is t_i - shift[i-1]; z is read once per factor
-    shift = [part(z, n + 1 - i) + m for i in range(1, n - l + 1)]
-    for s in range(l + 1):
-        for head in combinations_with_replacement(range(s, l + 1), n - l - 1):
-            t = head + (l,)
-            lower = [-inf] * (n + 1)
-            upper = [inf] * (n + 1)
-            for i, (ti, sh) in enumerate(zip(t, shift), start=1):
-                lower[ti + i] = upper[ti + i] = ti - sh
+    l = zp.l
+    blocks = _blocks(n, zp.z, l)
+    y, r = blocks.pop()
+    # (t_b, sum of r_c t_c over c >= b, lower and upper after block b's pins)
+    paths = [(l, r * l, [], [])]
+    while blocks:
+        y_below, r_below = blocks.pop()
+        paths = [(t, total + r_below * t, [u - y - m] * (u - t + r) + lo,
+                  [inf] * (u - t) + [u - y - m] * r + up)
+                 for u, total, lo, up in paths for t in range(max(0, u - y + y_below), u + 1)]
+        y, r = y_below, r_below
+    for u, total, lo, up in paths:
+        v = u - y - m
+        for s in range(max(0, u - y), u + 1):
+            lower = [s - n] * (s + 1) + [v] * (u - s + r) + lo
+            upper = [inf] * (u + 1) + [v] * r + up
             upper[s + 1] = min(upper[s + 1], s - m)
-            bound = -inf
-            for idx in range(n, 0, -1):
-                if idx == s and bound < s - n:
-                    bound = s - n
-                if bound < lower[idx]:
-                    bound = lower[idx]
-                if bound > upper[idx]:
-                    break
-                lower[idx] = bound
-            else:
-                yield s, m * n - l * l - s * (m - n) - 2 * sum(t), lower, upper
+            yield s, m * n - l * l - s * (m - n) - 2 * total, lower, upper
 
 
 def _lambdas(ctx: MatrixContext, s: int, lower, upper, window):
@@ -286,12 +282,18 @@ def _least_degrees(ctx: MatrixContext, zp: ZPair) -> dict[int, int]:
     """Least internal degree of Ext^j(J_{z,l}, S) for each j where it is
     nonzero, by a dynamic program over the pins of the data (s, t).
 
-    Write k = n - l and v_i = t_i - z_{n+1-i} - m for pin i of _st_data, at
-    position t_i + i. A datum is feasible exactly when
+    A datum is an s in 0..l and a weakly increasing t in [s, l]^k, k = n - l.
+    Its weights lam are dominant of length n, with lam_i >= s - n for i <= s,
+    lam_{s+1} <= s - m, lam_n = l - z_{l+1} - m, and lam at position t_i + i
+    (increasing in i) equal to pin i, v_i = t_i - z_{n+1-i} - m.
+    The least candidate, lower, takes at each position the largest pin at or
+    after it, raised to s - n on positions 1..s. The datum is feasible when
+    lower meets every pin and lower[s+1] <= s - m, that is exactly when
       - t_1 <= s + z_n, that is v_1 <= s - m: lower[s+1] is the largest pin;
       - t_i - t_{i-1} <= z_{n+1-i} - z_{n+2-i} for i >= 2: the pins weakly
         decrease;
-      - t_k = l, as _st_data shows.
+      - t_k = l: pin k sits at or before position n, so it is at least the
+        position-n pin, which forces t_k >= l; with t_k = l it is that pin.
     Its least degree is the sum of lower. Positions 1..s take s - n, because
     v_1 <= s - m <= s - n; the positions after pin i-1, up to pin i, take
     v_i; pin k is position n. So the least degree is
@@ -314,14 +316,8 @@ def _least_degrees(ctx: MatrixContext, zp: ZPair) -> dict[int, int]:
     so the work follows the feasible data, not the tuples t.
     """
     m, n = ctx.m, ctx.n
-    z, l = zp.z, zp.l
-    rows = z[l:]  # z_{l+1}, z_{l+2}, ...; the rest of z_{l+1..n} is 0
-    blocks = [[0, n - l - len(rows)]] if len(rows) < n - l else []
-    for y in reversed(rows):
-        if blocks and blocks[-1][0] == y:
-            blocks[-1][1] += 1
-        else:
-            blocks.append([y, 1])
+    l = zp.l
+    blocks = _blocks(n, zp.z, l)
     y, r = blocks.pop()
     states = {(l, r * l): 0}
     while blocks:

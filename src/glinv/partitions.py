@@ -42,11 +42,11 @@ def partition(parts: Iterable[int]) -> Parts:
 
 
 def _integers(entries: Iterable[int]) -> tuple[int, ...]:
-    """Entries as a tuple of ints; a non-integer or bool entry is a ValueError."""
-    xs = tuple(entries)
-    if bool in map(type, xs):
-        raise ValueError(f"entries must be integers, not booleans: {xs}")
+    """Entries as a tuple of ints; anything but an iterable of non-bool integers is a ValueError."""
     try:
+        xs = tuple(entries)
+        if bool in map(type, xs):
+            raise ValueError(f"entries must be integers, not booleans: {xs}")
         return tuple(map(index, xs))
     except TypeError as exc:
         raise ValueError(f"entries must be integers: {exc}") from None

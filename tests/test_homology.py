@@ -288,15 +288,19 @@ def _family_factors():
                                 yield ctx, zp
 
 
+def _walked(ctx, zp):
+    # the data _st_data yields, as a multiset comparable with st_data_scan's
+    return Counter((s, j, tuple(lower[1:]), tuple(upper[1:]))
+                   for s, j, lower, upper in homology._st_data(ctx, zp))
+
+
 def test_least_degree_program_matches_scan_on_the_families():
-    # every datum the full scan finds feasible is one the pruned _st_data
-    # yields, and the program's least degrees are the scan's
+    # _st_data yields the data the full scan finds feasible, each once,
+    # and the program's least degrees are the scan's
     count = 0
     for ctx, zp in _family_factors():
         data = st_data_scan(ctx.m, ctx.n, zp.z, zp.l)
-        pruned = Counter((s, j, tuple(lower[1:]), tuple(upper[1:]))
-                         for s, j, lower, upper in homology._st_data(ctx, zp))
-        assert pruned == Counter(data), (ctx, zp)
+        assert _walked(ctx, zp) == Counter(data), (ctx, zp)
         least = {}
         for _, j, lower, _ in data:
             least[j] = min(sum(lower), least.get(j, sum(lower)))
@@ -317,6 +321,7 @@ def test_least_degree_program_matches_scan_on_random_raw_families():
         for zp in zset_of_generators(ctx, gens):
             assert homology._least_degrees(ctx, zp) == least_degrees_scan(m, n, zp.z, zp.l), (
                 m, n, gens, zp)
+            assert _walked(ctx, zp) == Counter(st_data_scan(m, n, zp.z, zp.l)), (m, n, gens, zp)
             factors += 1
     assert factors == 3363
 
@@ -339,6 +344,7 @@ def test_least_degree_program_matches_scan_on_edge_cases(m, n, z, l):
     ctx, zp = MatrixContext(m, n), ZPair(z, l)
     least = least_degrees_scan(m, n, z, l)
     assert least and homology._least_degrees(ctx, zp) == least
+    assert _walked(ctx, zp) == Counter(st_data_scan(m, n, z, l))
     assert attainable_indices(ctx, zp) == sorted(least)
 
 

@@ -17,12 +17,15 @@ from glinv import (
     attainable_indices,
     betti_polynomial,
     dim_schur,
+    dominant_weight,
     ds_character,
     enumerate_in_box,
     ext_min_degree,
     h_rect,
     lc_support,
     lc_table,
+    make_ideal,
+    partition,
     partitions_of_size_in_box,
     power_of_minors,
     qbinomial,
@@ -35,6 +38,7 @@ from glinv import (
     symbolic_power,
     truncate_columns,
     zset,
+    zset_of_generators,
 )
 from glinv.partitions import pad_weight
 
@@ -110,6 +114,18 @@ def test_message_names_the_argument():
         ext_min_degree(CTX, ZPair((), 0), 9.0)
     with pytest.raises(ValueError, match=r"^N must be at least 1, got 0$"):
         dim_schur((), 0)
+
+
+@pytest.mark.parametrize("func,args", [
+    pytest.param(make_ideal, (CTX, [5]), id="make_ideal"),
+    pytest.param(zset_of_generators, (CTX, [3]), id="zset_of_generators"),
+    pytest.param(partition, (5,), id="partition"),
+    pytest.param(dominant_weight, (5,), id="dominant_weight"),
+    pytest.param(dim_schur, (7, 3), id="dim_schur"),
+])
+def test_integer_in_place_of_a_sequence_is_a_value_error(func, args):
+    with pytest.raises(ValueError, match=r"^entries must be integers: 'int' object is not iterable$"):
+        func(*args)
 
 
 def test_index_types_are_accepted():

@@ -1,0 +1,83 @@
+"""The seven public records: repr, equality, immutability and hashing.
+
+README promises that the records are frozen, that a record equals only a
+record of its own type, and that all but BettiTable and LCTable (which hold
+dicts) are hashable. These tests pin that, and each record's repr, without
+reading how the records are implemented.
+"""
+
+import pytest
+
+from glinv import (
+    BettiTable,
+    DegreeWindow,
+    InvariantIdeal,
+    IrredTerm,
+    LCTable,
+    MatrixContext,
+    ZPair,
+    betti_polynomial,
+    betti_table,
+    lc_table,
+    power_of_minors,
+)
+
+
+def _ctx():
+    return MatrixContext(3, 2)
+
+
+# a builder of a fresh record, its field names, its repr, whether it hashes
+RECORDS = [
+    (_ctx, ("m", "n"), "MatrixContext(m=3, n=2)", True),
+    (lambda: power_of_minors(_ctx(), 1, 2), ("ctx", "gens"),
+     "InvariantIdeal(ctx=MatrixContext(m=3, n=2), gens=((2,), (1, 1)))", True),
+    (lambda: ZPair((2, 2), 1), ("z", "l"), "ZPair(z=(2, 2), l=1)", True),
+    (lambda: DegreeWindow(-5, -2), ("lo", "hi"), "DegreeWindow(lo=-5, hi=-2)", True),
+    (lambda: IrredTerm((1,), (1,), 1), ("wm", "wn", "degree", "multiplicity"),
+     "IrredTerm(wm=(1,), wn=(1,), degree=1, multiplicity=1)", True),
+    (lambda: betti_table(betti_polynomial(_ctx(), 2, 1), _ctx()), ("entries",),
+     "BettiTable(entries={(0, 2): 3, (1, 3): 2})", False),
+    (lambda: lc_table(_ctx(), 1), ("ctx", "p", "rows"),
+     "LCTable(ctx=MatrixContext(m=3, n=2), p=1, rows={6: {0: 1}})", False),
+]
+
+CASES = [pytest.param(*entry, id=entry[2].split("(")[0]) for entry in RECORDS]
+
+
+def test_every_record_is_listed():
+    assert {type(make()) for make, *_ in RECORDS} == {
+        MatrixContext, InvariantIdeal, ZPair, DegreeWindow, IrredTerm, BettiTable, LCTable}
+
+
+@pytest.mark.parametrize("make,names,shown,hashable", CASES)
+def test_repr(make, names, shown, hashable):
+    assert repr(make()) == shown
+
+
+@pytest.mark.parametrize("make,names,shown,hashable", CASES)
+def test_equal_only_to_its_own_type(make, names, shown, hashable):
+    record, twin = make(), make()
+    assert record is not twin and record == twin
+    fields = tuple(getattr(record, name) for name in names)
+    assert record != fields and fields != record
+
+
+@pytest.mark.parametrize("make,names,shown,hashable", CASES)
+def test_setting_a_field_raises(make, names, shown, hashable):
+    record = make()
+    for name in names:
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        assert getattr(record, name) is before
+    assert repr(record) == shown
+
+
+@pytest.mark.parametrize("make,names,shown,hashable", CASES)
+def test_hash(make, names, shown, hashable):
+    if hashable:
+        assert hash(make()) == hash(make())
+    else:
+        with pytest.raises(TypeError):
+            hash(make())
