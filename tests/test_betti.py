@@ -181,3 +181,19 @@ def test_betti_table_gives_hilbert_function():
                 assert got == want[D], (m, n, a, b, D)
                 cases += 1
     assert cases == 1151
+
+
+def test_dimension_table_equals_the_sum_of_term_dimensions():
+    # dimension_table computes each distinct (weight, N) once per call; the
+    # oracle multiplies two dim_schur calls per term, as dim_term does
+    for n in range(1, 7):
+        for m in (n, n + 1):
+            ctx = MatrixContext(m, n)
+            for a in range(1, min(n, 3) + 1):
+                for b in range(1, 4):
+                    bp = betti_polynomial(ctx, a, b)
+                    want = {}
+                    for i, term in bp.items():
+                        cell = (i, term.degree)
+                        want[cell] = want.get(cell, 0) + dim_term(term, m, n)
+                    assert bp.dimension_table(m, n) == want, (m, n, a, b)

@@ -145,6 +145,49 @@ def test_ext_json_golden(capsys):
                    '"window": [-4, -3]}]\n')
 
 
+def test_ext_pretty_golden(capsys):
+    # two indices on a non-square matrix, terms ordered by degree, then wm
+    code, out, err = run(capsys, ["ext", "--kind", "power", "-p", "2", "-d", "2",
+                                  "-m", "4", "-n", "3", "--window=-12..-8"])
+    assert code == 0
+    assert err == ""
+    assert out == ("window: -12..-8\n"
+                   "Ext^6:\n"
+                   "  deg -9  mult 1  S(-2,-2,-2,-3) * S(-2,-3,-4)\n"
+                   "  deg -8  mult 1  S(-2,-2,-2,-2) * S(-2,-3,-3)\n"
+                   "  deg -8  mult 1  S(-1,-2,-2,-3) * S(-1,-3,-4)\n"
+                   "Ext^9:\n"
+                   "  deg -12  mult 1  S(-3,-3,-3,-3) * S(-4,-4,-4)\n")
+
+
+def test_lc_ds_pretty_golden(capsys):
+    code, out, err = run(capsys, ["lc", "-m", "3", "-n", "2", "-p", "1", "--ds", "0",
+                                  "--window=-9..-7"])
+    assert code == 0
+    assert err == ""
+    assert out == ("window: -9..-7\n"
+                   "D^0:\n"
+                   "  deg -9  mult 1  S(-2,-3,-4) * S(-4,-5)\n"
+                   "  deg -9  mult 1  S(-2,-2,-5) * S(-3,-6)\n"
+                   "  deg -8  mult 1  S(-2,-3,-3) * S(-4,-4)\n"
+                   "  deg -8  mult 1  S(-2,-2,-4) * S(-3,-5)\n"
+                   "  deg -7  mult 1  S(-2,-2,-3) * S(-3,-4)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    # the least Ext degree of this ideal is -15, the greatest D_0 degree -mn
+    ["ext", "--kind", "power", "-p", "2", "-d", "2", "-m", "4", "-n", "3",
+     "--window=-40..-20"],
+    ["lc", "-m", "3", "-n", "2", "-p", "1", "--ds", "0", "--window=-3..-1"],
+], ids=["ext", "lc-ds"])
+def test_empty_window_golden(capsys, argv):
+    lo, hi = argv[-1].split("=")[1].split("..")
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (0, f"window: {lo}..{hi}\nno terms in the window\n", "")
+    code, out, err = run(capsys, argv + ["--format", "json"])
+    assert (code, out, err) == (0, "[]\n", "")
+
+
 def test_reg_outputs(capsys):
     code, out, _ = run(capsys, ["reg", "-m", "3", "-n", "3", "--kind", "power",
                                 "-p", "2", "-d", "3"])
@@ -385,18 +428,21 @@ def test_ds_csv_is_refused_before_computing():
 
 
 def test_closed_stdout_ends_quietly():
-    # 134 kB of output overflows the pipe buffer, so the writer is still
-    # blocked on the pipe when the reader goes away
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "glinv", "betti", "-m", "6", "-n", "6",
-         "-a", "2", "-b", "2", "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV,
-    )
-    assert proc.stdout.read(100)
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=60)
-    assert proc.returncode == 1
-    assert err == b""
+    # each output overflows the pipe buffer, so the writer is still blocked
+    # on the pipe when the reader goes away: 134 kB of Betti JSON, and
+    # 113,588 bytes of a pretty character, which is written in one call
+    for argv in (["betti", "-m", "6", "-n", "6", "-a", "2", "-b", "2", "--format", "json"],
+                 ["ext", "--kind", "saturated", "-p", "3", "-d", "2", "-m", "6", "-n", "5",
+                  "--window=-90..40"]):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "glinv", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV,
+        )
+        assert proc.stdout.read(100)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err == b""
 
 
 # a valid call of every verb, arguments after the verb

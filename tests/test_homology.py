@@ -235,15 +235,17 @@ ORACLE_CASES = [
 ]
 
 
+def _ext_terms(m, n, z, l, lo, hi):
+    """Summands of ext_jzl in the window, repeated by multiplicity, as the
+    sorted (j, wm, wn, degree) list that ext_lambda_first returns."""
+    terms = ext_jzl(MatrixContext(m, n), ZPair(z, l), DegreeWindow(lo, hi)).items()
+    assert all(lo <= t.degree <= hi for _, t in terms)
+    return sorted((j, t.wm, t.wn, t.degree) for j, t in terms for _ in range(t.multiplicity))
+
+
 @pytest.mark.parametrize("m,n,z,l,lo,hi", ORACLE_CASES)
 def test_ext_components_match_weight_first_oracle(m, n, z, l, lo, hi):
-    ctx = MatrixContext(m, n)
-    terms = ext_jzl(ctx, ZPair(z, l), DegreeWindow(lo, hi)).items()
-    got = sorted(
-        (j, t.wm, t.wn, t.degree) for j, t in terms for _ in range(t.multiplicity)
-    )
-    assert got == ext_lambda_first(m, n, z, l, lo, hi)
-    assert all(lo <= t.degree <= hi for _, t in terms)
+    assert _ext_terms(m, n, z, l, lo, hi) == ext_lambda_first(m, n, z, l, lo, hi)
 
 
 def _factors(n, cmax):
@@ -254,6 +256,25 @@ def _factors(n, cmax):
                 yield ZPair(z, l)
             except ValueError:
                 continue
+
+
+def test_ext_components_match_weight_first_oracle_on_every_small_factor():
+    # every factor with n <= 3, z_1 <= 3 and m - n in {0, 1, 2}, in three
+    # windows from the factor's least degree up: this runs the weight walk
+    # at s = 0, at s = l, and with a block of m - n >= 2 entries inside wm
+    windows = nonempty = 0
+    for n in range(1, 4):
+        for m in (n, n + 1, n + 2):
+            ctx = MatrixContext(m, n)
+            for zp in _factors(n, 3):
+                least = min(homology._least_degrees(ctx, zp).values())
+                for lo, hi in ((least - 2, least), (least + 1, least + 3),
+                               (least + 4, least + 7)):
+                    want = ext_lambda_first(m, n, zp.z, zp.l, lo, hi)
+                    assert _ext_terms(m, n, zp.z, zp.l, lo, hi) == want, (m, n, zp, lo, hi)
+                    windows += 1
+                    nonempty += bool(want)
+    assert (windows, nonempty) == (468, 263)
 
 
 def test_scan_matches_weight_first_oracle():
