@@ -56,12 +56,11 @@ def betti_polynomial(ctx: MatrixContext, a: int, b: int) -> EquivariantCharacter
     a, b = _integer(a, "minor size a", 1, n), _integer(b, "power b", 1)
     out = EquivariantCharacter()
     for t in range(n - a + 1):
-        block = h_rect(ctx, a + t, b + t).items()
+        block = h_rect(ctx, a + t, b + t)._sorted_terms()
         base = t * t + 2 * t
         for u, gmult in enumerate(qbinomial(t + min(a, b) - 1, t)):
-            for k, term in block:
-                out.add(k + base + 2 * u, term.wm, term.wn, term.degree,
-                        term.multiplicity * gmult)
+            for (k, degree, wm, wn), mult in block:
+                out.add(k + base + 2 * u, wm, wn, degree, mult * gmult)
     return out
 
 

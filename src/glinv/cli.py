@@ -24,7 +24,6 @@ import os
 import re
 import sys
 from functools import cache
-from itertools import groupby
 
 from .betti import betti_polynomial, betti_table
 from .homology import (
@@ -289,39 +288,42 @@ def _parse_window(text: str) -> DegreeWindow:
     return DegreeWindow(int(match.group(1)), int(match.group(2)))
 
 
-def _by_index(ch: EquivariantCharacter):
-    """(index, terms) groups of ch in one pass, indices ascending."""
-    for j, group in groupby(ch.items(), key=lambda it: it[0]):
-        yield j, [term for _, term in group]
-
-
-def _term_json(term) -> dict:
-    return {"wm": list(term.wm), "wn": list(term.wn),
-            "deg": term.degree, "mult": term.multiplicity}
+def _terms_json(ch: EquivariantCharacter) -> dict[int, list[dict]]:
+    """The terms of ch as JSON objects, grouped by index in ascending order,
+    from one pass over its sorted keys."""
+    groups: dict[int, list[dict]] = {}
+    for (j, deg, wm, wn), mult in ch._sorted_terms():
+        groups.setdefault(j, []).append(
+            {"wm": list(wm), "wn": list(wn), "deg": deg, "mult": mult})
+    return groups
 
 
 def _character_json(ch: EquivariantCharacter, window: DegreeWindow) -> list[dict]:
-    return [{"j": j, "terms": [_term_json(term) for term in terms],
-             "window": [window.lo, window.hi]}
-            for j, terms in _by_index(ch)]
+    return [{"j": j, "terms": terms, "window": [window.lo, window.hi]}
+            for j, terms in _terms_json(ch).items()]
 
 
 def _print_character(ch: EquivariantCharacter, window: DegreeWindow, fmt: str,
                      index_label: str) -> None:
+    """The character as JSON, or as one printed string joined from the sorted
+    keys: a header line per index, then one line per term. print writes the
+    final newline on its own, so under python -u, where a write cut short by
+    a closing pipe returns without an error, that write raises
+    BrokenPipeError, as it does for _emit_json."""
     if fmt == "json":
         _emit_json(_character_json(ch, window))
         return
-    print(f"window: {window.lo}..{window.hi}")
+    lines = [f"window: {window.lo}..{window.hi}"]
     if not ch:
-        print("no terms in the window")
-        return
-    for j, terms in _by_index(ch):
-        print(f"{index_label}^{j}:")
-        for term in terms:
-            wm = ",".join(map(str, term.wm))
-            wn = ",".join(map(str, term.wn))
-            print(f"  deg {term.degree}  mult {term.multiplicity}  "
-                  f"S({wm}) * S({wn})")
+        lines.append("no terms in the window")
+    index = None
+    for (j, deg, wm, wn), mult in ch._sorted_terms():
+        if j != index:
+            index = j
+            lines.append(f"{index_label}^{j}:")
+        lines.append(f"  deg {deg}  mult {mult}  "
+                     f"S({','.join(map(str, wm))}) * S({','.join(map(str, wn))})")
+    print("\n".join(lines))
 
 
 def _cmd_ext(args) -> int:
@@ -381,8 +383,7 @@ def _cmd_betti(args) -> int:
     ctx = _context(args.m, args.n)
     bp = betti_polynomial(ctx, args.a, args.b)
     if args.format == "json":
-        payload = {str(i): [_term_json(term) for term in terms]
-                   for i, terms in _by_index(bp)}
+        payload = {str(i): terms for i, terms in _terms_json(bp).items()}
         _emit_json({"m": ctx.m, "n": ctx.n, "a": args.a, "b": args.b,
                     "by_homological_index": payload})
         return 0

@@ -217,25 +217,44 @@ def _lambdas(ctx: MatrixContext, s: int, lower, upper, window):
     the last position this is lo - partial, so every leaf lies in the window
     and its partial sum is the degree. Every range is finite, so the
     enumeration terminates.
+
+    Positions 1..n-1 recurse; the last position is a loop inside the call
+    for position n-1 (or the whole walk when n = 1), which emits its terms.
+    lam and wm are built in place, in one array of length n and one of
+    length m whose block is written once, so a term costs two tuple() calls.
     """
     m, n = ctx.m, ctx.n
+    lo, hi = window.lo, window.hi
     suffix = [0] * (n + 2)
     for idx in range(n, 0, -1):
         suffix[idx] = suffix[idx + 1] + lower[idx]
-    block = (s - n,) * (m - n)
+    lam = [0] * n
+    wm = [s - n] * m
+    tail = m - n  # the shift of position idx > s inside wm, and of its value
+    last_ub, last_lb = upper[n], lower[n]
+    if n == 1:  # s = 0, so wm is the block and then lam_1 + m - 1
+        return [(tuple(wm[:-1]) + (v + tail,), (v,), v)
+                for v in range(min(last_ub, hi), max(last_lb, lo) - 1, -1)]
     out = []
-    acc = [0] * n
 
     def walk(idx: int, prev, partial: int) -> None:
-        if idx > n:
-            lam = tuple(acc)
-            out.append((lam[:s] + block + tuple(v + m - n for v in lam[s:]), lam, partial))
+        ub = min(prev, upper[idx], hi - partial - suffix[idx + 1])
+        lb = max(lower[idx], -((partial - lo) // (n - idx + 1)))
+        shift = 0 if idx <= s else tail
+        if idx + 1 < n:
+            for v in range(ub, lb - 1, -1):
+                lam[idx - 1] = v
+                wm[idx - 1 + shift] = v + shift
+                walk(idx + 1, v, partial + v)
             return
-        ub = min(prev, upper[idx], window.hi - partial - suffix[idx + 1])
-        lb = max(lower[idx], -((partial - window.lo) // (n - idx + 1)))
         for v in range(ub, lb - 1, -1):
-            acc[idx - 1] = v
-            walk(idx + 1, v, partial + v)
+            lam[idx - 1] = v
+            wm[idx - 1 + shift] = v + shift
+            total = partial + v
+            for w in range(min(v, last_ub, hi - total), max(last_lb, lo - total) - 1, -1):
+                lam[n - 1] = w
+                wm[m - 1] = w + tail
+                out.append((tuple(wm), tuple(lam), total + w))
 
     walk(1, inf, 0)
     return out
@@ -243,12 +262,12 @@ def _lambdas(ctx: MatrixContext, s: int, lower, upper, window):
 
 def _ext_character(ctx: MatrixContext, pairs, window) -> EquivariantCharacter:
     """Windowed character of the sum of Ext(J_{z,l}, S) over pairs, keyed by
-    cohomological index; every factor adds its terms to the one character."""
+    cohomological index; every factor merges its weights into the one
+    character."""
     ch = EquivariantCharacter()
     for zp in pairs:
         for s, j, lower, upper in _st_data(ctx, zp):
-            for wm, lam, degree in _lambdas(ctx, s, lower, upper, window):
-                ch.add(j, wm, lam, degree)
+            ch._add_weights(j, _lambdas(ctx, s, lower, upper, window))
     return ch
 
 

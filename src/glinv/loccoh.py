@@ -72,6 +72,5 @@ def ds_character(ctx: MatrixContext, s: int, window: DegreeWindow) -> Equivarian
     # lo + (n-1)*m leaves the degree under lo
     lower = [window.lo + (n - 1) * m] * (n + 1)
     ch = EquivariantCharacter()
-    for wm, lam, degree in _lambdas(ctx, 0, lower, [-m] * (n + 1), window):
-        ch.add(0, wm, lam, degree)
+    ch._add_weights(0, _lambdas(ctx, 0, lower, [-m] * (n + 1), window))
     return ch

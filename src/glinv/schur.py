@@ -60,10 +60,12 @@ class EquivariantCharacter:
     """Finite multiset of irreducible summands, keyed by a homological index.
 
     Entries are stored as (index, degree, wm, wn) -> multiplicity with all
-    multiplicities positive; that key layout is the order items() returns,
-    so items() sorts the keys themselves. Characters concentrated in a single
-    cohomological degree use that degree as the index; plain graded
-    characters use index 0.
+    multiplicities positive; that key layout is the order items() returns.
+    One private iterator, _sorted_terms, sorts the entries themselves; items(),
+    dimension_table and the renderers of glinv.cli read it, so no summand
+    becomes an object on the way to a table or to text. Characters
+    concentrated in a single cohomological degree use that degree as the
+    index; plain graded characters use index 0.
     """
 
     __slots__ = ("_terms",)
@@ -80,6 +82,14 @@ class EquivariantCharacter:
         key = (index, degree, wm, wn)
         self._terms[key] = self._terms.get(key, 0) + multiplicity
         return self
+
+    def _add_weights(self, index: int, weights) -> None:
+        """Add each (wm, wn, degree) of weights at index with multiplicity 1;
+        the weights are dominant tuples, as _lambdas builds them."""
+        terms = self._terms
+        for wm, wn, degree in weights:
+            key = (index, degree, wm, wn)
+            terms[key] = terms.get(key, 0) + 1
 
     def __add__(self, other: "EquivariantCharacter") -> "EquivariantCharacter":
         out = EquivariantCharacter()
@@ -98,12 +108,14 @@ class EquivariantCharacter:
     def __len__(self) -> int:
         return len(self._terms)
 
+    def _sorted_terms(self) -> list[tuple[tuple[int, int, Weight, Weight], int]]:
+        """((index, degree, wm, wn), multiplicity) pairs in key order."""
+        return sorted(self._terms.items())
+
     def items(self) -> list[tuple[int, IrredTerm]]:
         """(index, term) pairs sorted by index, then degree, then wm, then wn."""
-        return [
-            (j, IrredTerm(wm, wn, deg, mult))
-            for (j, deg, wm, wn), mult in sorted(self._terms.items())
-        ]
+        return [(j, IrredTerm(wm, wn, deg, mult))
+                for (j, deg, wm, wn), mult in self._sorted_terms()]
 
     def indices(self) -> list[int]:
         return sorted({key[0] for key in self._terms})
@@ -116,11 +128,21 @@ class EquivariantCharacter:
         return self._terms.get(key, 0)
 
     def dimension_table(self, m: int, n: int) -> dict[tuple[int, int], int]:
-        """Total vector space dimension per (index, degree) cell."""
+        """Total vector space dimension per (index, degree) cell, cells in
+        key order. dim_schur runs once per distinct weight and N in one call:
+        the dimensions are kept in dicts local to the call, one per side."""
+        dims_m: dict[Weight, int] = {}
+        dims_n: dict[Weight, int] = {}
         out: dict[tuple[int, int], int] = {}
-        for j, term in self.items():
-            key = (j, term.degree)
-            out[key] = out.get(key, 0) + dim_term(term, m, n)
+        for (j, deg, wm, wn), mult in self._sorted_terms():
+            dm = dims_m.get(wm)
+            if dm is None:
+                dm = dims_m[wm] = dim_schur(wm, m)
+            dn = dims_n.get(wn)
+            if dn is None:
+                dn = dims_n[wn] = dim_schur(wn, n)
+            key = (j, deg)
+            out[key] = out.get(key, 0) + mult * dm * dn
         return out
 
     def __repr__(self) -> str:

@@ -430,19 +430,23 @@ def test_ds_csv_is_refused_before_computing():
 def test_closed_stdout_ends_quietly():
     # each output overflows the pipe buffer, so the writer is still blocked
     # on the pipe when the reader goes away: 134 kB of Betti JSON, and
-    # 113,588 bytes of a pretty character, which is written in one call
+    # 113,588 bytes of a pretty character, printed as one string. Under
+    # python -u a write that the closing pipe cuts short returns without an
+    # error, so both outputs run with buffered and with unbuffered stdout
+    buffered = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
     for argv in (["betti", "-m", "6", "-n", "6", "-a", "2", "-b", "2", "--format", "json"],
                  ["ext", "--kind", "saturated", "-p", "3", "-d", "2", "-m", "6", "-n", "5",
                   "--window=-90..40"]):
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "glinv", *argv],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV,
-        )
-        assert proc.stdout.read(100)
-        proc.stdout.close()
-        _, err = proc.communicate(timeout=60)
-        assert proc.returncode == 1
-        assert err == b""
+        for env in (buffered, dict(buffered, PYTHONUNBUFFERED="1")):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "glinv", *argv],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            )
+            assert proc.stdout.read(100)
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == 1, (argv[0], env.get("PYTHONUNBUFFERED"))
+            assert err == b""
 
 
 # a valid call of every verb, arguments after the verb
