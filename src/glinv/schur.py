@@ -130,9 +130,9 @@ class EquivariantCharacter:
     def dimension_table(self, m: int, n: int) -> dict[tuple[int, int], int]:
         """Total vector space dimension per (index, degree) cell, cells in
         key order. dim_schur runs once per distinct weight and N in one call:
-        the dimensions are kept in dicts local to the call, one per side."""
+        the dimensions are kept in a dict per N, local to the call."""
         dims_m: dict[Weight, int] = {}
-        dims_n: dict[Weight, int] = {}
+        dims_n: dict[Weight, int] = dims_m if m == n else {}
         out: dict[tuple[int, int], int] = {}
         for (j, deg, wm, wn), mult in self._sorted_terms():
             dm = dims_m.get(wm)
