@@ -61,11 +61,11 @@ class EquivariantCharacter:
 
     Entries are stored as (index, degree, wm, wn) -> multiplicity with all
     multiplicities positive; that key layout is the order items() returns.
-    One private iterator, _sorted_terms, sorts the entries themselves; items(),
-    dimension_table and the renderers of glinv.cli read it, so no summand
-    becomes an object on the way to a table or to text. Characters
-    concentrated in a single cohomological degree use that degree as the
-    index; plain graded characters use index 0.
+    One private iterator, _sorted_terms, sorts the entries themselves; items()
+    and the renderers of glinv.cli read it, and dimension_table reads the
+    entries unsorted, so no summand becomes an object on the way to a table
+    or to text. Characters concentrated in a single cohomological degree use
+    that degree as the index; plain graded characters use index 0.
     """
 
     __slots__ = ("_terms",)
@@ -130,11 +130,12 @@ class EquivariantCharacter:
     def dimension_table(self, m: int, n: int) -> dict[tuple[int, int], int]:
         """Total vector space dimension per (index, degree) cell, cells in
         key order. dim_schur runs once per distinct weight and N in one call:
-        the dimensions are kept in a dict per N, local to the call."""
+        the dimensions are kept in a dict per N, local to the call. The terms
+        are read unsorted; only the cells are sorted."""
         dims_m: dict[Weight, int] = {}
         dims_n: dict[Weight, int] = dims_m if m == n else {}
         out: dict[tuple[int, int], int] = {}
-        for (j, deg, wm, wn), mult in self._sorted_terms():
+        for (j, deg, wm, wn), mult in self._terms.items():
             dm = dims_m.get(wm)
             if dm is None:
                 dm = dims_m[wm] = dim_schur(wm, m)
@@ -143,7 +144,7 @@ class EquivariantCharacter:
                 dn = dims_n[wn] = dim_schur(wn, n)
             key = (j, deg)
             out[key] = out.get(key, 0) + mult * dm * dn
-        return out
+        return dict(sorted(out.items()))
 
     def __repr__(self) -> str:
         return f"EquivariantCharacter({len(self._terms)} terms)"
