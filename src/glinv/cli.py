@@ -6,10 +6,10 @@ output draws Young diagrams and small grids, and csv is available for the
 tabular verbs (zset, lc, betti, qbinom).
 
 The verbs, their arguments and handlers are one table, VERBS. A call whose
-first word (after an optional 'ideal') is a verb uses a parser with only
-that verb's subparser; any other call uses one with all of them, for the
-top-level help and the unknown-verb error. Each of these parsers is built
-once per process and reused by later calls of main.
+first word (after an optional 'ideal') is a verb is parsed by that verb's
+subparser alone; any other call by the full parser, for the top-level help
+and the unknown-verb error. Each of these parsers is built once per process
+and reused by later calls of main.
 
 Exit codes: 0 success, 1 domain error (reported as a JSON object on stdout
 under --format json, otherwise on stderr) or stdout closed by its reader
@@ -78,12 +78,11 @@ def _run(argv: list[str] | None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "ideal":
         argv = argv[1:]
-    parser = _build_parser(argv[0] if argv and argv[0] in VERBS else None)
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     try:
         handler = args.handler
     except AttributeError:
-        parser.print_help()
+        _build_parser().print_help()
         return 2
     try:
         return handler(args) or 0
@@ -98,19 +97,38 @@ def _run(argv: list[str] | None) -> int:
         return 1
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The namespace of argv, as the full parser's parse_args gives it.
+
+    When argv[0] is a verb, the rest is parsed by that verb's subparser
+    alone, as the full parser's subparser action would do: parse_known_args
+    on argv[1:], then the verb under "verb". Words left over end the call as
+    parse_args ends it, through the top-level parser's error, so the message
+    and the usage line are the same."""
+    if not (argv and argv[0] in VERBS):
+        return _build_parser().parse_args(argv)
+    args, extras = _build_parser(argv[0]).parse_known_args(argv[1:])
+    if extras:
+        _build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    args.verb = argv[0]
+    return args
+
+
 @cache
 def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The glinv parser with only verb's subparser if verb is a key of VERBS,
-    and with every subparser otherwise (no arguments, an option first, an
-    unknown word). A subparser's prog is "glinv <verb>" whichever others are
-    built, so its help and usage errors do not depend on them.
+    """The subparser of verb if verb is a key of VERBS, and the full glinv
+    parser, with every verb's subparser, otherwise (no arguments, an option
+    first, an unknown word). A verb's subparser is add_parser's return value
+    on a top-level parser that holds only that verb; its prog is
+    "glinv <verb>" whichever others are built, so its help and usage errors
+    do not depend on them.
 
     Each parser is built on its first use in a process and returned again
-    afterwards; _run passes None for any word that is not a verb, so calls
-    through main hold at most len(VERBS) + 1 parsers. Reuse carries nothing
-    from one call to the next: parse_args fills a fresh Namespace, no
-    argument has a mutable default or an accumulating action, the progs are
-    fixed, and the help width is read when help is formatted."""
+    afterwards; _parse_args asks only for verbs and None, so calls through
+    main hold at most len(VERBS) + 1 parsers. Reuse carries nothing from one
+    call to the next: each parse fills a fresh Namespace, no argument has a
+    mutable default or an accumulating action, the progs are fixed, and the
+    help width is read when help is formatted."""
     parser = argparse.ArgumentParser(
         prog="glinv",
         description="Exact invariants of GL-stable ideals in a generic matrix ring.",
@@ -124,7 +142,7 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         for flags, options in arguments:
             p.add_argument(*flags, **options)
-    return parser
+    return p if verb in VERBS else parser
 
 
 def _context(m: int, n: int) -> MatrixContext:

@@ -103,22 +103,37 @@ def zset_of_generators(ctx: MatrixContext, gens) -> frozenset[ZPair]:
 def _zset_walk(ctx: MatrixContext, xs) -> frozenset[ZPair]:
     """The walk of zset_of_generators over canonical generators with at most
     n parts. Its cells are canonical and meet the equal-rows condition by
-    construction, so the pairs skip the ZPair checks (_trusted_pair)."""
+    construction, so the pairs skip the ZPair checks (_trusted_pair).
+
+    Every column count's seeds are built before the walk, in one pass per
+    generator x over c = 0, 1, ..., x_1 - 1: a row pointer h moves down x as
+    c rises, so that h counts the rows longer than c, and tail is the sum of
+    the rows it has left. The seed is then (c^h, x_{h+1}, ...), of size
+    c*h + tail (the empty cell at c = 0). x enters the containment index at
+    the start of column x_1; one with the largest x_1 never enters it.
+    """
     cmax = max((x[0] for x in xs if x), default=0)
+    seeds: list[dict[int, dict[Parts, int]]] = [{} for _ in range(cmax)]
+    enters: list[list[Parts]] = [[] for _ in range(cmax)]
+    for x in xs:
+        first = part(x, 1)
+        if first < cmax:
+            enters[first].append(x)
+        h, tail = len(x), 0
+        for c in range(first):
+            while x[h - 1] <= c:
+                h -= 1
+                tail += x[h]
+            t = (c,) * h + x[h:] if c else ()
+            cells = seeds[c].setdefault(c * h + tail, {})
+            if h < cells.get(t, h + 1):
+                cells[t] = h
     trie = _index()
     pairs = []
-    for c in range(cmax):
-        levels: dict[int, dict[Parts, int]] = {}
-        for x in xs:
-            h = sum(1 for v in x if v > c)
-            if h:
-                t = (c,) * h + x[h:] if c else ()
-                cells = levels.setdefault(sum(t), {})
-                if h < cells.get(t, h + 1):
-                    cells[t] = h
-            elif part(x, 1) == c:  # x enters the box, and the index, at this c
-                _insert(trie, x)
-        k = min(levels, default=0)
+    for c, levels in enumerate(seeds):
+        for x in enters[c]:
+            _insert(trie, x)
+        k = min(levels)
         while levels:
             cells = levels.pop(k, {})
             k += 1
@@ -297,9 +312,10 @@ def ext_map_analysis(a: InvariantIdeal, b: InvariantIdeal, window: DegreeWindow)
     return tuple(_ext_character(a.ctx, pairs, window) for pairs in (za - zb, za & zb, zb - za))
 
 
-def _least_degrees(ctx: MatrixContext, zp: ZPair) -> dict[int, int]:
+def _least_degrees(ctx: MatrixContext, zp: ZPair, fold: bool = False) -> dict[int, int]:
     """Least internal degree of Ext^j(J_{z,l}, S) for each j where it is
-    nonzero, by a dynamic program over the pins of the data (s, t).
+    nonzero, by a dynamic program over the pins of the data (s, t); with
+    fold, items with the same largest -deg - j (last paragraph).
 
     A datum is an s in 0..l and a weakly increasing t in [s, l]^k, k = n - l.
     Its weights lam are dominant of length n, with lam_i >= s - n for i <= s,
@@ -333,20 +349,31 @@ def _least_degrees(ctx: MatrixContext, zp: ZPair) -> dict[int, int]:
     pass serves every s: a state (t_1, total) at block 1 gives a datum for
     each s with t_1 - y_1 <= s <= t_1. Every state reaches one (s = t_1),
     so the work follows the feasible data, not the tuples t.
+
+    With fold, which serves regularity, the index joins the objective.
+    It is linear in the state, j = j_s - 2 sum(t) with
+    j_s = mn - l^2 - s(m - n), so block b's -2 r_b t_b joins the value where
+    the walk enters block b, and the total leaves the state: it stays 0, and
+    the state is t_b alone. Each datum then counts under j_s with
+    deg - 2 sum(t). Its deg + j is unchanged, and so is the largest
+    -deg - j over the returned items, the one value regularity reads; the
+    keys are no longer indices.
     """
     m, n = ctx.m, ctx.n
     l = zp.l
+    keep, charge = (0, -2) if fold else (1, 0)  # sum(t) in the state or in the value
     blocks = _blocks(n, zp.z, l)
     y, r = blocks.pop()
-    states = {(l, r * l): 0}
+    states = {(l, keep * r * l): charge * r * l}
     while blocks:
         y_below, r_below = blocks.pop()
+        kept, charged = keep * r_below, charge * r_below
         below: dict[tuple[int, int], int] = {}
         for (u, total), deg in states.items():  # u is t_b, t below is t_{b-1}
             v = u - y - m
             for t in range(max(0, u - y + y_below), u + 1):
-                key = (t, total + r_below * t)
-                d = deg + (u - t + r) * v
+                key = (t, total + kept * t)
+                d = deg + (u - t + r) * v + charged * t
                 if d < below.get(key, inf):
                     below[key] = d
         states = below
@@ -377,15 +404,16 @@ def ext_min_degree(ctx: MatrixContext, zp: ZPair, j: int) -> int | None:
 def regularity(a: InvariantIdeal) -> int:
     """Castelnuovo-Mumford regularity of a nonzero proper invariant ideal.
 
-    Computed as 1 + max over factors and indices j of (-least degree - j);
-    the maximum exists because every factor admits at least one feasible
-    datum and least degrees are exact.
+    Computed as 1 + max over factors and indices j of (-least degree - j),
+    each factor's maximum read from the least-degree program with the index
+    folded in (_least_degrees with fold); the maximum exists because every
+    factor admits at least one feasible datum and least degrees are exact.
     """
     if a.is_zero:
         raise ValueError("the zero ideal has no regularity")
     if a.is_unit:
         raise ValueError("the unit ideal has no regularity")
-    vals = [-deg - j for zp in zset(a) for j, deg in _least_degrees(a.ctx, zp).items()]
+    vals = [-deg - j for zp in zset(a) for j, deg in _least_degrees(a.ctx, zp, fold=True).items()]
     if not vals:
         raise RuntimeError(f"no feasible Ext datum for any factor of {a.gens}")
     return 1 + max(vals)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import glinv.cli as cli
 from glinv import conjugate
 from glinv.cli import VERBS, _build_parser, main, render_diagram
 
@@ -474,30 +475,48 @@ def _subparser_names(parser):
     return list(action.choices)
 
 
-def _parse(capsys, parser, argv):
-    try:
-        namespace, code = vars(parser.parse_args(argv)), 0
-    except SystemExit as exc:
-        namespace, code = None, exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err, namespace
-
-
 def test_one_verb_parser_builds_only_that_verb():
-    assert _subparser_names(_build_parser("reg")) == ["reg"]
-    assert _build_parser("reg") is _build_parser("reg")
+    # a verb's parser is its own subparser, add_parser's return value
+    reg = _build_parser("reg")
+    assert reg.prog == "glinv reg" and reg is _build_parser("reg")
+    assert not [a for a in reg._actions if a.dest == "verb"]
     assert _subparser_names(_build_parser()) == list(VERBS)
     assert len(VERBS) == 14 and set(VALID) == set(VERBS)
     assert _subparser_names(_build_parser("frobnicate")) == list(VERBS)
 
 
+def _attached(argv):
+    """argv with each option's value attached to it: -m3, --kind=power."""
+    out, i = [], 0
+    while i < len(argv):
+        word = argv[i]
+        if word.startswith("-") and "=" not in word and i + 1 < len(argv):
+            value = argv[i + 1]
+            out.append(f"{word}={value}" if word.startswith("--") else word + value)
+            i += 2
+        else:
+            out.append(word)
+            i += 1
+    return out
+
+
 @pytest.mark.parametrize("verb", sorted(VERBS))
-def test_one_verb_parser_matches_full_parser(capsys, verb):
-    for rest in (["-h"], [], ["--bogus"], VALID[verb] + ["--format", "xml"],
-                 VALID[verb] + ["extra"], VALID[verb]):
-        argv = [verb, *rest]
-        one = _parse(capsys, _build_parser(verb), argv)
-        full = _parse(capsys, _build_parser(), argv)
+def test_one_verb_parser_matches_full_parser(capsys, monkeypatch, verb):
+    # main parses a verb call with that verb's subparser alone; the exit
+    # code, stdout and stderr must be those of a parse by the full parser
+    valid = VALID[verb]
+    argvs = [
+        [verb, *valid], [verb, "-h"], [verb], [verb, "--bogus"], [verb, *valid, "extra"],
+        [verb, *valid, "--format", "xml"], [verb, *valid, "--form", "json"],
+        [verb, "--", *valid], [verb, *valid, "--", "extra", "words"],
+        [verb, *_attached(valid)], [verb, *valid, "-d", "-1"],
+        ["ideal", verb, *valid, "extra"],
+    ]
+    for argv in argvs:
+        one = run(capsys, argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_parse_args", lambda words: _build_parser().parse_args(words))
+            full = run(capsys, argv)
         assert one == full, argv
 
 

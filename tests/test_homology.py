@@ -165,6 +165,14 @@ def test_zset_walk_equals_box_table_on_random_raw_families():
     (4, [(1, 1, 1), (4, 2)]),  # (1, 1, 1) prunes cells of every box c >= 1
     (4, [(2, 2), (3, 3, 1), (6,)]),  # (2, 2) prunes cells of the boxes c >= 2
     (5, [(1,), (3, 3, 3)]),  # the maximal ideal: no pair above c = 0
+    (3, [()]),  # the unit ideal alone: no column count at all
+    (1, [(4,), (2,), (6,)]),  # n = 1: each seed is (c,) or ()
+    # the truncations at c = 2 are both (2, 2), of heights 2 and 1: the
+    # least height wins, whichever generator seeds the cell first
+    (3, [(3, 3), (4, 2)]),
+    (3, [(4, 2), (3, 3)]),
+    # every generator has the largest first row, so none enters the index
+    (4, [(4, 4), (4, 1, 1, 1)]),
 ])
 def test_zset_walk_equals_box_table_on_edge_cases(n, gens):
     got = _plain(zset_of_generators(MatrixContext(n, n), gens))
@@ -309,6 +317,15 @@ def _family_factors():
                                 yield ctx, zp
 
 
+def _folded(ctx, zp):
+    # the largest -deg - j of a factor, as regularity reads it
+    return max(-deg - j for j, deg in homology._least_degrees(ctx, zp, True).items())
+
+
+def _largest(least):
+    return max(-deg - j for j, deg in least.items())
+
+
 def _walked(ctx, zp):
     # the data _st_data yields, as a multiset comparable with st_data_scan's
     return Counter((s, j, tuple(lower[1:]), tuple(upper[1:]))
@@ -326,6 +343,8 @@ def test_least_degree_program_matches_scan_on_the_families():
         for _, j, lower, _ in data:
             least[j] = min(sum(lower), least.get(j, sum(lower)))
         assert homology._least_degrees(ctx, zp) == least, (ctx, zp)
+        assert _folded(ctx, zp) == _largest(least_degrees_scan(ctx.m, ctx.n, zp.z, zp.l)), (
+            ctx, zp)
         count += 1
     assert count == 1497
 
@@ -343,6 +362,8 @@ def test_least_degree_program_matches_scan_on_random_raw_families():
             assert homology._least_degrees(ctx, zp) == least_degrees_scan(m, n, zp.z, zp.l), (
                 m, n, gens, zp)
             assert _walked(ctx, zp) == Counter(st_data_scan(m, n, zp.z, zp.l)), (m, n, gens, zp)
+            assert _folded(ctx, zp) == _largest(least_degrees_scan(m, n, zp.z, zp.l)), (
+                m, n, gens, zp)
             factors += 1
     assert factors == 3363
 
@@ -367,6 +388,7 @@ def test_least_degree_program_matches_scan_on_edge_cases(m, n, z, l):
     assert least and homology._least_degrees(ctx, zp) == least
     assert _walked(ctx, zp) == Counter(st_data_scan(m, n, z, l))
     assert attainable_indices(ctx, zp) == sorted(least)
+    assert _folded(ctx, zp) == _largest(least)
 
 
 def test_ext_of_maximal_ideal_powers():
