@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -475,14 +476,40 @@ def _subparser_names(parser):
     return list(action.choices)
 
 
-def test_one_verb_parser_builds_only_that_verb():
-    # a verb's parser is its own subparser, add_parser's return value
-    reg = _build_parser("reg")
-    assert reg.prog == "glinv reg" and reg is _build_parser("reg")
-    assert not [a for a in reg._actions if a.dest == "verb"]
-    assert _subparser_names(_build_parser()) == list(VERBS)
+def test_one_verb_parser_builds_only_that_verb(monkeypatch):
+    # a verb's parser is add_parser's return value on a top-level parser
+    # that holds only that verb: building it makes one subparser, not 14
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    _build_parser.cache_clear()
+    try:
+        reg = _build_parser("reg")
+        assert reg.prog == "glinv reg" and reg is _build_parser("reg")
+        assert not [a for a in reg._actions if a.dest == "verb"]
+        assert built == ["reg"]
+        assert _subparser_names(_build_parser()) == list(VERBS)
+        assert built == ["reg", *VERBS]
+    finally:
+        _build_parser.cache_clear()
     assert len(VERBS) == 14 and set(VALID) == set(VERBS)
     assert _subparser_names(_build_parser("frobnicate")) == list(VERBS)
+
+
+def _namespace(capsys, parse, argv):
+    """vars of the namespace parse(argv) returns and exit status 0, or None
+    and the status of the SystemExit it raises."""
+    try:
+        namespace, code = vars(parse(argv)), 0
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    capsys.readouterr()
+    return namespace, code
 
 
 def _attached(argv):
@@ -502,7 +529,8 @@ def _attached(argv):
 
 @pytest.mark.parametrize("verb", sorted(VERBS))
 def test_one_verb_parser_matches_full_parser(capsys, monkeypatch, verb):
-    # main parses a verb call with that verb's subparser alone; the exit
+    # main parses a verb call with that verb's subparser alone; the
+    # namespace, or the exit status of a refused parse, and main's exit
     # code, stdout and stderr must be those of a parse by the full parser
     valid = VALID[verb]
     argvs = [
@@ -513,6 +541,9 @@ def test_one_verb_parser_matches_full_parser(capsys, monkeypatch, verb):
         ["ideal", verb, *valid, "extra"],
     ]
     for argv in argvs:
+        parsed = argv[1:] if argv[0] == "ideal" else argv
+        one = _namespace(capsys, cli._parse_args, parsed)
+        assert one == _namespace(capsys, _build_parser().parse_args, parsed), argv
         one = run(capsys, argv)
         with monkeypatch.context() as patch:
             patch.setattr(cli, "_parse_args", lambda words: _build_parser().parse_args(words))
