@@ -56,7 +56,7 @@ def betti_polynomial(ctx: MatrixContext, a: int, b: int) -> EquivariantCharacter
     a, b = _integer(a, "minor size a", 1, n), _integer(b, "power b", 1)
     out = EquivariantCharacter()
     for t in range(n - a + 1):
-        block = h_rect(ctx, a + t, b + t)._sorted_terms()
+        block = h_rect(ctx, a + t, b + t)._terms.items()
         base = t * t + 2 * t
         for u, gmult in enumerate(qbinomial(t + min(a, b) - 1, t)):
             for (k, degree, wm, wn), mult in block:
@@ -109,4 +109,4 @@ class BettiTable:
 
 def betti_table(bp: EquivariantCharacter, ctx: MatrixContext) -> BettiTable:
     """Flatten an equivariant Betti polynomial to numeric Betti numbers."""
-    return BettiTable(dict(sorted(bp.dimension_table(ctx.m, ctx.n).items())))
+    return BettiTable(bp.dimension_table(ctx.m, ctx.n))

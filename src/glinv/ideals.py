@@ -48,9 +48,10 @@ class InvariantIdeal:
     """Ideal generated by the orbits of det_x for x in gens.
 
     gens is canonical: partitions with at most n parts, pairwise
-    incomparable, in descending lexicographic order. The zero ideal has no
-    generators; the unit ideal is generated by the empty partition alone,
-    since det of the empty minor is 1.
+    incomparable, in descending lexicographic order; () alone is the unit
+    ideal (det of the empty minor is 1), no generators the zero ideal. The
+    constructor checks gens for an outside caller; the library's own ideals
+    are canonical by construction and skip it; tests sweep them against it.
     """
 
     ctx: MatrixContext
@@ -73,13 +74,22 @@ class InvariantIdeal:
         return self.gens == ((),)
 
 
+def _trusted_ideal(ctx: MatrixContext, gens: tuple[Parts, ...]) -> InvariantIdeal:
+    """InvariantIdeal(ctx, gens) without the constructor's check, for gens
+    that are canonical by construction."""
+    a = object.__new__(InvariantIdeal)
+    object.__setattr__(a, "ctx", ctx)
+    object.__setattr__(a, "gens", gens)
+    return a
+
+
 def make_ideal(ctx: MatrixContext, gens: Iterable[Iterable[int]]) -> InvariantIdeal:
     """Build the ideal generated by an arbitrary family of partitions.
 
     Canonicalizes each generator, discards the non-minimal ones, and sorts.
     An empty family gives the zero ideal.
     """
-    return InvariantIdeal(ctx, minimalize(_generators(ctx, gens)))
+    return _trusted_ideal(ctx, minimalize(_generators(ctx, gens)))
 
 
 def _generators(ctx: MatrixContext, gens) -> list[Parts]:
@@ -111,11 +121,11 @@ def power_of_minors(ctx: MatrixContext, p: int, d: int) -> InvariantIdeal:
     """d-th power of the ideal of p x p minors.
 
     Generated by every partition of size p*d with at most n parts, each part
-    at most d, in the descending order the constructor checks; equal sizes
-    make the family an antichain outright. d = 0 gives the unit ideal.
+    at most d, built canonical and descending (no constructor check); equal
+    sizes make the family an antichain outright. d = 0 gives the unit ideal.
     """
     p, d = _integer(p, "minor size p", 1, ctx.n), _integer(d, "exponent d", 0)
-    return InvariantIdeal(ctx, tuple(partitions_of_size_in_box(p * d, ctx.n, d)))
+    return _trusted_ideal(ctx, tuple(partitions_of_size_in_box(p * d, ctx.n, d)))
 
 
 def symbolic_power(ctx: MatrixContext, p: int, d: int) -> InvariantIdeal:
@@ -124,11 +134,11 @@ def symbolic_power(ctx: MatrixContext, p: int, d: int) -> InvariantIdeal:
     Generated by the partitions whose first p rows share a common value c
     and whose rows p..n sum to d, over c = 0..d: an antichain, since for
     c < c' the c-member has the shorter first row but more boxes below row p.
-    Built in the descending order the constructor checks: c falls, and the
-    tails descend under each c.
+    Built canonical and descending, so it skips the constructor's check:
+    c falls, and the tails descend under each c.
     """
     p, d = _integer(p, "minor size p", 1, ctx.n), _integer(d, "exponent d", 0)
-    return InvariantIdeal(ctx, tuple(
+    return _trusted_ideal(ctx, tuple(
         partition((c,) * p + tail) for c in range(d, -1, -1)
         for tail in partitions_of_size_in_box(d - c, ctx.n - p, c)))
 
@@ -140,12 +150,12 @@ def saturated_power(ctx: MatrixContext, p: int, d: int) -> InvariantIdeal:
     to (p-1)*d. Without the cap c <= d the same row conditions admit
     partitions that lie outside the saturation, so the cap is part of the
     description, not an optimization. An antichain, since for c < c' the
-    c-member has the shorter first row but more boxes below row 2. Built in
-    the descending order the constructor checks: c falls, and the tails
-    descend under each c.
+    c-member has the shorter first row but more boxes below row 2. Built
+    canonical and descending, so it skips the constructor's check: c falls,
+    and the tails descend under each c.
     """
     p, d = _integer(p, "minor size p", 1, ctx.n), _integer(d, "exponent d", 0)
-    return InvariantIdeal(ctx, tuple(
+    return _trusted_ideal(ctx, tuple(
         partition((c, c) + tail) for c in range(d, -1, -1)
         # rows 3..n, none when n = 1
         for tail in partitions_of_size_in_box((p - 1) * d - c, max(ctx.n - 2, 0), c)))
@@ -179,7 +189,7 @@ def saturate(a: InvariantIdeal, p: int) -> InvariantIdeal:
     Minimalizes the stripped generating family. p = 0 is the identity and
     p = n sends every nonzero ideal to the unit ideal.
     """
-    return InvariantIdeal(a.ctx, minimalize(saturation_generators(a, p)))
+    return _trusted_ideal(a.ctx, minimalize(saturation_generators(a, p)))
 
 
 def succ_min(ctx: MatrixContext, z, l: int) -> tuple[Parts, ...]:

@@ -62,9 +62,9 @@ class EquivariantCharacter:
     Entries are stored as (index, degree, wm, wn) -> multiplicity with all
     multiplicities positive; that key layout is the order items() returns.
     One private iterator, _sorted_terms, sorts the entries themselves; items()
-    and the renderers of glinv.cli read it, and dimension_table reads the
-    entries unsorted, so no summand becomes an object on the way to a table
-    or to text. Characters concentrated in a single cohomological degree use
+    and the renderers of glinv.cli read it, while dimension_table and
+    betti_polynomial read them unsorted: no summand becomes an object on the
+    way to a table or to text. A character in one cohomological degree uses
     that degree as the index; plain graded characters use index 0.
     """
 
@@ -76,9 +76,9 @@ class EquivariantCharacter:
     def add(self, index: int, wm, wn, degree: int, multiplicity: int = 1) -> "EquivariantCharacter":
         """Add a summand keyed (index, degree, wm, wn) as given: wm and wn must
         be dominant weight tuples, as every engine builds them (pass a raw
-        vector through dominant_weight first). Only the multiplicity is checked."""
-        if multiplicity <= 0:
-            raise ValueError("multiplicity must be positive")
+        vector through dominant_weight first). Only the multiplicity is
+        checked: an integer of at least 1, else a ValueError that names it."""
+        multiplicity = _integer(multiplicity, "multiplicity", 1)
         key = (index, degree, wm, wn)
         self._terms[key] = self._terms.get(key, 0) + multiplicity
         return self

@@ -114,6 +114,8 @@ def test_minimalize_and_ideal_leq_equal_the_scans_on_the_families():
                     raws += [saturation_generators(a, q) for a in members for q in range(n + 1)]
                     for raw in raws + [a.gens for a in members]:
                         assert minimalize(raw) == minimalize_scan(raw), (m, n, p, raw)
+                    for d, a in enumerate(members, 1):
+                        assert a.gens == minimalize_scan(a.gens), (family, m, n, p, d)
                     ideals += members
                 for a in ideals:
                     for b in ideals:
@@ -161,11 +163,51 @@ def test_constructor_check_queries_the_index_once_per_generator_above_the_least_
         calls["queried"] += 1
         return in_ideal(trie, z)
 
+    # the builders skip the check, so it runs on their output directly
+    a = family(MatrixContext(10, 10), p, d)
     monkeypatch.setattr(partitions, "_insert", counted_insert)
     monkeypatch.setattr(partitions, "_in_ideal", counted_in_ideal)
-    a = family(MatrixContext(10, 10), p, d)
+    assert InvariantIdeal(a.ctx, a.gens) == a
     assert calls == {"inserted": inserted, "queried": queried}
     assert queried <= len(a.gens)
+
+
+def test_family_builders_pass_the_constructor_check():
+    # the builders skip the check on their closed forms; this sweep is its
+    # oracle: n <= 8, m in {n, n + 1}, every p, d <= 10, 2,376 builds
+    for n in range(1, 9):
+        for m in (n, n + 1):
+            ctx = MatrixContext(m, n)
+            for p in range(1, n + 1):
+                for d in range(11):
+                    for family in (power_of_minors, symbolic_power, saturated_power):
+                        a = family(ctx, p, d)
+                        assert InvariantIdeal(ctx, a.gens) == a, (family, m, n, p, d)
+
+
+CTX54 = MatrixContext(5, 4)
+CUBE54 = power_of_minors(CTX54, 3, 2)
+
+
+@pytest.mark.parametrize("build, want", [
+    (lambda: make_ideal(CTX54, [[2, 2], [2, 1], [3, 3, 3]]), 1),
+    (lambda: saturate(CUBE54, 1), 1),
+    (lambda: power_of_minors(CTX54, 2, 3), 0),
+    (lambda: symbolic_power(CTX54, 2, 3), 0),
+    (lambda: saturated_power(CTX54, 2, 3), 0),
+], ids=["make_ideal", "saturate", "power_of_minors", "symbolic_power", "saturated_power"])
+def test_each_build_minimalizes_at_most_once(monkeypatch, build, want):
+    # make_ideal and saturate reduce their family once; the builders' closed
+    # forms are canonical, so they do not minimalize at all
+    calls = []
+
+    def counted(xs):
+        calls.append(xs)
+        return minimalize(xs)
+
+    monkeypatch.setattr("glinv.ideals.minimalize", counted)
+    build()
+    assert len(calls) == want
 
 
 def test_power_edge_cases():

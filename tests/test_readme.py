@@ -18,7 +18,8 @@ import glinv
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ENV = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-README = open(os.path.join(ROOT, "README.md"), encoding="utf-8").read()
+with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as readme:
+    README = readme.read()
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```$", README, re.M | re.S)
 
 

@@ -114,6 +114,14 @@ def test_character_accumulates_multiplicity():
         ch.add(0, (1,), (1,), 1, 0)
 
 
+@pytest.mark.parametrize("multiplicity", [1.5, True, "2", 0, -1])
+def test_character_add_rejects_a_non_integer_or_non_positive_multiplicity(multiplicity):
+    ch = EquivariantCharacter()
+    with pytest.raises(ValueError, match="^multiplicity must be"):
+        ch.add(0, (1,), (1,), 1, multiplicity)
+    assert not ch
+
+
 def test_character_item_order():
     ch = EquivariantCharacter()
     ch.add(2, (3, 1), (1,), 4)
