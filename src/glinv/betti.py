@@ -10,8 +10,7 @@ flattens the result to numeric Betti numbers beta_{i, degree}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import _Record
 from .ideals import MatrixContext
 from .partitions import _integer, conjugate, enumerate_in_box, part, qbinomial, size
 from .schur import EquivariantCharacter
@@ -64,10 +63,10 @@ def betti_polynomial(ctx: MatrixContext, a: int, b: int) -> EquivariantCharacter
     return out
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(_Record):
     """Numeric Betti numbers entries[(i, degree)] of a resolution."""
 
+    __slots__ = ("entries",)
     entries: dict[tuple[int, int], int]
 
     def totals(self) -> dict[int, int]:

@@ -14,16 +14,15 @@ regularity are computed exactly without windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf
 
+from ._record import _Record
 from .ideals import InvariantIdeal, MatrixContext, _generators, ideal_leq
 from .partitions import Parts, _in_ideal, _index, _insert, _integer, _integers, part, partition
 from .schur import EquivariantCharacter
 
 
-@dataclass(frozen=True)
-class ZPair:
+class ZPair(_Record):
     """Index (z, l) of a composition factor J_{z,l}.
 
     The Ext formulas read row l+1 of z through the pinned entries and are
@@ -31,10 +30,11 @@ class ZPair:
     zset satisfies this, and the constructor makes it a hard error.
     """
 
+    __slots__ = ("z", "l")
     z: Parts
     l: int
 
-    def __post_init__(self):
+    def _check(self):
         if partition(self.z) != self.z:
             raise ValueError(f"z is not canonical: {self.z}")
         object.__setattr__(self, "l", _integer(self.l, "l", 0))
@@ -43,23 +43,29 @@ class ZPair:
             raise ValueError(f"rows 1..{self.l + 1} of z={self.z} must agree")
 
 
+# each slot's own setter, which object.__setattr__ would look up by name
+_set_z, _set_l, _set_pair_key = ZPair.z.__set__, ZPair.l.__set__, ZPair._key.__set__
+
+
 def _trusted_pair(z: Parts, l: int) -> ZPair:
     """ZPair(z, l) without the constructor's checks, for a pair that meets
-    them by construction."""
+    them by construction. It sets the slots z and l and the record key (z, l)
+    that equality and hashing read (glinv._record), as the constructor does."""
     zp = object.__new__(ZPair)
-    object.__setattr__(zp, "z", z)
-    object.__setattr__(zp, "l", l)
+    _set_z(zp, z)
+    _set_l(zp, l)
+    _set_pair_key(zp, (z, l))
     return zp
 
 
-@dataclass(frozen=True)
-class DegreeWindow:
+class DegreeWindow(_Record):
     """Closed range [lo, hi] of internal degrees, lo and hi integers."""
 
+    __slots__ = ("lo", "hi")
     lo: int
     hi: int
 
-    def __post_init__(self):
+    def _check(self):
         _integers((self.lo, self.hi))
         if self.lo > self.hi:
             raise ValueError(f"empty degree window: {self.lo}..{self.hi}")

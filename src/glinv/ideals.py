@@ -9,9 +9,9 @@ containment of diagrams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
+from ._record import _Record
 from .partitions import (
     Parts,
     _in_ideal,
@@ -26,25 +26,24 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
-class MatrixContext:
+class MatrixContext(_Record):
     """Ambient space of m x n matrices, with integer sides m >= n >= 1.
 
     A transposed problem gives literally the same antichain combinatorics,
     so callers with m < n should swap the sides before building a context.
     """
 
+    __slots__ = ("m", "n")
     m: int
     n: int
 
-    def __post_init__(self):
+    def _check(self):
         _integers((self.m, self.n))
         if not (self.m >= self.n >= 1):
             raise ValueError(f"need m >= n >= 1, got m={self.m}, n={self.n}")
 
 
-@dataclass(frozen=True)
-class InvariantIdeal:
+class InvariantIdeal(_Record):
     """Ideal generated by the orbits of det_x for x in gens.
 
     gens is canonical: partitions with at most n parts, pairwise
@@ -54,10 +53,11 @@ class InvariantIdeal:
     are canonical by construction and skip it; tests sweep them against it.
     """
 
+    __slots__ = ("ctx", "gens")
     ctx: MatrixContext
     gens: tuple[Parts, ...]
 
-    def __post_init__(self):
+    def _check(self):
         if not isinstance(self.gens, tuple):
             raise ValueError("gens must be a tuple of partitions, not "
                              f"{type(self.gens).__name__}")
@@ -74,12 +74,20 @@ class InvariantIdeal:
         return self.gens == ((),)
 
 
+# each slot's own setter, which object.__setattr__ would look up by name
+_set_ctx, _set_gens = InvariantIdeal.ctx.__set__, InvariantIdeal.gens.__set__
+_set_ideal_key = InvariantIdeal._key.__set__
+
+
 def _trusted_ideal(ctx: MatrixContext, gens: tuple[Parts, ...]) -> InvariantIdeal:
     """InvariantIdeal(ctx, gens) without the constructor's check, for gens
-    that are canonical by construction."""
+    that are canonical by construction. It sets the slots ctx and gens and
+    the record key (ctx, gens) that equality and hashing read
+    (glinv._record), as the constructor does."""
     a = object.__new__(InvariantIdeal)
-    object.__setattr__(a, "ctx", ctx)
-    object.__setattr__(a, "gens", gens)
+    _set_ctx(a, ctx)
+    _set_gens(a, gens)
+    _set_ideal_key(a, (ctx, gens))
     return a
 
 

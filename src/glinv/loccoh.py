@@ -10,18 +10,17 @@ character of a single factor over a degree window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import _Record
 from .homology import DegreeWindow, _lambdas
 from .ideals import MatrixContext
 from .partitions import _integer, qbinomial
 from .schur import EquivariantCharacter
 
 
-@dataclass(frozen=True)
-class LCTable:
+class LCTable(_Record):
     """Multiplicities rows[j][s] of the factor D_s inside H^j, j and s ascending."""
 
+    __slots__ = ("ctx", "p", "rows")
     ctx: MatrixContext
     p: int
     rows: dict[int, dict[int, int]]

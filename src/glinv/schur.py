@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import perm
 
+from ._record import _Record
 from .partitions import Weight, _integer, dominant_weight, pad_weight
 
 
@@ -41,14 +41,26 @@ def dim_schur(w, N: int) -> int:
     return num // den
 
 
-@dataclass(frozen=True)
-class IrredTerm:
-    """One summand S_wm(C^m) (x) S_wn(C^n) in a single internal degree."""
+class IrredTerm(_Record):
+    """One summand S_wm(C^m) (x) S_wn(C^n) in a single internal degree.
 
+    wm and wn are dominant weights (stored as the tuples dominant_weight
+    returns), degree an integer and multiplicity an integer of at least 1,
+    by default 1; anything else is a ValueError.
+    """
+
+    __slots__ = ("wm", "wn", "degree", "multiplicity")
+    _defaults = {"multiplicity": 1}
     wm: Weight
     wn: Weight
     degree: int
-    multiplicity: int = 1
+    multiplicity: int
+
+    def _check(self):
+        object.__setattr__(self, "wm", dominant_weight(self.wm))
+        object.__setattr__(self, "wn", dominant_weight(self.wn))
+        object.__setattr__(self, "degree", _integer(self.degree, "degree"))
+        object.__setattr__(self, "multiplicity", _integer(self.multiplicity, "multiplicity", 1))
 
 
 def dim_term(term: IrredTerm, m: int, n: int) -> int:

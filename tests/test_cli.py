@@ -353,6 +353,17 @@ def test_module_entrypoint():
     assert proc.stdout == POWER_JSON + "\n"
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter, because pytest itself imports both; -S keeps out
+    # what site-packages hooks would load
+    code = ("import sys, glinv.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["normalize", "-m", "3", "-n", "3", "--gens", "[[2.7,1]]"],
     ["normalize", "-m", "3", "-n", "3", "--gens", "[[true]]"],

@@ -2,9 +2,13 @@
 
 README promises that the records are frozen, that a record equals only a
 record of its own type, and that all but BettiTable and LCTable (which hold
-dicts) are hashable. These tests pin that, and each record's repr, without
-reading how the records are implemented.
+dicts) are hashable. These tests pin that, each record's repr, its
+constructor by position and by keyword, copy and pickle, and positional
+class patterns, without reading how the records are implemented.
 """
+
+import copy
+import pickle
 
 import pytest
 
@@ -81,3 +85,45 @@ def test_hash(make, names, shown, hashable):
     else:
         with pytest.raises(TypeError):
             hash(make())
+
+
+@pytest.mark.parametrize("make,names,shown,hashable", CASES)
+def test_constructor_takes_each_field_by_position_or_keyword(make, names, shown, hashable):
+    record = make()
+    cls, fields = type(record), tuple(getattr(record, name) for name in names)
+    assert cls(*fields) == record == cls(**dict(zip(names, fields)))
+    with pytest.raises(TypeError):
+        cls(**dict(zip(names[1:], fields[1:])))  # the first field missing
+    with pytest.raises(TypeError):
+        cls(*fields, fields[-1])
+    with pytest.raises(TypeError):
+        cls(*fields, extra=1)
+
+
+@pytest.mark.parametrize("make,names,shown,hashable", CASES)
+def test_copy_and_pickle_give_an_equal_record(make, names, shown, hashable):
+    record = make()
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record) and twin == record
+        assert repr(twin) == shown
+
+
+@pytest.mark.parametrize("make,names,shown,hashable", CASES)
+def test_positional_class_pattern(make, names, shown, hashable):
+    record = make()
+    match record:
+        case MatrixContext(m, n):
+            bound = (m, n)
+        case InvariantIdeal(ctx, gens):
+            bound = (ctx, gens)
+        case ZPair(z, l):
+            bound = (z, l)
+        case DegreeWindow(lo, hi):
+            bound = (lo, hi)
+        case IrredTerm(wm, wn, degree, multiplicity):
+            bound = (wm, wn, degree, multiplicity)
+        case BettiTable(entries):
+            bound = (entries,)
+        case LCTable(ctx, p, rows):
+            bound = (ctx, p, rows)
+    assert bound == tuple(getattr(record, name) for name in names)

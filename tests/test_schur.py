@@ -104,6 +104,27 @@ def test_dim_term():
     assert dim_term(t, 3, 2) == 2 * 8 * 1
 
 
+@pytest.mark.parametrize("fields,match", [
+    (((1,), (1,), 1, 1.5), "^multiplicity must be an integer"),
+    (((1,), (1,), 1, True), "^multiplicity must be an integer"),
+    (((1,), (1,), 1, 0), "^multiplicity must be at least 1"),
+    (((1,), (1,), "x", True), "^degree must be an integer"),
+    (((1,), (1,), 1.0), "^degree must be an integer"),
+    (((1, 2), [1], 1), "^not weakly decreasing"),
+    (((1,), (True,), 1), "booleans"),
+    (((1,), 5, 1), "^entries must be integers"),
+])
+def test_irred_term_rejects_bad_fields(fields, match):
+    with pytest.raises(ValueError, match=match):
+        IrredTerm(*fields)
+
+
+def test_irred_term_stores_dominant_weight_tuples():
+    t = IrredTerm([2, 1], [1, 1], 3)
+    assert (t.wm, t.wn, t.degree, t.multiplicity) == ((2, 1), (1, 1), 3, 1)
+    assert t == IrredTerm((2, 1), (1, 1), 3) and hash(t) == hash(IrredTerm((2, 1), (1, 1), 3))
+
+
 def test_character_accumulates_multiplicity():
     ch = EquivariantCharacter()
     ch.add(3, (1, 1), (2,), 2)
