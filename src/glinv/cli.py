@@ -306,41 +306,54 @@ def _parse_window(text: str) -> DegreeWindow:
     return DegreeWindow(int(match.group(1)), int(match.group(2)))
 
 
-def _terms_json(ch: EquivariantCharacter) -> dict[int, list[dict]]:
-    """The terms of ch as JSON objects, grouped by index in ascending order,
-    from one pass over its sorted keys."""
-    groups: dict[int, list[dict]] = {}
-    for (j, deg, wm, wn), mult in ch._sorted_terms():
-        groups.setdefault(j, []).append(
-            {"wm": list(wm), "wn": list(wn), "deg": deg, "mult": mult})
-    return groups
-
-
-def _character_json(ch: EquivariantCharacter, window: DegreeWindow) -> list[dict]:
-    return [{"j": j, "terms": terms, "window": [window.lo, window.hi]}
-            for j, terms in _terms_json(ch).items()]
-
-
-def _print_character(ch: EquivariantCharacter, window: DegreeWindow, fmt: str,
-                     index_label: str) -> None:
-    """The character as JSON, or as one printed string joined from the sorted
-    keys: a header line per index, then one line per term. print writes the
-    final newline on its own, so under python -u, where a write cut short by
-    a closing pipe returns without an error, that write raises
-    BrokenPipeError, as it does for _emit_json."""
-    if fmt == "json":
-        _emit_json(_character_json(ch, window))
-        return
-    lines = [f"window: {window.lo}..{window.hi}"]
-    if not ch:
-        lines.append("no terms in the window")
+def _term_texts(ch: EquivariantCharacter, template: str, sep: str) -> dict[int, list[str]]:
+    """The terms of ch as text, grouped by index in ascending order, from one
+    pass over its sorted keys. Each term is one % operation (degree,
+    multiplicity, *wm, *wn) on template, whose two weight slots hold one "%d"
+    per entry joined by sep; that format is built once per pair of weight
+    lengths."""
+    formats: dict[tuple[int, int], str] = {}
+    groups: dict[int, list[str]] = {}
     index = None
     for (j, deg, wm, wn), mult in ch._sorted_terms():
         if j != index:
             index = j
-            lines.append(f"{index_label}^{j}:")
-        lines.append(f"  deg {deg}  mult {mult}  "
-                     f"S({','.join(map(str, wm))}) * S({','.join(map(str, wn))})")
+            texts = groups[j] = []
+        lengths = (len(wm), len(wn))
+        fmt = formats.get(lengths)
+        if fmt is None:
+            fmt = formats[lengths] = template.format(
+                sep.join(["%d"] * lengths[0]), sep.join(["%d"] * lengths[1]))
+        texts.append(fmt % (deg, mult, *wm, *wn))
+    return groups
+
+
+# the templates of one term for _term_texts: a pretty line, and the object
+# {"deg", "mult", "wm", "wn"} as json.dumps(..., sort_keys=True) writes it
+_PRETTY_TERM = "  deg %d  mult %d  S({}) * S({})"
+_JSON_TERM = '{{"deg": %d, "mult": %d, "wm": [{}], "wn": [{}]}}'
+
+
+def _print_character(ch: EquivariantCharacter, window: DegreeWindow, fmt: str,
+                     index_label: str) -> None:
+    """The character as one printed string joined from the sorted keys: under
+    json, the list of {"j", "terms", "window"} objects as json.dumps with
+    sorted keys writes it; otherwise a header line per index, then one line
+    per term. print writes the final newline on its own, so under python -u,
+    where a write cut short by a closing pipe returns without an error, that
+    write raises BrokenPipeError."""
+    if fmt == "json":
+        window_text = f'"window": [{window.lo}, {window.hi}]'
+        objects = [f'{{"j": {j}, "terms": [{", ".join(texts)}], {window_text}}}'
+                   for j, texts in _term_texts(ch, _JSON_TERM, ", ").items()]
+        print(f"[{', '.join(objects)}]")
+        return
+    lines = [f"window: {window.lo}..{window.hi}"]
+    if not ch:
+        lines.append("no terms in the window")
+    for j, texts in _term_texts(ch, _PRETTY_TERM, ",").items():
+        lines.append(f"{index_label}^{j}:")
+        lines += texts
     print("\n".join(lines))
 
 
@@ -401,9 +414,7 @@ def _cmd_betti(args) -> int:
     ctx = _context(args.m, args.n)
     bp = betti_polynomial(ctx, args.a, args.b)
     if args.format == "json":
-        payload = {str(i): terms for i, terms in _terms_json(bp).items()}
-        _emit_json({"m": ctx.m, "n": ctx.n, "a": args.a, "b": args.b,
-                    "by_homological_index": payload})
+        _print_betti_json(bp, ctx, args.a, args.b)
         return 0
     table = betti_table(bp, ctx)
     if args.format == "csv":
@@ -414,6 +425,16 @@ def _cmd_betti(args) -> int:
               f"minors, {ctx.m}x{ctx.n} matrix")
         print(table.render())
     return 0
+
+
+def _print_betti_json(bp: EquivariantCharacter, ctx: MatrixContext, a: int, b: int) -> None:
+    """The Betti polynomial bp as json.dumps with sorted keys writes
+    {"a", "b", "by_homological_index", "m", "n"}: the homological indices are
+    string keys, so "10" comes before "2"."""
+    groups = _term_texts(bp, _JSON_TERM, ", ")
+    by_index = ", ".join(f'"{i}": [{", ".join(groups[i])}]' for i in sorted(groups, key=str))
+    print(f'{{"a": {a}, "b": {b}, "by_homological_index": {{{by_index}}}, '
+          f'"m": {ctx.m}, "n": {ctx.n}}}')
 
 
 def _cmd_schurdim(args) -> int:

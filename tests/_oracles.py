@@ -7,6 +7,7 @@ Values derived from these oracles are frozen into the test files.
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 from itertools import combinations_with_replacement, groupby
 
@@ -367,3 +368,41 @@ def cauchy_counts(n: int, gens, pairs, top: int) -> list[tuple[int, int]]:
         )
         out.append((outside, counted))
     return out
+
+
+def _terms_by_index(terms) -> dict[int, list[dict]]:
+    groups: dict[int, list[dict]] = {}
+    for (j, deg, wm, wn), mult in terms:
+        groups.setdefault(j, []).append(
+            {"wm": list(wm), "wn": list(wn), "deg": deg, "mult": mult})
+    return groups
+
+
+def character_json_dumps(terms, lo: int, hi: int) -> str:
+    """JSON of a windowed character built as dicts and encoded by json.dumps
+    with sorted keys; terms are ((j, deg, wm, wn), mult) pairs in key order."""
+    return json.dumps([{"j": j, "terms": group, "window": [lo, hi]}
+                       for j, group in _terms_by_index(terms).items()], sort_keys=True)
+
+
+def betti_json_dumps(terms, m: int, n: int, a: int, b: int) -> str:
+    """JSON of a Betti polynomial built as dicts, keyed by str(index), and
+    encoded by json.dumps with sorted keys."""
+    return json.dumps({"m": m, "n": n, "a": a, "b": b, "by_homological_index": {
+        str(i): group for i, group in _terms_by_index(terms).items()}}, sort_keys=True)
+
+
+def character_pretty(terms, lo: int, hi: int, label: str) -> list[str]:
+    """Pretty lines of a windowed character, each weight written as
+    ",".join(map(str, w)); terms as for character_json_dumps."""
+    lines = [f"window: {lo}..{hi}"]
+    if not terms:
+        lines.append("no terms in the window")
+    index = None
+    for (j, deg, wm, wn), mult in terms:
+        if j != index:
+            index = j
+            lines.append(f"{label}^{j}:")
+        lines.append(f"  deg {deg}  mult {mult}  "
+                     f"S({','.join(map(str, wm))}) * S({','.join(map(str, wn))})")
+    return lines

@@ -443,13 +443,15 @@ def test_ds_csv_is_refused_before_computing():
 def test_closed_stdout_ends_quietly():
     # each output overflows the pipe buffer, so the writer is still blocked
     # on the pipe when the reader goes away: 134 kB of Betti JSON, and
-    # 113,588 bytes of a pretty character, printed as one string. Under
-    # python -u a write that the closing pipe cuts short returns without an
-    # error, so both outputs run with buffered and with unbuffered stdout
+    # 113,588 bytes of a pretty character and 162,813 of its JSON, each
+    # printed as one string. Under python -u a write that the closing pipe
+    # cuts short returns without an error, so every output runs with
+    # buffered and with unbuffered stdout
     buffered = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
+    ext = ["ext", "--kind", "saturated", "-p", "3", "-d", "2", "-m", "6", "-n", "5",
+           "--window=-90..40"]
     for argv in (["betti", "-m", "6", "-n", "6", "-a", "2", "-b", "2", "--format", "json"],
-                 ["ext", "--kind", "saturated", "-p", "3", "-d", "2", "-m", "6", "-n", "5",
-                  "--window=-90..40"]):
+                 ext, [*ext, "--format", "json"]):
         for env in (buffered, dict(buffered, PYTHONUNBUFFERED="1")):
             proc = subprocess.Popen(
                 [sys.executable, "-m", "glinv", *argv],
