@@ -318,10 +318,9 @@ def ext_map_analysis(a: InvariantIdeal, b: InvariantIdeal, window: DegreeWindow)
     return tuple(_ext_character(a.ctx, pairs, window) for pairs in (za - zb, za & zb, zb - za))
 
 
-def _least_degrees(ctx: MatrixContext, zp: ZPair, fold: bool = False) -> dict[int, int]:
+def _least_degrees(ctx: MatrixContext, zp: ZPair) -> dict[int, int]:
     """Least internal degree of Ext^j(J_{z,l}, S) for each j where it is
-    nonzero, by a dynamic program over the pins of the data (s, t); with
-    fold, items with the same largest -deg - j (last paragraph).
+    nonzero, by a dynamic program over the pins of the data (s, t).
 
     A datum is an s in 0..l and a weakly increasing t in [s, l]^k, k = n - l.
     Its weights lam are dominant of length n, with lam_i >= s - n for i <= s,
@@ -355,31 +354,20 @@ def _least_degrees(ctx: MatrixContext, zp: ZPair, fold: bool = False) -> dict[in
     pass serves every s: a state (t_1, total) at block 1 gives a datum for
     each s with t_1 - y_1 <= s <= t_1. Every state reaches one (s = t_1),
     so the work follows the feasible data, not the tuples t.
-
-    With fold, which serves regularity, the index joins the objective.
-    It is linear in the state, j = j_s - 2 sum(t) with
-    j_s = mn - l^2 - s(m - n), so block b's -2 r_b t_b joins the value where
-    the walk enters block b, and the total leaves the state: it stays 0, and
-    the state is t_b alone. Each datum then counts under j_s with
-    deg - 2 sum(t). Its deg + j is unchanged, and so is the largest
-    -deg - j over the returned items, the one value regularity reads; the
-    keys are no longer indices.
     """
     m, n = ctx.m, ctx.n
     l = zp.l
-    keep, charge = (0, -2) if fold else (1, 0)  # sum(t) in the state or in the value
     blocks = _blocks(n, zp.z, l)
     y, r = blocks.pop()
-    states = {(l, keep * r * l): charge * r * l}
+    states = {(l, r * l): 0}
     while blocks:
         y_below, r_below = blocks.pop()
-        kept, charged = keep * r_below, charge * r_below
         below: dict[tuple[int, int], int] = {}
         for (u, total), deg in states.items():  # u is t_b, t below is t_{b-1}
             v = u - y - m
             for t in range(max(0, u - y + y_below), u + 1):
-                key = (t, total + kept * t)
-                d = deg + (u - t + r) * v + charged * t
+                key = (t, total + r_below * t)
+                d = deg + (u - t + r) * v
                 if d < below.get(key, inf):
                     below[key] = d
         states = below
@@ -410,16 +398,62 @@ def ext_min_degree(ctx: MatrixContext, zp: ZPair, j: int) -> int | None:
 def regularity(a: InvariantIdeal) -> int:
     """Castelnuovo-Mumford regularity of a nonzero proper invariant ideal.
 
-    Computed as 1 + max over factors and indices j of (-least degree - j),
-    each factor's maximum read from the least-degree program with the index
-    folded in (_least_degrees with fold); the maximum exists because every
-    factor admits at least one feasible datum and least degrees are exact.
+    By local duality reg(S/a) is the largest -deg - j over the nonzero
+    Ext^j(S/a, S)_deg, so reg(a) = 1 + the largest over the factors J_{z,l}
+    of S/a of their own largest -deg - j, read from the closed form below
+    (_factor_regularity). Every nonzero proper ideal has a factor: at c = 0
+    the Z-set walk seeds the empty cell from each generator x with
+    h = len(x) >= 1, and the cell is not in the ideal, since () is no
+    generator; so ((), h - 1) is a pair for the least such h, and the
+    maximum always exists.
+
+    The closed form starts from the block form of _least_degrees. Put
+    d_b = t_b - t_{b-1}, which lies in [0, g_b] with g_b = y_b - y_{b-1},
+    and R_b = r_b + ... + r_B, the rows in blocks b..B; then
+    sum_b d_b = l - s and sum_b g_b = z_1. The pins, which carry the m of
+    the least degree, fill sum_b (d_b + r_b) = n - s positions, so -deg
+    holds m(n - s) and j holds -m(n - s): m cancels from -deg - j. With
+    t_b = s + d_1 + ... + d_b and sum_b r_b y_b = sum_{i > l} z_i,
+      -deg - j = sum_{i > l} z_i + (l^2 - s^2)/2 + s(n - l)
+                 + sum_b sum_{k = 1..d_b} (y_b + R_b - k + 1/2).
+    For a fixed s this is separable and concave under the one constraint
+    sum_b d_b = l - s, so the best data take the l - s largest of the z_1
+    unit values y_b + R_b - k (a block's values decrease in k, so the
+    largest ones are a prefix of every block's). Written by column, c = y_b - k + 1
+    runs over y_{b-1} < c <= y_b, where the rows of z of length at least c
+    number l + R_b; so the unit values are c + z'_c - l - 1 for
+    c = 1..z_1, z' the conjugate of z. With q = l - s, which ranges over
+    0..min(l, z_1), and w_1 >= w_2 >= ... the values c + z'_c - (n - l)
+    in decreasing order, the sum collapses to
+      sum_{i > l} z_i + l(n - l) + sum_{i <= q} (w_i - i).
+    The terms w_i - i strictly decrease, so the best q keeps exactly the
+    positive ones. A factor with l = 0 gives |z|. The cost is
+    O(n + z_1 log z_1) per factor; the tests hold it against the largest
+    -deg - j of a full scan of the data (tests/_oracles.py).
     """
     if a.is_zero:
         raise ValueError("the zero ideal has no regularity")
     if a.is_unit:
         raise ValueError("the unit ideal has no regularity")
-    vals = [-deg - j for zp in zset(a) for j, deg in _least_degrees(a.ctx, zp, fold=True).items()]
-    if not vals:
-        raise RuntimeError(f"no feasible Ext datum for any factor of {a.gens}")
-    return 1 + max(vals)
+    n = a.ctx.n
+    return 1 + max(_factor_regularity(n, zp.z, zp.l) for zp in zset(a))
+
+
+def _factor_regularity(n: int, z: Parts, l: int) -> int:
+    """Largest -deg - j over the nonzero Ext^j(J_{z,l}, S)_deg, by the
+    closed form derived in regularity's docstring; m does not enter."""
+    if not l:  # no unit values to take
+        return sum(z)
+    k = n - l
+    w = []  # c + z'_c - k for c = 1..z_1
+    h = l + 1 - k  # z'_c - k on the columns z_{i+1} < c <= z_i, row i from l+1
+    for y, below in zip(z[l:], z[l + 1:] + (0,)):
+        w += range(below + 1 + h, y + 1 + h)
+        h += 1
+    w.sort(reverse=True)
+    total = sum(z[l:]) + l * k
+    for i, v in enumerate(w[:l], 1):
+        if v <= i:
+            break
+        total += v - i
+    return total

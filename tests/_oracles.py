@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from math import factorial, prod
 from itertools import combinations_with_replacement, groupby
 
 
@@ -253,6 +254,13 @@ def least_degrees_scan(m: int, n: int, z: tuple[int, ...], l: int) -> dict[int, 
     return least
 
 
+def factor_regularity_scan(m: int, n: int, z: tuple[int, ...], l: int) -> int:
+    """Largest -deg - j over the nonzero Ext^j(J_{z,l}, S)_deg, read from the
+    least degrees of the full scan; regularity is 1 + its maximum over the
+    factors of S/I."""
+    return max(-deg - j for j, deg in least_degrees_scan(m, n, z, l).items())
+
+
 def lc_rows_oracle(m: int, n: int, p: int) -> dict[int, dict[int, int]]:
     """Local cohomology multiplicity grid assembled with the Pascal oracle."""
     rows: dict[int, dict[int, int]] = {}
@@ -406,3 +414,64 @@ def character_pretty(terms, lo: int, hi: int, label: str) -> list[str]:
         lines.append(f"  deg {deg}  mult {mult}  "
                      f"S({','.join(map(str, wm))}) * S({','.join(map(str, wn))})")
     return lines
+
+
+def hook_content_dim(x: tuple[int, ...], N: int) -> int:
+    """dim S_x C^N by the hook-content formula: the product over the boxes
+    (r, c) of x, 0-based, of (N + c - r) / (hook length of the box)."""
+    cols = conjugate_boxes(x)
+    num = den = 1
+    for r, width in enumerate(x):
+        for c in range(width):
+            num *= N + c - r
+            den *= width - c + cols[c] - r - 1
+    return num // den
+
+
+def partitions_of(d: int, rows: int) -> list[tuple[int, ...]]:
+    """Partitions of d with at most rows parts, own enumeration."""
+    out: list[tuple[int, ...]] = []
+
+    def grow(prefix: tuple[int, ...], cap: int, left: int) -> None:
+        if left == 0:
+            out.append(prefix)
+        elif len(prefix) < rows:
+            for v in range(min(cap, left), 0, -1):
+                grow(prefix + (v,), v, left - v)
+
+    if d >= 0:
+        grow((), d, d)
+    return out
+
+
+def hilbert_excess(m: int, n: int, gens, degrees, start: int) -> dict[int, int]:
+    """HF(S/I, d) - HP(S/I, d) for each d in degrees, I the ideal of the
+    generators, S the polynomial ring on the m x n matrix entries.
+
+    HF comes from the Cauchy decomposition: dim (S/I)_d is the sum of
+    dim S_x C^m * dim S_x C^n over the partitions x of d with at most n
+    parts that contain no generator as a diagram (0 for d < 0). HP is the
+    polynomial of degree below N = mn that HF equals from start on: Newton's
+    forward differences of HF at start, ..., start + N - 1 give it, and it
+    must meet HF at the next 3 degrees (AssertionError otherwise)."""
+    gens = [tuple(v for v in g if v) for g in gens]
+
+    def hf(d: int) -> int:
+        return sum(hook_content_dim(x, m) * hook_content_dim(x, n)
+                   for x in partitions_of(d, n) if not any(inside(g, x) for g in gens))
+
+    N = m * n
+    row = [hf(start + k) for k in range(N)]
+    diffs = []
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+
+    def hp(d: int) -> int:  # sum_i binomial(d - start, i) * diffs[i]
+        k = d - start
+        return sum(prod(range(k - i + 1, k + 1)) // factorial(i) * c
+                   for i, c in enumerate(diffs))
+
+    for d in range(start + N, start + N + 3):
+        assert hf(d) == hp(d), (m, n, gens, d)
+    return {d: hf(d) - hp(d) for d in degrees}

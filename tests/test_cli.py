@@ -292,6 +292,40 @@ def test_qbinom_matches_pascal_in_every_format(capsys):
                                   ["exponent,coefficient"] + [f"{e},{c}" for e, c in pairs])
 
 
+def _qbinom_loop_updates(a: int, b: int) -> int:
+    # the updates of partitions.qbinomial's two loops, counted by running them
+    top, count = b * (a - b), 0
+    for i in range(1, b + 1):
+        count += len(range(top, a - b + i - 1, -1)) + len(range(i, top + 1))
+    return count
+
+
+def test_qbinom_update_count_is_the_loops_count():
+    for a in range(25):
+        for b in range(a + 2):
+            want = _qbinom_loop_updates(a, b) if b <= a else 0
+            assert cli._qbinomial_updates(a, b) == want, (a, b)
+    assert cli._qbinomial_updates(400, 200) < cli.QBINOM_MAX_TERMS
+
+
+def test_qbinom_refuses_work_past_the_cap_before_starting(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "qbinomial", None)  # a refused query never computes
+    code, out, err = run(capsys, ["qbinom", "800", "400"])
+    assert (code, out) == (1, "")
+    assert err == ("error: qbinom 800 400 makes 127,680,400 coefficient updates, more than "
+                   "the cap of 20,000,000; pass --max-terms 127680400 to run it\n")
+    code, out, err = run(capsys, ["qbinom", "800", "400", "--format", "json"])
+    assert code == 1 and "127,680,400" in json.loads(out)["error"] and err == ""
+    monkeypatch.undo()
+    count = _qbinom_loop_updates(12, 5)
+    code, out, err = run(capsys, ["qbinom", "12", "5", "--max-terms", str(count - 1)])
+    assert (code, out) == (1, "") and f"--max-terms {count} " in err
+    code, out, _ = run(capsys, ["qbinom", "12", "5", "--max-terms", str(count)])
+    assert code == 0 and out == _pascal_pretty(qbinomial_pascal(12, 5)) + "\n"
+    code, out, err = run(capsys, ["qbinom", "4", "2", "--max-terms", "-1"])
+    assert (code, out, err) == (1, "", "error: --max-terms must be at least 0, got -1\n")
+
+
 def test_schurdim(capsys):
     code, out, _ = run(capsys, ["schurdim", "-N", "3", "--weight", "[2,1]",
                                 "--format", "json"])

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 
@@ -28,9 +29,13 @@ from glinv import (
 )
 
 import glinv.homology as homology
+from glinv.cli import main
 from _oracles import (
+    box_partitions,
     cauchy_counts,
     ext_lambda_first,
+    factor_regularity_scan,
+    hilbert_excess,
     least_degrees_scan,
     st_data_scan,
     zset_box_table,
@@ -317,13 +322,9 @@ def _family_factors():
                                 yield ctx, zp
 
 
-def _folded(ctx, zp):
+def _closed(ctx, zp):
     # the largest -deg - j of a factor, as regularity reads it
-    return max(-deg - j for j, deg in homology._least_degrees(ctx, zp, True).items())
-
-
-def _largest(least):
-    return max(-deg - j for j, deg in least.items())
+    return homology._factor_regularity(ctx.n, zp.z, zp.l)
 
 
 def _walked(ctx, zp):
@@ -343,8 +344,7 @@ def test_least_degree_program_matches_scan_on_the_families():
         for _, j, lower, _ in data:
             least[j] = min(sum(lower), least.get(j, sum(lower)))
         assert homology._least_degrees(ctx, zp) == least, (ctx, zp)
-        assert _folded(ctx, zp) == _largest(least_degrees_scan(ctx.m, ctx.n, zp.z, zp.l)), (
-            ctx, zp)
+        assert _closed(ctx, zp) == factor_regularity_scan(ctx.m, ctx.n, zp.z, zp.l), (ctx, zp)
         count += 1
     assert count == 1497
 
@@ -362,7 +362,7 @@ def test_least_degree_program_matches_scan_on_random_raw_families():
             assert homology._least_degrees(ctx, zp) == least_degrees_scan(m, n, zp.z, zp.l), (
                 m, n, gens, zp)
             assert _walked(ctx, zp) == Counter(st_data_scan(m, n, zp.z, zp.l)), (m, n, gens, zp)
-            assert _folded(ctx, zp) == _largest(least_degrees_scan(m, n, zp.z, zp.l)), (
+            assert _closed(ctx, zp) == factor_regularity_scan(m, n, zp.z, zp.l), (
                 m, n, gens, zp)
             factors += 1
     assert factors == 3363
@@ -388,7 +388,22 @@ def test_least_degree_program_matches_scan_on_edge_cases(m, n, z, l):
     assert least and homology._least_degrees(ctx, zp) == least
     assert _walked(ctx, zp) == Counter(st_data_scan(m, n, z, l))
     assert attainable_indices(ctx, zp) == sorted(least)
-    assert _folded(ctx, zp) == _largest(least)
+    assert _closed(ctx, zp) == factor_regularity_scan(m, n, z, l)
+
+
+def test_factor_regularity_matches_scan_on_every_small_factor():
+    # every (z, l) with n <= 7, z_1 <= 5 and rows 1..l+1 of z equal
+    count = 0
+    for n in range(1, 8):
+        for z in box_partitions(n, 5):
+            for l in range(n):
+                if any(part(z, i) != part(z, 1) for i in range(2, l + 2)):
+                    continue
+                for m in (n, n + 1, n + 2):
+                    want = factor_regularity_scan(m, n, z, l)
+                    assert homology._factor_regularity(n, z, l) == want, (m, n, z, l)
+                    count += 1
+    assert count == 10272
 
 
 def test_ext_of_maximal_ideal_powers():
@@ -513,6 +528,77 @@ def test_regularity_of_determinantal_powers():
         assert regularity(power_of_minors(ctx4, 4, d)) == 4 * d
     assert regularity(power_of_minors(ctx4, 3, 3)) == 10
     assert regularity(symbolic_power(ctx4, 3, 3)) == 9
+
+
+def test_regularity_is_one_more_than_the_largest_factor_scan(capsys):
+    # seeded random raw ideals; half of them go through the CLI with the
+    # sides given wide, which the CLI transposes back
+    rng = random.Random(2018)
+    checked = 0
+    for case in range(200):
+        n = rng.randint(1, 6)
+        m = n + rng.randint(0, 2)
+        gens = [sorted((rng.randint(1, 5) for _ in range(rng.randint(1, n))), reverse=True)
+                for _ in range(rng.randint(1, 4))]
+        gens += rng.sample(gens, rng.randint(0, 1))
+        ideal = make_ideal(MatrixContext(m, n), gens)
+        want = 1 + max(factor_regularity_scan(m, n, zp.z, zp.l) for zp in zset(ideal))
+        if case % 2:
+            assert regularity(ideal) == want, (m, n, gens)
+        else:
+            code = main(["reg", "-m", str(n), "-n", str(m), "--gens", json.dumps(gens),
+                         "--format", "json"])
+            out = capsys.readouterr()
+            assert code == 0 and json.loads(out.out)["regularity"] == want, (m, n, gens)
+            assert ("transposing" in out.err) == (m > n)
+        checked += 1
+    assert checked == 200
+
+
+def _duality_cases():
+    """Ideals of S for the local duality identity: seeded random raw
+    families (repeated, redundant and empty generators allowed), then the
+    three families, all with n <= 3 and m in {n, n+1, n+2}."""
+    rng = random.Random(4551)
+    for _ in range(90):
+        n = rng.randint(1, 3)
+        m = n + rng.randint(0, 2)
+        gens = [sorted((rng.randint(1, 4) for _ in range(rng.randint(0, n))), reverse=True)
+                for _ in range(rng.randint(1, 4))]
+        gens += rng.sample(gens, rng.randint(0, 1))
+        yield make_ideal(MatrixContext(m, n), gens)
+    for n in range(1, 4):
+        for m in (n, n + 1, n + 2):
+            ctx = MatrixContext(m, n)
+            for family in (power_of_minors, symbolic_power, saturated_power):
+                for p in range(1, n + 1):
+                    for d in range(1, 4):
+                        yield family(ctx, p, d)
+
+
+def test_local_duality_against_the_hilbert_function():
+    # HF(S/I, d) - HP(S/I, d) = sum_j (-1)^(N-j) dim Ext^j(S/I, S)_{-d-N},
+    # N = mn (Grothendieck-Serre and graded local duality), for every d
+    # from below 0 to past the regularity; the left side is computed from
+    # the Cauchy decomposition alone
+    checked = 0
+    for ideal in _duality_cases():
+        if ideal.is_unit:
+            continue
+        m, n = ideal.ctx.m, ideal.ctx.n
+        N = m * n
+        top = regularity(ideal)  # past reg(S/I) = top - 1, so HF = HP from here on
+        degrees = range(-N - 2, top + 1)
+        window = DegreeWindow(-top - N, -degrees[0] - N)
+        table = ext_quotient(ideal, window).dimension_table(m, n)
+        # the window starts below the least Ext degree
+        assert all(deg > window.lo for _, deg in table), ideal
+        right = dict.fromkeys(degrees, 0)
+        for (j, deg), dim in table.items():
+            right[-deg - N] += (-1) ** (N - j) * dim
+        assert hilbert_excess(m, n, ideal.gens, degrees, top) == right, ideal
+        checked += 1
+    assert checked == 172
 
 
 def test_regularity_rejects_trivial_ideals():
