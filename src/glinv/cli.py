@@ -5,11 +5,12 @@ invocations produce byte-identical results. JSON output is sorted, pretty
 output draws Young diagrams and small grids, and csv is available for the
 tabular verbs (zset, lc, betti, qbinom).
 
-The verbs, their arguments and handlers are one table, VERBS. A call whose
-first word (after an optional 'ideal') is a verb is parsed by that verb's
-subparser alone; any other call by the full parser, for the top-level help
-and the unknown-verb error. Each of these parsers is built once per process
-and reused by later calls of main.
+The verbs, their arguments and handlers are one table, VERBS. A plain call,
+a verb (after an optional 'ideal') whose arguments are all options and
+valid option-value words, is read straight from that verb's entry, without
+argparse; every other call goes to the full argparse parser, which writes
+the help texts and usage errors. That parser is built once per process,
+on its first use, and reused by later calls of main.
 
 Exit codes: 0 success, 1 domain error (reported as a JSON object on stdout
 under --format json, otherwise on stderr) or stdout closed by its reader
@@ -18,12 +19,12 @@ under --format json, otherwise on stderr) or stdout closed by its reader
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
 from functools import cache
+from types import SimpleNamespace
 
 from .betti import betti_polynomial, betti_table
 from .homology import (
@@ -43,7 +44,7 @@ from .ideals import (
     saturated_power,
     symbolic_power,
 )
-from .loccoh import ds_character, lc_table
+from .loccoh import _ds_weight_count, ds_character, lc_table
 from .partitions import _integer, _qbinomial_updates, dominant_weight, qbinomial, size
 from .schur import EquivariantCharacter, dim_schur
 
@@ -97,52 +98,108 @@ def _run(argv: list[str] | None) -> int:
         return 1
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """The namespace of argv, as the full parser's parse_args gives it.
+def _parse_args(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
+    """The namespace of argv, as the full parser's parse_args gives it: read
+    by _plain_args when argv is a plain verb call, and otherwise parsed by
+    the full parser, which writes every help text and usage error and exits
+    with argparse's status."""
+    args = _plain_args(argv)
+    return _build_parser().parse_args(argv) if args is None else args
 
-    When argv[0] is a verb, the rest is parsed by that verb's subparser
-    alone, as the full parser's subparser action would do: parse_known_args
-    on argv[1:], then the verb under "verb". Words left over end the call as
-    parse_args ends it, through the top-level parser's error, so the message
-    and the usage line are the same."""
-    if not (argv and argv[0] in VERBS):
-        return _build_parser().parse_args(argv)
-    args, extras = _build_parser(argv[0]).parse_known_args(argv[1:])
-    if extras:
-        _build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
-    args.verb = argv[0]
-    return args
+
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace of a plain verb call, read from the verb's VERBS entry
+    with no parser object; None for any other argv.
+
+    A plain call names a verb whose arguments are all options (not qbinom),
+    then gives words that are each "option value", the value not starting
+    with "-", or "--long=value", split at the first "=". Each option is
+    exactly one of the verb's flags or --format, each value converts by its
+    type and lies in its choices, and every required option is given; a
+    repeated option keeps its last value. The namespace is then the one
+    parse_args returns: every dest of the verb (from dest=, else the first
+    long flag, else the first short one) with its value or declared default
+    (None when it declares none), format, handler and verb. Anything else,
+    help, abbreviations, attached short values, "--", a value that starts
+    with "-", a bad value or a missing option, is left to the full parser."""
+    table = _option_table(argv[0]) if argv and argv[0] in VERBS else None
+    if table is None:
+        return None
+    options, defaults, required = table
+    values = dict(defaults)
+    given = set()
+    words = iter(argv[1:])
+    for word in words:
+        flag, equals, value = word.partition("=")
+        if not (equals and flag.startswith("--")):
+            flag, value = word, next(words, "-")  # no value reads as "-"
+            if value.startswith("-"):
+                return None
+        if flag not in options:
+            return None
+        dest, convert, choices = options[flag]
+        if convert is not None:
+            try:
+                value = convert(value)
+            except (TypeError, ValueError):  # what argparse reports as invalid
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+        given.add(dest)
+    if not given.issuperset(required):
+        return None
+    return SimpleNamespace(**values, verb=argv[0])
 
 
 @cache
-def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The subparser of verb if verb is a key of VERBS, and the full glinv
-    parser, with every verb's subparser, otherwise (no arguments, an option
-    first, an unknown word). A verb's subparser is add_parser's return value
-    on a top-level parser that holds only that verb; its prog is
-    "glinv <verb>" whichever others are built, so its help and usage errors
-    do not depend on them.
+def _option_table(verb: str) -> tuple[dict, dict, list] | None:
+    """What _plain_args reads of verb's VERBS entry: each flag of the verb
+    and --format mapped to (dest, type, choices); each dest with its default
+    (None when none is declared), and the handler; the required dests.
+    None when the verb has a positional argument."""
+    _, handler, formats, arguments = VERBS[verb]
+    options = {"--format": ("format", None, formats)}
+    defaults = {"format": "pretty", "handler": handler}
+    required = []
+    for flags, spec in arguments:
+        if not flags[0].startswith("-"):
+            return None
+        long = [flag for flag in flags if flag.startswith("--")]
+        dest = spec.get("dest") or (long[0][2:].replace("-", "_") if long else flags[0][1:])
+        for flag in flags:
+            options[flag] = (dest, spec.get("type"), spec.get("choices"))
+        defaults[dest] = spec.get("default")
+        if spec.get("required"):
+            required.append(dest)
+    return options, defaults, required
 
-    Each parser is built on its first use in a process and returned again
-    afterwards; _parse_args asks only for verbs and None, so calls through
-    main hold at most len(VERBS) + 1 parsers. Reuse carries nothing from one
-    call to the next: each parse fills a fresh Namespace, no argument has a
-    mutable default or an accumulating action, the progs are fixed, and the
-    help width is read when help is formatted."""
+
+@cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The full glinv parser, with a subparser per verb, for the calls
+    _plain_args leaves: help, usage errors, the top-level help and the
+    unknown-verb error, and every qbinom call. It is built on its first use
+    in a process, with argparse imported then, and returned again
+    afterwards. Reuse carries nothing from one call to the next: each parse
+    fills a fresh Namespace, no argument has a mutable default or an
+    accumulating action, the progs are fixed, and the help width is read
+    when help is formatted."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="glinv",
         description="Exact invariants of GL-stable ideals in a generic matrix ring.",
         epilog="Verbs may be prefixed with 'ideal' (e.g. 'glinv ideal power ...').",
     )
     sub = parser.add_subparsers(dest="verb", metavar="verb")
-    for name in [verb] if verb in VERBS else VERBS:
-        help_, handler, fmt, arguments = VERBS[name]
+    for name, (help_, handler, fmt, arguments) in VERBS.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("--format", choices=sorted(fmt), default="pretty")
         p.set_defaults(handler=handler)
         for flags, options in arguments:
             p.add_argument(*flags, **options)
-    return p if verb in VERBS else parser
+    return parser
 
 
 def _context(m: int, n: int) -> MatrixContext:
@@ -382,6 +439,15 @@ def _cmd_lc(args) -> int:
         window = _parse_window(args.window)
         if args.format == "csv":
             raise UsageError("csv output is not defined for --ds")
+        if args.ds == 0:
+            cap = _integer(args.max_terms, "--max-terms", 0)
+            weights, exact = _ds_weight_count(ctx, window, cap)
+            if weights > cap:
+                amount, then = (f"{weights:,}", "run it") if exact else (
+                    f"at least {weights:,}", "count them")
+                raise ValueError(f"lc --ds 0 --window={window.lo}..{window.hi} emits {amount} "
+                                 f"weights, more than the cap of {cap:,}; "
+                                 f"pass --max-terms {weights} to {then}")
         ch = ds_character(ctx, args.ds, window)
         _print_character(ch, window, args.format, "D")
         return 0
@@ -457,6 +523,11 @@ def _cmd_schurdim(args) -> int:
 # making any; 20,000,000 updates take about 2 s (qbinom 400 200 makes
 # 15,920,200), and --max-terms sets another cap
 QBINOM_MAX_TERMS = 20_000_000
+
+# lc --ds 0 refuses a window whose weights pass this cap before making any;
+# 300,000 weights take about 2 s (a 6x6 window -100..-36 holds 336,339),
+# and --max-terms sets another cap
+LC_DS_MAX_TERMS = 300_000
 
 
 def _cmd_qbinom(args) -> int:
@@ -545,7 +616,9 @@ VERBS = {
         *_MN, _P,
         _arg("--ds", type=int, metavar="S",
              help="expand the character of the factor D_S instead"),
-        _arg("--window", help="degree window lo..hi (with --ds)"))),
+        _arg("--window", help="degree window lo..hi (with --ds)"),
+        _arg("--max-terms", type=int, default=LC_DS_MAX_TERMS, metavar="N",
+             help=f"refuse a --ds 0 window past N weights (default {LC_DS_MAX_TERMS:,})"))),
     "betti": ("equivariant Betti numbers of the b-th powers of the a x a minors",
               _cmd_betti, _JPC, (
                   *_MN, _arg("-a", type=int, required=True, help="minor size"),

@@ -5,7 +5,8 @@ GL-equivariant modules D_0, ..., D_{p-1}, and the multiplicity of D_s in
 H^j is the coefficient of q^j in the Gauss polynomial with q replaced by
 q^2 and the whole thing shifted by (n-p+1)^2 + (n-s)(m-n). The table
 builder below records those multiplicities; ds_character expands the
-character of a single factor over a degree window.
+character of a single factor over a degree window, and _ds_weight_count
+counts the weights of that expansion for s = 0 without making them.
 """
 
 from __future__ import annotations
@@ -73,3 +74,38 @@ def ds_character(ctx: MatrixContext, s: int, window: DegreeWindow) -> Equivarian
     ch = EquivariantCharacter()
     ch._add_weights(0, _lambdas(ctx, 0, lower, [-m] * (n + 1), window))
     return ch
+
+
+# _ds_weight_count gives up exactness only past this many steps of its count
+_DS_COUNT_STEPS = 2_000_000
+
+
+def _ds_weight_count(ctx: MatrixContext, window: DegreeWindow, cap: int) -> tuple[int, bool]:
+    """(count, True) for the number of weights ds_character(ctx, 0, window)
+    emits, counted without making them; or (bound, False), bound a lower
+    bound past cap, when one degree of the window alone holds more than cap
+    weights and the count would take more than _DS_COUNT_STEPS steps.
+
+    The weights are the dominant lam with every entry at most -m; mu_i =
+    -m - lam_{n+1-i} is a partition with at most n parts and
+    |mu| = -mn - |lam|, so they are the partitions with at most n parts, or
+    by conjugation with parts at most n, whose size lies in
+    [a, b] = [-mn - hi, -mn - lo]. A coin-change count over the part sizes
+    1..min(n, b) takes min(n, b) * b steps; n = 1 and n = 2 have the closed
+    forms b - a + 1 and the sum of k // 2 + 1. The bound is the number of
+    partitions of b into at most 3 parts, round((b + 3)^2 / 12)."""
+    n = ctx.n
+    a, b = max(0, -ctx.m * n - window.hi), -ctx.m * n - window.lo
+    if a > b:
+        return 0, True
+    if n <= 2:
+        # sum of k // 2 + 1 over 0 <= k <= x is x^2 // 4 + x + 1
+        return (b - a + 1 if n == 1 else b * b // 4 + b - (a - 1) ** 2 // 4 - a + 1), True
+    bound = ((b + 3) ** 2 + 6) // 12
+    if bound > cap and min(n, b) * b > _DS_COUNT_STEPS:
+        return bound, False
+    ways = [1] + [0] * b
+    for part in range(1, min(n, b) + 1):
+        for k in range(part, b + 1):
+            ways[k] += ways[k - part]
+    return sum(ways[a:]), True

@@ -1,4 +1,3 @@
-import argparse
 import io
 import json
 import os
@@ -8,9 +7,10 @@ import sys
 import pytest
 
 import glinv.cli as cli
-from glinv import conjugate
+from glinv import conjugate, loccoh
 from glinv.cli import VERBS, _build_parser, main, render_diagram
 
+from _argv_fuzz import mismatches
 from _oracles import qbinomial_pascal
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -326,6 +326,32 @@ def test_qbinom_refuses_work_past_the_cap_before_starting(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "error: --max-terms must be at least 0, got -1\n")
 
 
+def test_lc_ds_refuses_work_past_the_cap_before_starting(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ds_character", None)  # a refused query never computes
+    argv = ["lc", "-m", "6", "-n", "6", "-p", "1", "--ds", "0", "--window=-200..-36"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == ("error: lc --ds 0 --window=-200..-36 emits 55,198,963 weights, more than "
+                   "the cap of 300,000; pass --max-terms 55198963 to run it\n")
+    code, out, err = run(capsys, [*argv, "--format", "json"])
+    assert code == 1 and "55,198,963" in json.loads(out)["error"] and err == ""
+    # past _DS_COUNT_STEPS the count gives way to a lower bound, named as one
+    monkeypatch.setattr(loccoh, "_DS_COUNT_STEPS", 0)
+    code, out, err = run(capsys, ["lc", "-m", "3", "-n", "3", "-p", "1", "--ds", "0",
+                                  "--window=-2000..-9", "--max-terms", "1000"])
+    assert (code, out) == (1, "")
+    assert err == ("error: lc --ds 0 --window=-2000..-9 emits at least 331,336 weights, more "
+                   "than the cap of 1,000; pass --max-terms 331336 to count them\n")
+    monkeypatch.undo()
+    small = ["lc", "-m", "3", "-n", "3", "-p", "1", "--ds", "0", "--window=-20..-9"]
+    code, out, err = run(capsys, [*small, "--max-terms", "82"])
+    assert (code, out) == (1, "") and "emits 83 weights" in err and "--max-terms 83 " in err
+    code, out, _ = run(capsys, [*small, "--max-terms", "83"])
+    assert code == 0 and out == run(capsys, small)[1] and out.count("mult 1") == 83
+    code, out, err = run(capsys, [*small, "--max-terms", "-1"])
+    assert (code, out, err) == (1, "", "error: --max-terms must be at least 0, got -1\n")
+
+
 def test_schurdim(capsys):
     code, out, _ = run(capsys, ["schurdim", "-N", "3", "--weight", "[2,1]",
                                 "--format", "json"])
@@ -396,6 +422,20 @@ def test_import_loads_neither_dataclasses_nor_inspect():
                           capture_output=True, text=True, env=ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_valid_calls_do_not_import_argparse():
+    # a fresh interpreter, as in the test above; help still comes from argparse
+    code = ("import sys, glinv.cli; status = glinv.cli.main(['reg', '-m', '3', '-n', '3', "
+            "'--kind', 'power', '-p', '2', '-d', '3']); print(status, 'argparse' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=ENV)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "regularity = 6\n0 False\n"
+    proc = subprocess.run([sys.executable, "-S", "-m", "glinv", "reg", "-h"],
+                          capture_output=True, text=True, env=ENV)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: glinv reg [-h]") and "--kind" in proc.stdout
 
 
 @pytest.mark.parametrize("argv", [
@@ -518,36 +558,6 @@ VALID = {
 }
 
 
-def _subparser_names(parser):
-    (action,) = [a for a in parser._actions if a.dest == "verb"]
-    return list(action.choices)
-
-
-def test_one_verb_parser_builds_only_that_verb(monkeypatch):
-    # a verb's parser is add_parser's return value on a top-level parser
-    # that holds only that verb: building it makes one subparser, not 14
-    built = []
-    add_parser = argparse._SubParsersAction.add_parser
-
-    def counting(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
-
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
-    _build_parser.cache_clear()
-    try:
-        reg = _build_parser("reg")
-        assert reg.prog == "glinv reg" and reg is _build_parser("reg")
-        assert not [a for a in reg._actions if a.dest == "verb"]
-        assert built == ["reg"]
-        assert _subparser_names(_build_parser()) == list(VERBS)
-        assert built == ["reg", *VERBS]
-    finally:
-        _build_parser.cache_clear()
-    assert len(VERBS) == 14 and set(VALID) == set(VERBS)
-    assert _subparser_names(_build_parser("frobnicate")) == list(VERBS)
-
-
 def _namespace(capsys, parse, argv):
     """vars of the namespace parse(argv) returns and exit status 0, or None
     and the status of the SystemExit it raises."""
@@ -576,16 +586,26 @@ def _attached(argv):
 
 @pytest.mark.parametrize("verb", sorted(VERBS))
 def test_one_verb_parser_matches_full_parser(capsys, monkeypatch, verb):
-    # main parses a verb call with that verb's subparser alone; the
-    # namespace, or the exit status of a refused parse, and main's exit
-    # code, stdout and stderr must be those of a parse by the full parser
+    # main reads a plain verb call from VERBS and leaves the rest to the
+    # full parser; the namespace, or the exit status of a refused parse,
+    # and main's exit code, stdout and stderr must be those of a parse by
+    # the full parser
+    assert len(VERBS) == 14 and set(VALID) == set(VERBS)
     valid = VALID[verb]
+    # every verb whose arguments are all options is read without argparse
+    assert (cli._plain_args([verb, *valid]) is None) == (verb == "qbinom")
     argvs = [
         [verb, *valid], [verb, "-h"], [verb], [verb, "--bogus"], [verb, *valid, "extra"],
         [verb, *valid, "--format", "xml"], [verb, *valid, "--form", "json"],
         [verb, "--", *valid], [verb, *valid, "--", "extra", "words"],
         [verb, *_attached(valid)], [verb, *valid, "-d", "-1"],
         ["ideal", verb, *valid, "extra"],
+        # a repeated option: the last value wins
+        [verb, "--format", "json", *valid, "--format", "pretty"], [verb, *valid, *valid],
+        [verb, *valid, "--gens="], [verb, "-m=3", *valid],
+        *([verb, *valid, "-m", value] for value in ("+7", " 7", "1_0", "٣")),
+        [verb, *valid, "--gens", "--kind"], [verb, *valid, "--kind=bogus"],
+        [verb, *valid, "-m", "-"],
     ]
     for argv in argvs:
         parsed = argv[1:] if argv[0] == "ideal" else argv
@@ -640,4 +660,16 @@ def test_parser_cache_is_bounded(capsys):
     for argv in [[verb, "-h"] for verb in VERBS] + [[f"word{i}"] for i in range(20)]:
         with pytest.raises(SystemExit):
             main(argv)
-    assert _build_parser.cache_info().currsize <= len(VERBS) + 1
+    for verb, valid in VALID.items():
+        run(capsys, [verb, *valid])
+    assert _build_parser.cache_info().currsize == 1
+    assert cli._option_table.cache_info().currsize <= len(VERBS)
+
+
+def test_plain_args_match_the_full_parser_on_a_seeded_fuzz():
+    # argvs from every verb's table, good and bad values in every form
+    # argparse reads; wherever the reader accepts one, the full parser must
+    # give the same namespace
+    made, accepted, bad = mismatches(seed=47, per_verb=800)
+    assert made == 800 * len(VERBS) and accepted > made // 10
+    assert bad == []

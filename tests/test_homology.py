@@ -284,7 +284,10 @@ def test_ext_components_match_weight_first_oracle_on_every_small_factor():
                 for lo, hi in ((least - 2, least), (least + 1, least + 3),
                                (least + 4, least + 7)):
                     want = ext_lambda_first(m, n, zp.z, zp.l, lo, hi)
-                    assert _ext_terms(m, n, zp.z, zp.l, lo, hi) == want, (m, n, zp, lo, hi)
+                    got = _ext_terms(m, n, zp.z, zp.l, lo, hi)
+                    assert got == want, (m, n, zp, lo, hi)
+                    # _ext_terms repeats a term by its multiplicity: all are 1
+                    assert len(set(got)) == len(got), (m, n, zp, lo, hi)
                     windows += 1
                     nonempty += bool(want)
     assert (windows, nonempty) == (468, 263)
@@ -580,8 +583,9 @@ def test_local_duality_against_the_hilbert_function():
     # HF(S/I, d) - HP(S/I, d) = sum_j (-1)^(N-j) dim Ext^j(S/I, S)_{-d-N},
     # N = mn (Grothendieck-Serre and graded local duality), for every d
     # from below 0 to past the regularity; the left side is computed from
-    # the Cauchy decomposition alone
-    checked = 0
+    # the Cauchy decomposition alone. Every term of every character has
+    # multiplicity 1
+    checked = keys = 0
     for ideal in _duality_cases():
         if ideal.is_unit:
             continue
@@ -590,7 +594,11 @@ def test_local_duality_against_the_hilbert_function():
         top = regularity(ideal)  # past reg(S/I) = top - 1, so HF = HP from here on
         degrees = range(-N - 2, top + 1)
         window = DegreeWindow(-top - N, -degrees[0] - N)
-        table = ext_quotient(ideal, window).dimension_table(m, n)
+        ch = ext_quotient(ideal, window)
+        terms = ch.items()
+        assert all(term.multiplicity == 1 for _, term in terms), ideal
+        keys += len(terms)
+        table = ch.dimension_table(m, n)
         # the window starts below the least Ext degree
         assert all(deg > window.lo for _, deg in table), ideal
         right = dict.fromkeys(degrees, 0)
@@ -598,7 +606,7 @@ def test_local_duality_against_the_hilbert_function():
             right[-deg - N] += (-1) ** (N - j) * dim
         assert hilbert_excess(m, n, ideal.gens, degrees, top) == right, ideal
         checked += 1
-    assert checked == 172
+    assert (checked, keys) == (172, 3374)
 
 
 def test_regularity_rejects_trivial_ideals():

@@ -13,6 +13,7 @@ from glinv import (
     power_of_minors,
     symbolic_power,
 )
+from glinv import loccoh
 
 from _oracles import d0_terms_brute, lc_rows_oracle
 
@@ -208,3 +209,44 @@ def test_ext_of_symbolic_powers_tends_to_local_cohomology(n):
                         if term.wn[0] <= -m:
                             got.add(j, term.wm, term.wn, term.degree, term.multiplicity)
                     assert (got == want) == (d >= least), (m, n, p, w, d)
+
+
+def test_ds_weight_count_is_the_number_of_weights():
+    # exact against the brute-force oracle, on the windows of
+    # test_ds_character_matches_brute_force_oracle and far beyond the top
+    for n in range(1, 6):
+        for m in (n, n + 1, n + 2):
+            ctx = MatrixContext(m, n)
+            top = -m * n
+            for lo in range(top - 11, top + 3):
+                for hi in sorted({lo, lo + 1, lo + 4, top + 2}):
+                    if hi < lo:
+                        continue
+                    got = loccoh._ds_weight_count(ctx, DegreeWindow(lo, hi), 0)
+                    assert got == (len(d0_terms_brute(m, n, lo, hi)), True), (m, n, lo, hi)
+    # n = 1 and n = 2 are closed forms at any distance from the top degree
+    far = DegreeWindow(-10**12 - 5, -10**12)
+    assert loccoh._ds_weight_count(MatrixContext(1, 1), far, 0) == (6, True)
+    want = sum(k // 2 + 1 for k in range(10**12 - 4, 10**12 + 2))  # sizes -4 - hi..-4 - lo
+    assert loccoh._ds_weight_count(MatrixContext(2, 2), far, 0) == (want, True)
+
+
+def test_ds_weight_count_bound_is_a_lower_bound_past_the_cap(monkeypatch):
+    monkeypatch.setattr(loccoh, "_DS_COUNT_STEPS", 0)
+    for n in (3, 4, 5):
+        ctx = MatrixContext(n, n)
+        for lo, hi in ((-n * n - 30, -n * n), (-n * n - 30, -n * n - 30)):
+            window = DegreeWindow(lo, hi)
+            exact = len(ds_character(ctx, 0, window))
+            b = -n * n - lo
+            bound = ((b + 3) ** 2 + 6) // 12  # partitions of b into at most 3 parts
+            assert bound == sum(1 for x in range(b + 1) for y in range(x + 1)
+                                if 0 <= b - x - y <= y)
+            assert loccoh._ds_weight_count(ctx, window, bound - 1) == (bound, False)
+            assert bound <= exact
+            # a cap the bound does not pass is counted exactly
+            assert loccoh._ds_weight_count(ctx, window, bound) == (exact, True)
+    # the 6x6 window of the README costs 164 * 6 steps and is exact
+    monkeypatch.undo()
+    got = loccoh._ds_weight_count(MatrixContext(6, 6), DegreeWindow(-200, -36), 0)
+    assert got == (55_198_963, True)
