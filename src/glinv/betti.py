@@ -10,6 +10,8 @@ flattens the result to numeric Betti numbers beta_{i, degree}.
 
 from __future__ import annotations
 
+from math import comb
+
 from ._record import _Record
 from .ideals import MatrixContext
 from .partitions import _integer, conjugate, enumerate_in_box, part, qbinomial, size
@@ -61,6 +63,22 @@ def betti_polynomial(ctx: MatrixContext, a: int, b: int) -> EquivariantCharacter
             for (k, degree, wm, wn), mult in block:
                 out.add(k + base + 2 * u, wm, wn, degree, mult * gmult)
     return out
+
+
+def _betti_terms(ctx: MatrixContext, a: int, b: int) -> int:
+    """Terms betti_polynomial(ctx, a, b) adds, counted without making them.
+
+    With c = min(a, b), the block of the (a+t) x (b+t) rectangle has one
+    term per pair of partitions in the e x (n-a-t) and (m-a-t) x e boxes,
+    e = c + t, that is C(n - a + c, e) C(m - a + c, e) terms, and adds each
+    once per coefficient of qbinomial(t + c - 1, t), of which there are
+    t(c - 1) + 1.
+    """
+    m, n = ctx.m, ctx.n
+    a, b = _integer(a, "minor size a", 1, n), _integer(b, "power b", 1)
+    c = min(a, b)
+    return sum(comb(n - a + c, c + t) * comb(m - a + c, c + t) * (t * (c - 1) + 1)
+               for t in range(n - a + 1))
 
 
 class BettiTable(_Record):

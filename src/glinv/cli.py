@@ -26,7 +26,7 @@ import sys
 from functools import cache
 from types import SimpleNamespace
 
-from .betti import betti_polynomial, betti_table
+from .betti import _betti_terms, betti_polynomial, betti_table
 from .homology import (
     DegreeWindow,
     ZPair,
@@ -478,6 +478,12 @@ def _cmd_lc(args) -> int:
 
 def _cmd_betti(args) -> int:
     ctx = _context(args.m, args.n)
+    cap = _integer(args.max_terms, "--max-terms", 0)
+    terms = _betti_terms(ctx, args.a, args.b)
+    if terms > cap:
+        raise ValueError(f"betti -m {args.m} -n {args.n} -a {args.a} -b {args.b} makes "
+                         f"{terms:,} terms, more than the cap of {cap:,}; "
+                         f"pass --max-terms {terms} to run it")
     bp = betti_polynomial(ctx, args.a, args.b)
     if args.format == "json":
         _print_betti_json(bp, ctx, args.a, args.b)
@@ -523,6 +529,11 @@ def _cmd_schurdim(args) -> int:
 # making any; 20,000,000 updates take about 2 s (qbinom 400 200 makes
 # 15,920,200), and --max-terms sets another cap
 QBINOM_MAX_TERMS = 20_000_000
+
+# betti refuses a query whose Betti polynomial terms pass this cap before
+# making any; 200,000 terms take 1 to 4 s (9x9 a=b=2 makes 170,171 and
+# 10x10 a=b=1 makes 184,755), and --max-terms sets another cap
+BETTI_MAX_TERMS = 200_000
 
 # lc --ds 0 refuses a window whose weights pass this cap before making any;
 # 300,000 weights take about 2 s (a 6x6 window -100..-36 holds 336,339),
@@ -622,7 +633,9 @@ VERBS = {
     "betti": ("equivariant Betti numbers of the b-th powers of the a x a minors",
               _cmd_betti, _JPC, (
                   *_MN, _arg("-a", type=int, required=True, help="minor size"),
-                  _arg("-b", type=int, required=True, help="power"))),
+                  _arg("-b", type=int, required=True, help="power"),
+                  _arg("--max-terms", type=int, default=BETTI_MAX_TERMS, metavar="N",
+                       help=f"refuse a query past N terms (default {BETTI_MAX_TERMS:,})"))),
     "schurdim": ("dimension of an irreducible GL_N representation", _cmd_schurdim, _JP, (
         _arg("-N", type=int, required=True),
         _arg("--weight", required=True, help="JSON list, weakly decreasing"))),

@@ -229,55 +229,113 @@ def _lambdas(ctx: MatrixContext, s: int, lower, upper, window):
     decreasing whenever the bounds give lam_s >= s - n and
     lam_{s+1} <= s - m, as the bound lists of every Ext datum and of D_0 do.
 
-    Entries are scanned left to right. The running upper bound at position
-    idx is upper[idx], tightened to the previous entry and by the window
-    budget hi - partial - (least possible sum of the remaining entries).
-    The running lower bound is lower[idx], raised to
-    ceil((lo - partial) / (n - idx + 1)): the entries from idx on are at
-    most the current one, so below that value the sum cannot reach lo. At
-    the last position this is lo - partial, so every leaf lies in the window
-    and its partial sum is the degree. Every range is finite, so the
-    enumeration terminates.
+    lower holds integers; upper holds integers or inf. Both are indexed by
+    1-based position (index 0 unused). The terms come in decreasing
+    lexicographic order of lam.
 
-    Positions 1..n-1 recurse; the last position is a loop inside the call
-    for position n-1 (or the whole walk when n = 1), which emits its terms.
-    lam and wm are built in place, in one array of length n and one of
-    length m whose block is written once, so a term costs two tuple() calls.
+    The bounds are tightened once: upper_i becomes min(upper_1..upper_i)
+    and lower_i becomes max(lower_i..lower_n), which every dominant lam in
+    the box meets. The box is empty when some tightened lower_i exceeds
+    upper_i. A position with lower_i = upper_i is forced: its entry is
+    written into lam and wm once, and its sum F starts the partial sum. The
+    walk visits only the free positions, lower_i < upper_i.
+
+    Dominance needs no test across a forced position k of value c. For
+    free i < k < j, lam_i >= lower_i >= lower_k = c, because the tightened
+    lower bounds decrease, and lam_j <= upper_j <= upper_k = c, because the
+    tightened upper bounds decrease; so lam_i >= c >= lam_j, and the forced
+    entries themselves decrease for the same reason. The free positions
+    therefore split into runs of consecutive positions, and dominance links
+    only neighbours inside one run. A run that starts after a forced entry
+    c lies below c, so every run but the first has finite upper bounds.
+
+    Free entries are scanned left to right, each value from high to low.
+    At free position i the upper bound is upper_i, tightened to the previous
+    entry and by the window budget hi - partial - (sum of lower_j over the
+    free j > i). The previous entry only matters inside a run: across a
+    forced c it is at least c >= upper_i. The lower bound is lower_i,
+    raised so that the sum can still reach lo: the free entries after i in
+    its run, r of them, are at most lam_i each, and the later runs sum to at
+    most L, the sum of their tightened upper bounds. So
+    partial + (r + 1) lam_i + L >= lo, that is
+    lam_i >= ceil((lo - partial - L) / (r + 1)). At the last free position
+    r = L = 0, so every leaf lies in the window and its partial sum is the
+    degree. Every range is finite, so the enumeration terminates.
+
+    With no free position the walk is one test of F against the window;
+    with one it is a loop. Otherwise the free positions but the last
+    recurse, and the last is a loop inside the call for the one before it,
+    which emits the terms. lam and wm are built in place, in one array of
+    length n and one of length m whose block (and forced entries) are
+    written once, so a term costs two tuple() calls.
     """
     m, n = ctx.m, ctx.n
     lo, hi = window.lo, window.hi
-    suffix = [0] * (n + 2)
-    for idx in range(n, 0, -1):
-        suffix[idx] = suffix[idx + 1] + lower[idx]
+    tail = m - n  # the shift of position i > s inside wm, and of its value
     lam = [0] * n
     wm = [s - n] * m
-    tail = m - n  # the shift of position idx > s inside wm, and of its value
-    last_ub, last_lb = upper[n], lower[n]
-    if n == 1:  # s = 0, so wm is the block and then lam_1 + m - 1
-        return [(tuple(wm[:-1]) + (v + tail,), (v,), v)
-                for v in range(min(last_ub, hi), max(last_lb, lo) - 1, -1)]
+    ub = upper[1:]  # tightened in place, 0-based from here
+    for i in range(1, n):
+        if ub[i] > ub[i - 1]:
+            ub[i] = ub[i - 1]
+    # per free position, right to left: (lam index, wm index, shift, upper,
+    # hi less the least sum of the later free entries, lower, lo - L, r + 1)
+    steps = []
+    forced = least = later = most = 0
+    a, count, nxt = lower[n], 1, n + 1
+    for i in range(n - 1, -1, -1):
+        if lower[i + 1] > a:  # a is the tightened lower bound
+            a = lower[i + 1]
+        b = ub[i]
+        shift = 0 if i < s else tail
+        if a < b:
+            if i + 1 < nxt:  # i ends its run: the later runs sum to at most most
+                later, count = most, 1
+            steps.append((i, i + shift, shift, b, hi - least, a, lo - later, count))
+            least += a
+            most += b
+            count += 1
+            nxt = i
+        elif a == b:
+            lam[i] = a
+            wm[i + shift] = a + shift
+            forced += a
+        else:
+            return []
+    if len(steps) < 2:
+        if not steps:
+            return [(tuple(wm), tuple(lam), forced)] if lo <= forced <= hi else []
+        i, j, shift, b, _, a, _, _ = steps[0]
+        out = []
+        for v in range(min(b, hi - forced), max(a, lo - forced) - 1, -1):
+            lam[i] = v
+            wm[j] = v + shift
+            out.append((tuple(wm), tuple(lam), forced + v))
+        return out
+    i_last, j_last, shift_last, ub_last, _, lb_last, _, _ = steps[0]
     out = []
+    append = out.append
 
-    def walk(idx: int, prev, partial: int) -> None:
-        ub = min(prev, upper[idx], hi - partial - suffix[idx + 1])
-        lb = max(lower[idx], -((partial - lo) // (n - idx + 1)))
-        shift = 0 if idx <= s else tail
-        if idx + 1 < n:
-            for v in range(ub, lb - 1, -1):
-                lam[idx - 1] = v
-                wm[idx - 1 + shift] = v + shift
-                walk(idx + 1, v, partial + v)
+    def walk(k: int, prev, partial: int) -> None:
+        i, j, shift, ub_i, budget, lb_i, reach, count = steps[k]
+        top = min(prev, ub_i, budget - partial)
+        bottom = max(lb_i, -((partial - reach) // count))
+        if k > 1:
+            for v in range(top, bottom - 1, -1):
+                lam[i] = v
+                wm[j] = v + shift
+                walk(k - 1, v, partial + v)
             return
-        for v in range(ub, lb - 1, -1):
-            lam[idx - 1] = v
-            wm[idx - 1 + shift] = v + shift
+        for v in range(top, bottom - 1, -1):
+            lam[i] = v
+            wm[j] = v + shift
             total = partial + v
-            for w in range(min(v, last_ub, hi - total), max(last_lb, lo - total) - 1, -1):
-                lam[n - 1] = w
-                wm[m - 1] = w + tail
-                out.append((tuple(wm), tuple(lam), total + w))
+            for w in range(min(v, ub_last, hi - total), max(lb_last, lo - total) - 1, -1):
+                lam[i_last] = w
+                wm[j_last] = w + shift_last
+                append((tuple(wm), tuple(lam), total + w))
 
-    walk(1, inf, 0)
+    walk(len(steps) - 1, inf, forced)
     return out
 
 

@@ -326,6 +326,33 @@ def test_qbinom_refuses_work_past_the_cap_before_starting(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "error: --max-terms must be at least 0, got -1\n")
 
 
+def test_betti_refuses_work_past_the_cap_before_starting(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "betti_polynomial", None)  # a refused query never computes
+    code, out, err = run(capsys, ["betti", "-m", "12", "-n", "12", "-a", "1", "-b", "1"])
+    assert (code, out) == (1, "")
+    assert err == ("error: betti -m 12 -n 12 -a 1 -b 1 makes 2,704,155 terms, more than "
+                   "the cap of 200,000; pass --max-terms 2704155 to run it\n")
+    code, out, err = run(capsys, ["betti", "-m", "12", "-n", "12", "-a", "1", "-b", "1",
+                                  "--format", "json"])
+    assert code == 1 and "2,704,155" in json.loads(out)["error"] and err == ""
+    monkeypatch.undo()
+    # 10x10 a=b=1 is the largest square query under the default cap
+    assert cli._betti_terms(cli.MatrixContext(10, 10), 1, 1) == 184_755 < cli.BETTI_MAX_TERMS
+    small = ["betti", "-m", "4", "-n", "3", "-a", "2", "-b", "2"]
+    count = cli._betti_terms(cli.MatrixContext(4, 3), 2, 2)
+    code, out, err = run(capsys, [*small, "--max-terms", str(count - 1)])
+    assert (code, out) == (1, "") and f"makes {count} terms" in err
+    code, out, _ = run(capsys, [*small, "--max-terms", str(count)])
+    assert code == 0 and out == run(capsys, small)[1]
+    code, out, err = run(capsys, [*small, "--max-terms", "-1"])
+    assert (code, out, err) == (1, "", "error: --max-terms must be at least 0, got -1\n")
+    # a transposed query names the dimensions as given
+    code, out, err = run(capsys, ["betti", "-m", "12", "-n", "13", "-a", "1", "-b", "1"])
+    assert code == 1 and err.endswith("error: betti -m 12 -n 13 -a 1 -b 1 makes 5,200,299 "
+                                      "terms, more than the cap of 200,000; "
+                                      "pass --max-terms 5200299 to run it\n")
+
+
 def test_lc_ds_refuses_work_past_the_cap_before_starting(capsys, monkeypatch):
     monkeypatch.setattr(cli, "ds_character", None)  # a refused query never computes
     argv = ["lc", "-m", "6", "-n", "6", "-p", "1", "--ds", "0", "--window=-200..-36"]

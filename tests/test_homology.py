@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from math import inf
 
 import pytest
 
@@ -36,6 +37,7 @@ from _oracles import (
     ext_lambda_first,
     factor_regularity_scan,
     hilbert_excess,
+    lambdas_box_brute,
     least_degrees_scan,
     st_data_scan,
     zset_box_table,
@@ -291,6 +293,114 @@ def test_ext_components_match_weight_first_oracle_on_every_small_factor():
                     windows += 1
                     nonempty += bool(want)
     assert (windows, nonempty) == (468, 263)
+
+
+def _free_runs(lower, upper):
+    """Runs of consecutive free positions that the tightened bounds leave
+    (upper_i to the minimum from the left, lower_i to the maximum from the
+    right, free where they differ), or None when the tightened box is empty."""
+    n = len(lower) - 1
+    up = [min(upper[1:i + 1]) for i in range(1, n + 1)]
+    low = [max(lower[i:]) for i in range(1, n + 1)]
+    if any(x > u for x, u in zip(low, up)):
+        return None
+    free = [i for i in range(n) if low[i] < up[i]]
+    return sum(1 for k, i in enumerate(free) if not k or free[k - 1] != i - 1)
+
+
+def test_ext_components_match_weight_first_oracle_on_four_rows():
+    # every factor with n = 4, z_1 <= 2 and m - n in {0, 1, 2}, in the three
+    # windows of the sweep above and one 25 wide, against the same oracle;
+    # the weight walk meets data whose free positions split into two runs
+    windows = nonempty = 0
+    runs = Counter()
+    for m in (4, 5, 6):
+        ctx = MatrixContext(m, 4)
+        for zp in _factors(4, 2):
+            runs.update(_free_runs(lower, upper)
+                        for _, _, lower, upper in homology._st_data(ctx, zp))
+            least = min(homology._least_degrees(ctx, zp).values())
+            for lo, hi in ((least - 2, least), (least + 1, least + 3),
+                           (least + 4, least + 7), (least - 1, least + 23)):
+                want = ext_lambda_first(m, 4, zp.z, zp.l, lo, hi)
+                got = _ext_terms(m, 4, zp.z, zp.l, lo, hi)
+                assert got == want, (m, zp, lo, hi)
+                assert len(set(got)) == len(got), (m, zp, lo, hi)
+                windows += 1
+                nonempty += bool(want)
+    assert (windows, nonempty) == (408, 314)
+    # data by the number of runs of free positions
+    assert runs == {0: 81, 1: 90, 2: 3}
+
+
+def _random_box(rng, n):
+    """lower and upper bound lists (index 0 unused) around a random weakly
+    decreasing weight with entries in [-5, 3], so that a later run of free
+    entries can have a positive largest sum: each upper is inf, the
+    weight's entry or a little above it, each lower the entry or a little
+    below it; now and then one lower is raised above an earlier upper,
+    which empties the box only after tightening."""
+    lam = sorted((rng.randint(-5, 3) for _ in range(n)), reverse=True)
+    lower, upper = [0], [0]
+    for v in lam:
+        lower.append(v - rng.choice((0, 0, 1, 2)))
+        upper.append(rng.choice((inf, v, v, v + 1, v + 2)))
+    if n > 1 and rng.random() < 0.15:
+        i = rng.randint(1, n - 1)
+        j = rng.randint(i + 1, n)
+        if upper[i] < inf:
+            lower[j] = max(lower[j], upper[i] + 1)
+            upper[j] = max(upper[j], lower[j])
+    return lower, upper
+
+
+def test_lambdas_match_box_brute_force():
+    # _lambdas against the unpruned enumeration, on seeded random boxes
+    # with n <= 6, m - n <= 2 and every s, in windows that miss the box,
+    # cut through it or hold all of it, and on the D_0 bounds of ds_character
+    rng = random.Random(23)
+    seen = Counter()  # features of the boxes and of their windows
+    cases = []
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        lower, upper = _random_box(rng, n)
+        runs = _free_runs(lower, upper)
+        seen["inf upper"] += inf in upper
+        seen[f"{runs} runs"] += 1
+        if runs is None:
+            assert all(x <= u for x, u in zip(lower, upper))  # only tightening empties it
+        least = sum(max(lower[i:]) for i in range(1, n + 1))
+        most = sum(min(upper[1:i + 1]) for i in range(1, n + 1))
+        start = least + rng.randint(-4, 6)
+        windows = [(least - 5, least - 1), (start, start + rng.randint(0, 6))]
+        if runs is not None and most < inf:
+            windows += [(least - rng.randint(0, 2), most + rng.randint(0, 2)),
+                        (most + 1, most + 3)]
+        for lo, hi in windows:
+            if runs is not None:
+                seen["window misses" if hi < least or lo > most else
+                     "window holds all" if lo <= least and most <= hi else "window cuts"] += 1
+            cases.append((n + rng.randint(0, 2), n, rng.randint(0, n - 1), lower, upper, lo, hi))
+    for n in range(1, 5):
+        for m in (n, n + 1, n + 2):
+            top = -m * n
+            for lo, hi in ((top - 9, top), (top - 6, top - 3), (top - 3, top + 4),
+                           (top + 1, top + 5)):
+                lower = [lo + (n - 1) * m] * (n + 1)
+                cases.append((m, n, 0, lower, [-m] * (n + 1), lo, hi))
+    nonempty = 0
+    for m, n, s, lower, upper, lo, hi in cases:
+        got = homology._lambdas(MatrixContext(m, n), s, lower, upper, DegreeWindow(lo, hi))
+        want = lambdas_box_brute(m, n, s, lower, upper, lo, hi)
+        assert sorted(got) == want, (m, n, s, lower, upper, lo, hi)
+        # each weight once, in decreasing order of lam
+        assert [lam for _, lam, _ in got] == sorted((lam for _, lam, _ in want), reverse=True)
+        nonempty += bool(want)
+    assert (len(cases), nonempty) == (1398, 584)
+    # two or more runs put a forced entry between free ones
+    assert seen == {"0 runs": 15, "1 runs": 279, "2 runs": 63, "3 runs": 5, "None runs": 38,
+                    "inf upper": 222, "window misses": 726, "window cuts": 244,
+                    "window holds all": 304}
 
 
 def test_scan_matches_weight_first_oracle():
