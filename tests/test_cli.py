@@ -336,7 +336,7 @@ def test_betti_refuses_work_past_the_cap_before_starting(capsys, monkeypatch):
                                   "--format", "json"])
     assert code == 1 and "2,704,155" in json.loads(out)["error"] and err == ""
     monkeypatch.undo()
-    # 10x10 a=b=1 is the largest square query under the default cap
+    # 10x10 a=b=1 (about 4 s) stays under the default cap
     assert cli._betti_terms(cli.MatrixContext(10, 10), 1, 1) == 184_755 < cli.BETTI_MAX_TERMS
     small = ["betti", "-m", "4", "-n", "3", "-a", "2", "-b", "2"]
     count = cli._betti_terms(cli.MatrixContext(4, 3), 2, 2)
