@@ -32,7 +32,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    tab = betti_table(bp, ctx)
+    tab = betti_table(ctx, args.a, args.b)
 
     print(f"powers b={args.b} of the {args.a}x{args.a} minors, "
           f"{ctx.m}x{ctx.n} matrix")

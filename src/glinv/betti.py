@@ -4,17 +4,18 @@ The minimal free resolution of the ideal generated by the b-th powers of the
 a x a minors is assembled from rectangle blocks h_{r x s}: one irreducible
 summand for every pair of partitions (alpha, beta) fitting beside and below
 the rectangle. betti_polynomial combines the blocks for the rectangles
-(a+t) x (b+t) with Gauss polynomial multiplicities in q^2, and betti_table
-flattens the result to numeric Betti numbers beta_{i, degree}.
+(a+t) x (b+t) with Gauss polynomial multiplicities in q^2. betti_table gives
+the numeric Betti numbers beta_{i, degree} of the same resolution from one
+dimension sum per block and exponent, without building the polynomial.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, factorial, prod
 
 from ._record import _Record
 from .ideals import MatrixContext
-from .partitions import _integer, conjugate, enumerate_in_box, part, qbinomial, size
+from .partitions import Parts, _integer, conjugate, enumerate_in_box, part, qbinomial, size
 from .schur import EquivariantCharacter
 
 
@@ -124,6 +125,87 @@ class BettiTable(_Record):
         )
 
 
-def betti_table(bp: EquivariantCharacter, ctx: MatrixContext) -> BettiTable:
-    """Flatten an equivariant Betti polynomial to numeric Betti numbers."""
-    return BettiTable(bp.dimension_table(ctx.m, ctx.n))
+def betti_table(ctx: MatrixContext, a: int, b: int) -> BettiTable:
+    """Numeric Betti table of the b-th powers of the a x a minors.
+
+    The table of betti_polynomial(ctx, a, b), flattened without building it:
+    each rectangle block h_{r x s}, r = a+t, s = b+t, is summed to numbers
+    once per exponent k by _block_sums, and each sum is spread by the Gauss
+    coefficients to the cell (k + t^2 + 2t + 2u, rs + k), where
+    betti_polynomial places the block's terms.
+    """
+    m, n = ctx.m, ctx.n
+    a, b = _integer(a, "minor size a", 1, n), _integer(b, "power b", 1)
+    scale = prod(map(factorial, range(m))) * prod(map(factorial, range(n)))
+    out: dict[tuple[int, int], int] = {}
+    for t in range(n - a + 1):
+        r, s = a + t, b + t
+        base = t * t + 2 * t
+        sums = []
+        for k, total in enumerate(_block_sums(m, n, r, s)):
+            dim, rest = divmod(total, scale)
+            if rest:
+                raise ArithmeticError(f"block sum not integral at r={r}, s={s}, k={k}")
+            sums.append((k, r * s + k, dim))
+        for u, gmult in enumerate(qbinomial(t + min(a, b) - 1, t)):
+            for k, degree, dim in sums:
+                key = (k + base + 2 * u, degree)
+                out[key] = out.get(key, 0) + gmult * dim
+    return BettiTable(dict(sorted(out.items())))
+
+
+def _block_sums(m: int, n: int, r: int, s: int) -> list[int]:
+    """sf(m) sf(n) times the dimension of h_{r x s} at each exponent k.
+
+    sf(N) = 0! 1! ... (N-1)! is the Weyl denominator prod_{i<j<=N} (j - i),
+    so sf(N) dim_N(w) = prod_{i<j} (x_i - x_j), x_i = w_i - i: a Vandermonde
+    product. For the term (alpha, beta) of h_rect, the row weight
+    wm = (s + alpha_1, ..., s + alpha_r, beta_1, ..., beta_{m-r}) has
+    x_i = s + alpha_i - i for i <= r and x_{r+j} = beta_j - r - j, and the
+    product splits into three parts:
+    - the pairs inside i <= r: V(h_alpha), h_alpha = (alpha_i + r - i)_i,
+      a factor of alpha alone;
+    - the pairs inside j: V(u_beta), u_beta = (beta_j - j)_j, a factor of
+      beta alone;
+    - the pairs across: x_i - x_{r+j} = h_alpha_i + s - u_beta_j, so they
+      give prod_i P_beta(h_alpha_i) with P_beta(x) = prod_j (x + s - u_beta_j).
+    The column weight wn = (s + beta'_1, ..., s + beta'_r, alpha'_1, ...,
+    alpha'_{n-r}) splits the same way with the roles swapped: V(h_beta'),
+    V(u_alpha') and prod_i Q_alpha(h_beta'_i). The entries of h_alpha are
+    distinct in 0..n-1 (alpha_1 <= n - r) and those of h_beta' in 0..m-1,
+    so P_beta is tabulated once per beta at n arguments and Q_alpha once
+    per alpha at m; every factor is positive, as beta_j, alpha'_j <= s.
+    A term then costs 2r table reads and products on top of the constant
+    c_alpha c_beta = V(h_alpha) V(u_alpha') V(h_beta') V(u_beta), and the
+    sum at exponent k = |alpha| + |beta| is divisible by sf(m) sf(n) term
+    by term. Every k from 0 to the sum of the two box areas occurs.
+    """
+    edge = min(r, s)
+    alphas = [_block_side(x, conjugate(x), r, s, n - r, m) for x in enumerate_in_box(edge, n - r)]
+    betas = [_block_side(conjugate(y), y, r, s, m - r, n) for y in enumerate_in_box(m - r, edge)]
+    sums = [0] * (edge * (m + n - 2 * r) + 1)
+    for ka, ha, ca, qa in alphas:
+        for kb, hb, cb, pb in betas:
+            v = ca * cb
+            for x in ha:
+                v *= pb[x]
+            for y in hb:
+                v *= qa[y]
+            sums[ka + kb] += v
+    return sums
+
+
+def _block_side(head: Parts, tail: Parts, r: int, s: int, width: int, args: int):
+    """(size, h, c, table) of one side of a block term: head is alpha and
+    tail alpha' (width n - r, table over the m arguments of Q_alpha), or head
+    is beta' and tail beta (width m - r, table over the n arguments of
+    P_beta). h is (head_i + r - i)_{i<=r}, u = (tail_j - j)_{j<=width},
+    c = V(h) V(u) and table[x] = prod_j (x + s - u_j)."""
+    h = [part(head, i) + r - i for i in range(1, r + 1)]
+    u = [part(tail, j) - j for j in range(1, width + 1)]
+    c = 1
+    for xs in (h, u):
+        for i, x in enumerate(xs):
+            for y in xs[i + 1:]:
+                c *= x - y
+    return size(tail), h, c, [prod(x + s - v for v in u) for x in range(args)]

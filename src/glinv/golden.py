@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .betti import betti_polynomial, betti_table, h_rect
+from .betti import betti_table, h_rect
 from .homology import (
     DegreeWindow,
     ZPair,
@@ -260,7 +260,7 @@ def check_h_rect() -> None:
 
 def check_betti_square() -> None:
     ctx = MatrixContext(3, 3)
-    table = betti_table(betti_polynomial(ctx, 2, 2), ctx)
+    table = betti_table(ctx, 2, 2)
     want = {
         (0, 4): 36, (1, 5): 90, (2, 6): 84,
         (3, 7): 36, (3, 9): 1, (4, 8): 9, (5, 9): 1,
@@ -272,7 +272,7 @@ def check_betti_square() -> None:
 
 def check_betti_one_column() -> None:
     ctx = MatrixContext(3, 1)
-    table = betti_table(betti_polynomial(ctx, 1, 2), ctx)
+    table = betti_table(ctx, 1, 2)
     _eq(table.entries, {(0, 2): 6, (1, 3): 8, (2, 4): 3},
         "Betti table of the square of the variables, one column")
 

@@ -11,10 +11,21 @@ from .partitions import Weight, _integer, dominant_weight, pad_weight
 def dim_schur(w, N: int) -> int:
     """Dimension of the irreducible GL_N representation with highest weight w.
 
+    w is validated once, by pad_weight, which zero-pads a weight shorter than
+    N on the right and so requires a nonnegative tail; _dim_schur computes.
+    """
+    N = _integer(N, "N", 1)
+    return _dim_schur(pad_weight(w, N), N)
+
+
+def _dim_schur(w: Weight, N: int) -> int:
+    """dim_schur of a dominant weight tuple w, read as zero-padded to length
+    N. Only the fit is checked: a w longer than N, or shorter with a negative
+    tail, is a ValueError; its type and dominance are not.
+
     Exact product over pairs i < j of (w_i - w_j + j - i) / (j - i), with the
     numerator and denominator accumulated separately and the final division
-    checked to be exact. w is validated once, by pad_weight, which zero-pads a
-    weight shorter than N on the right and so requires a nonnegative tail.
+    checked to be exact.
 
     With k the number of entries before the trailing zeros, the pairs inside
     the zero tail give 1, and row i < k (where w_i > 0) gives over the tail
@@ -22,22 +33,22 @@ def dim_schur(w, N: int) -> int:
     = perm(w_i + N-1-i, w_i) / perm(w_i + k-1-i, w_i), a product of 2 w_i
     factors, so a zero tail costs no N^2 work.
     """
-    N = _integer(N, "N", 1)
-    ww = pad_weight(w, N)
-    k = N
-    while k and not ww[k - 1]:
+    k = len(w)
+    if k > N or (k < N and w and w[-1] < 0):
+        raise ValueError(f"{w} does not fit GL_{N}")
+    while k and not w[k - 1]:
         k -= 1
     num = 1
     den = 1
     for i in range(k):
         for j in range(i + 1, k):
-            num *= ww[i] - ww[j] + j - i
+            num *= w[i] - w[j] + j - i
             den *= j - i
         if k < N:
-            num *= perm(ww[i] + N - 1 - i, ww[i])
-            den *= perm(ww[i] + k - 1 - i, ww[i])
+            num *= perm(w[i] + N - 1 - i, w[i])
+            den *= perm(w[i] + k - 1 - i, w[i])
     if num % den:
-        raise ArithmeticError(f"dimension product not integral for {ww}")
+        raise ArithmeticError(f"dimension product not integral for {w}")
     return num // den
 
 
@@ -141,19 +152,21 @@ class EquivariantCharacter:
 
     def dimension_table(self, m: int, n: int) -> dict[tuple[int, int], int]:
         """Total vector space dimension per (index, degree) cell, cells in
-        key order. dim_schur runs once per distinct weight and N in one call:
-        the dimensions are kept in a dict per N, local to the call. The terms
-        are read unsorted; only the cells are sorted."""
+        key order. The dimension of each distinct weight and N is computed
+        once per call, by the unchecked _dim_schur on the dominant tuples the
+        character holds, and kept in a dict per N local to the call. The
+        terms are read unsorted; only the cells are sorted."""
+        m, n = _integer(m, "m", 1), _integer(n, "n", 1)
         dims_m: dict[Weight, int] = {}
         dims_n: dict[Weight, int] = dims_m if m == n else {}
         out: dict[tuple[int, int], int] = {}
         for (j, deg, wm, wn), mult in self._terms.items():
             dm = dims_m.get(wm)
             if dm is None:
-                dm = dims_m[wm] = dim_schur(wm, m)
+                dm = dims_m[wm] = _dim_schur(wm, m)
             dn = dims_n.get(wn)
             if dn is None:
-                dn = dims_n[wn] = dim_schur(wn, n)
+                dn = dims_n[wn] = _dim_schur(wn, n)
             key = (j, deg)
             out[key] = out.get(key, 0) + mult * dm * dn
         return dict(sorted(out.items()))

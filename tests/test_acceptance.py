@@ -53,7 +53,7 @@ def _criterion(num: int, summary: str):
 def test_criterion_1_betti_table_of_squared_minors():
     ctx = MatrixContext(3, 3)
     bp = betti_polynomial(ctx, 2, 2)
-    tab = betti_table(bp, ctx)
+    tab = betti_table(ctx, 2, 2)
     assert [tab.totals().get(i) for i in range(6)] == [36, 90, 84, 37, 9, 1]
     assert tab.entries[(3, 9)] == 1
     assert tab.entries[(5, 9)] == 1
@@ -77,7 +77,7 @@ def test_criterion_2_hook_resolutions():
             assert bp.items() == [
                 (p, IrredTerm(hooks[p], (d + p,), d + p, 1)) for p in range(N)
             ]
-            tab = betti_table(bp, ctx)
+            tab = betti_table(ctx, 1, d)
             assert tab.entries == {
                 (p, d + p): ssyt_count(hooks[p], N) for p in range(N)
             }

@@ -1,9 +1,11 @@
+import random
 from collections import Counter
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 
 from glinv import (
+    BettiTable,
     EquivariantCharacter,
     MatrixContext,
     betti_polynomial,
@@ -15,6 +17,8 @@ from glinv import (
     regularity,
 )
 from glinv import betti
+
+from glinv.partitions import conjugate
 
 from _oracles import box_partitions
 
@@ -49,7 +53,7 @@ def test_hook_resolutions_of_one_column_powers():
     for N in (2, 3, 4):
         ctx = MatrixContext(N, 1)
         for d in (1, 2, 3):
-            tab = betti_table(betti_polynomial(ctx, 1, d), ctx)
+            tab = betti_table(ctx, 1, d)
             expect = {
                 (p, d + p): dim_schur((d,) + (1,) * p, N)
                 for p in range(N)
@@ -59,7 +63,7 @@ def test_hook_resolutions_of_one_column_powers():
 
 def test_betti_square_of_two_by_two_minors():
     ctx = MatrixContext(3, 3)
-    tab = betti_table(betti_polynomial(ctx, 2, 2), ctx)
+    tab = betti_table(ctx, 2, 2)
     assert tab.entries == {
         (0, 4): 36,
         (1, 5): 90,
@@ -86,24 +90,24 @@ def test_betti_square_strand_decomposition():
 def test_betti_degree_bound():
     for m, n, a, b in ((3, 3, 2, 2), (4, 3, 2, 1), (4, 4, 3, 2), (3, 2, 1, 3)):
         ctx = MatrixContext(m, n)
-        tab = betti_table(betti_polynomial(ctx, a, b), ctx)
+        tab = betti_table(ctx, a, b)
         assert all(d >= a * b + i for i, d in tab.entries)
         assert (0, a * b) in tab.entries
-    sq = betti_table(betti_polynomial(MatrixContext(3, 3), 2, 2), MatrixContext(3, 3))
+    sq = betti_table(MatrixContext(3, 3), 2, 2)
     assert (5, 9) in sq.entries  # top of the last strand meets the bound
 
 
 def test_betti_generators_are_one_rectangle_shape():
     for m, n, a, b in ((3, 3, 2, 2), (4, 3, 2, 1), (4, 4, 2, 3), (5, 2, 2, 2)):
         ctx = MatrixContext(m, n)
-        tab = betti_table(betti_polynomial(ctx, a, b), ctx)
+        tab = betti_table(ctx, a, b)
         expect = dim_schur((b,) * a, m) * dim_schur((b,) * a, n)
         assert tab.entries[(0, a * b)] == expect
 
 
 def test_betti_gulliksen_negard_shape():
     ctx = MatrixContext(3, 3)
-    tab = betti_table(betti_polynomial(ctx, 2, 1), ctx)
+    tab = betti_table(ctx, 2, 1)
     assert tab.entries == {(0, 2): 9, (1, 3): 16, (2, 4): 9, (3, 6): 1}
     assert tab.totals() == {0: 9, 1: 16, 2: 9, 3: 1}
 
@@ -120,7 +124,7 @@ def test_betti_polynomial_validation():
 
 def test_betti_table_render_and_csv():
     ctx = MatrixContext(3, 3)
-    tab = betti_table(betti_polynomial(ctx, 2, 2), ctx)
+    tab = betti_table(ctx, 2, 2)
     assert tab.render() == (
         "        0  1  2  3 4 5\n"
         "total: 36 90 84 37 9 1\n"
@@ -148,7 +152,7 @@ def _rectangle_tables(n):
         ctx = MatrixContext(m, n)
         for a in range(1, n + 1):
             for b in range(1, 4):
-                tables[m, a, b] = betti_table(betti_polynomial(ctx, a, b), ctx)
+                tables[m, a, b] = betti_table(ctx, a, b)
     return tables
 
 
@@ -224,3 +228,55 @@ def test_betti_term_count_is_the_number_of_adds(monkeypatch):
                     assert adds[id(bp)] == betti._betti_terms(ctx, a, b), (m, n, a, b)
                     cases += 1
     assert cases == 189
+
+
+def _flattened(ctx, a, b):
+    """The oracle: the Betti polynomial's terms flattened by dimension_table."""
+    return BettiTable(betti_polynomial(ctx, a, b).dimension_table(ctx.m, ctx.n))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_betti_table_equals_the_flattened_polynomial(n):
+    # the block sums against the polynomial they flatten, cells in the same
+    # order; m = n up to 8x8 and m in {n+1, n+2} while n <= 5
+    for m in (n, n + 1, n + 2) if n <= 5 else (n,):
+        ctx = MatrixContext(m, n)
+        for a in range(1, min(n, 3) + 1):
+            for b in range(1, 4):
+                want = _flattened(ctx, a, b)
+                got = betti_table(ctx, a, b)
+                assert got == want and list(got.entries) == list(want.entries), (m, n, a, b)
+
+
+def test_betti_table_equals_the_flattened_polynomial_nine_by_nine():
+    ctx = MatrixContext(9, 9)
+    assert betti_table(ctx, 2, 2) == _flattened(ctx, 2, 2)
+
+
+def test_block_term_factors_into_two_weyl_dimensions():
+    # the factored Vandermonde product of one block term, over
+    # sf(m) sf(n), is dim_m(wm) dim_n(wn) of the weights h_rect builds
+    rng = random.Random(24)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        m = n + rng.randint(0, 3)
+        r, s = rng.randint(1, n), rng.randint(1, 5)
+        edge = min(r, s)
+        alpha = rng.choice(box_partitions(edge, n - r))
+        beta = rng.choice(box_partitions(m - r, edge))
+        k, ha, ca, qa = betti._block_side(alpha, conjugate(alpha), r, s, n - r, m)
+        kb, hb, cb, pb = betti._block_side(conjugate(beta), beta, r, s, m - r, n)
+        assert (k, kb) == (sum(alpha), sum(beta))
+        term = ca * cb * prod(pb[x] for x in ha) * prod(qa[y] for y in hb)
+        sf = prod(map(factorial, range(m))) * prod(map(factorial, range(n)))
+        wm = tuple(s + (alpha[i] if i < len(alpha) else 0) for i in range(r)) + beta
+        bc = conjugate(beta)
+        wn = tuple(s + (bc[i] if i < len(bc) else 0) for i in range(r)) + conjugate(alpha)
+        assert term == sf * dim_schur(wm, m) * dim_schur(wn, n), (m, n, r, s, alpha, beta)
+
+
+def test_betti_table_validation():
+    ctx = MatrixContext(3, 3)
+    for a, b in ((4, 1), (0, 1), (2, 0), (True, 1), (2, 1.0)):
+        with pytest.raises(ValueError):
+            betti_table(ctx, a, b)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import glinv.cli as cli
-from glinv import conjugate, loccoh
+from glinv import betti, conjugate, loccoh
 from glinv.cli import VERBS, _build_parser, main, render_diagram
 
 from _argv_fuzz import mismatches
@@ -257,6 +257,22 @@ def test_betti_csv(capsys):
     assert "2,6,84" in lines
 
 
+def test_betti_csv_and_pretty_never_build_the_polynomial(capsys, monkeypatch):
+    # csv and pretty sum the blocks to numbers; only json needs the terms
+    want = betti.BettiTable(betti.betti_polynomial(cli.MatrixContext(5, 4), 2, 2)
+                            .dimension_table(5, 4))
+    monkeypatch.setattr(cli, "betti_polynomial", None)
+    monkeypatch.setattr(betti, "betti_polynomial", None)
+    argv = ["betti", "-m", "5", "-n", "4", "-a", "2", "-b", "2"]
+    assert run(capsys, [*argv, "--format", "csv"]) == (
+        0, "\n".join(want.csv_rows()) + "\n", "")
+    assert run(capsys, argv) == (
+        0, "Betti table of the b=2 powers of the 2x2 minors, 5x4 matrix\n"
+           + want.render() + "\n", "")
+    with pytest.raises(TypeError):  # the control: json does build it
+        main([*argv, "--format", "json"])
+
+
 def test_qbinom_outputs(capsys):
     code, out, _ = run(capsys, ["qbinom", "4", "2"])
     assert code == 0
@@ -336,7 +352,7 @@ def test_betti_refuses_work_past_the_cap_before_starting(capsys, monkeypatch):
                                   "--format", "json"])
     assert code == 1 and "2,704,155" in json.loads(out)["error"] and err == ""
     monkeypatch.undo()
-    # 10x10 a=b=1 (about 4 s) stays under the default cap
+    # 10x10 a=b=1 stays under the default cap
     assert cli._betti_terms(cli.MatrixContext(10, 10), 1, 1) == 184_755 < cli.BETTI_MAX_TERMS
     small = ["betti", "-m", "4", "-n", "3", "-a", "2", "-b", "2"]
     count = cli._betti_terms(cli.MatrixContext(4, 3), 2, 2)

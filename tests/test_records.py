@@ -20,7 +20,6 @@ from glinv import (
     LCTable,
     MatrixContext,
     ZPair,
-    betti_polynomial,
     betti_table,
     lc_table,
     power_of_minors,
@@ -40,7 +39,7 @@ RECORDS = [
     (lambda: DegreeWindow(-5, -2), ("lo", "hi"), "DegreeWindow(lo=-5, hi=-2)", True),
     (lambda: IrredTerm((1,), (1,), 1), ("wm", "wn", "degree", "multiplicity"),
      "IrredTerm(wm=(1,), wn=(1,), degree=1, multiplicity=1)", True),
-    (lambda: betti_table(betti_polynomial(_ctx(), 2, 1), _ctx()), ("entries",),
+    (lambda: betti_table(_ctx(), 2, 1), ("entries",),
      "BettiTable(entries={(0, 2): 3, (1, 3): 2})", False),
     (lambda: lc_table(_ctx(), 1), ("ctx", "p", "rows"),
      "LCTable(ctx=MatrixContext(m=3, n=2), p=1, rows={6: {0: 1}})", False),

@@ -211,3 +211,16 @@ def test_character_dimension_table():
     ch.add(1, (1, 1, 1), (2, 1), 3)
     table = ch.dimension_table(3, 3)
     assert table == {(1, 3): 8 * 3 + 1 * 8}
+
+
+def test_dimension_table_rejects_weights_that_do_not_fit():
+    # dimension_table skips dim_schur's weight checks, not the fit to N
+    long = EquivariantCharacter().add(0, (1, 1, 1), (1,), 3)
+    with pytest.raises(ValueError, match="does not fit GL_2"):
+        long.dimension_table(2, 2)
+    negative_tail = EquivariantCharacter().add(0, (1, -1), (1,), 0)
+    with pytest.raises(ValueError, match="does not fit GL_3"):
+        negative_tail.dimension_table(3, 3)
+    for m in (0, True, 2.0):
+        with pytest.raises(ValueError):
+            long.dimension_table(m, 3)
