@@ -18,7 +18,7 @@ from glinv import (
 )
 from glinv import betti
 
-from glinv.partitions import conjugate
+from glinv.partitions import attach, conjugate
 
 from _oracles import box_partitions
 
@@ -269,9 +269,7 @@ def test_block_term_factors_into_two_weyl_dimensions():
         assert (k, kb) == (sum(alpha), sum(beta))
         term = ca * cb * prod(pb[x] for x in ha) * prod(qa[y] for y in hb)
         sf = prod(map(factorial, range(m))) * prod(map(factorial, range(n)))
-        wm = tuple(s + (alpha[i] if i < len(alpha) else 0) for i in range(r)) + beta
-        bc = conjugate(beta)
-        wn = tuple(s + (bc[i] if i < len(bc) else 0) for i in range(r)) + conjugate(alpha)
+        wm, wn = attach(r, s, alpha, beta), attach(r, s, conjugate(beta), conjugate(alpha))
         assert term == sf * dim_schur(wm, m) * dim_schur(wn, n), (m, n, r, s, alpha, beta)
 
 
