@@ -440,14 +440,11 @@ def _cmd_lc(args) -> int:
         if args.format == "csv":
             raise UsageError("csv output is not defined for --ds")
         if args.ds == 0:
-            cap = _integer(args.max_terms, "--max-terms", 0)
-            weights, exact = _ds_weight_count(ctx, window, cap)
-            if weights > cap:
-                amount, then = (f"{weights:,}", "run it") if exact else (
-                    f"at least {weights:,}", "count them")
-                raise ValueError(f"lc --ds 0 --window={window.lo}..{window.hi} emits {amount} "
-                                 f"weights, more than the cap of {cap:,}; "
-                                 f"pass --max-terms {weights} to {then}")
+            # the count only compares its bound with the cap, so _refuse can
+            # reject a bad --max-terms after it
+            weights, exact = _ds_weight_count(ctx, window, args.max_terms)
+            _refuse(args, weights, f"lc --ds 0 --window={window.lo}..{window.hi} emits",
+                    "weights", exact)
         ch = ds_character(ctx, args.ds, window)
         _print_character(ch, window, args.format, "D")
         return 0
@@ -478,12 +475,8 @@ def _cmd_lc(args) -> int:
 
 def _cmd_betti(args) -> int:
     ctx = _context(args.m, args.n)
-    cap = _integer(args.max_terms, "--max-terms", 0)
-    terms = _betti_terms(ctx, args.a, args.b)
-    if terms > cap:
-        raise ValueError(f"betti -m {args.m} -n {args.n} -a {args.a} -b {args.b} makes "
-                         f"{terms:,} terms, more than the cap of {cap:,}; "
-                         f"pass --max-terms {terms} to run it")
+    _refuse(args, _betti_terms(ctx, args.a, args.b),
+            f"betti -m {args.m} -n {args.n} -a {args.a} -b {args.b} makes", "terms")
     if args.format == "json":
         _print_betti_json(betti_polynomial(ctx, args.a, args.b), ctx, args.a, args.b)
         return 0
@@ -542,12 +535,20 @@ BETTI_MAX_TERMS = 200_000
 LC_DS_MAX_TERMS = 300_000
 
 
-def _cmd_qbinom(args) -> int:
+def _refuse(args, count: int, query: str, unit: str, exact: bool = True) -> None:
+    """Refuse a query past the cap args.max_terms before it starts: one
+    ValueError that names the count of its units, or a lower bound when
+    exact is false, and the --max-terms that runs (or counts) it."""
     cap = _integer(args.max_terms, "--max-terms", 0)
-    updates = _qbinomial_updates(args.a, args.b)
-    if updates > cap:
-        raise ValueError(f"qbinom {args.a} {args.b} makes {updates:,} coefficient updates, "
-                         f"more than the cap of {cap:,}; pass --max-terms {updates} to run it")
+    if count > cap:
+        amount, then = (f"{count:,}", "run it") if exact else (f"at least {count:,}", "count them")
+        raise ValueError(f"{query} {amount} {unit}, more than the cap of {cap:,}; "
+                         f"pass --max-terms {count} to {then}")
+
+
+def _cmd_qbinom(args) -> int:
+    _refuse(args, _qbinomial_updates(args.a, args.b), f"qbinom {args.a} {args.b} makes",
+            "coefficient updates")
     coeffs = qbinomial(args.a, args.b)
     if args.format == "json":
         _emit_json({"a": args.a, "b": args.b,

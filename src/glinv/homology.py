@@ -43,21 +43,6 @@ class ZPair(_Record):
             raise ValueError(f"rows 1..{self.l + 1} of z={self.z} must agree")
 
 
-# each slot's own setter, which object.__setattr__ would look up by name
-_set_z, _set_l, _set_pair_key = ZPair.z.__set__, ZPair.l.__set__, ZPair._key.__set__
-
-
-def _trusted_pair(z: Parts, l: int) -> ZPair:
-    """ZPair(z, l) without the constructor's checks, for a pair that meets
-    them by construction. It sets the slots z and l and the record key (z, l)
-    that equality and hashing read (glinv._record), as the constructor does."""
-    zp = object.__new__(ZPair)
-    _set_z(zp, z)
-    _set_l(zp, l)
-    _set_pair_key(zp, (z, l))
-    return zp
-
-
 class DegreeWindow(_Record):
     """Closed range [lo, hi] of internal degrees, lo and hi integers."""
 
@@ -109,7 +94,7 @@ def zset_of_generators(ctx: MatrixContext, gens) -> frozenset[ZPair]:
 def _zset_walk(ctx: MatrixContext, xs) -> frozenset[ZPair]:
     """The walk of zset_of_generators over canonical generators with at most
     n parts. Its cells are canonical and meet the equal-rows condition by
-    construction, so the pairs skip the ZPair checks (_trusted_pair).
+    construction, so the pairs skip the ZPair checks (ZPair._trusted).
 
     Every column count's seeds are built before the walk, in one pass per
     generator x over c = 0, 1, ..., x_1 - 1: a row pointer h moves down x as
@@ -136,6 +121,7 @@ def _zset_walk(ctx: MatrixContext, xs) -> frozenset[ZPair]:
                 cells[t] = h
     trie = _index()
     pairs = []
+    trusted = ZPair._trusted
     for c, levels in enumerate(seeds):
         for x in enters[c]:
             _insert(trie, x)
@@ -146,7 +132,7 @@ def _zset_walk(ctx: MatrixContext, xs) -> frozenset[ZPair]:
             for z, h in cells.items():
                 if _in_ideal(trie, z):
                     continue
-                pairs.append(_trusted_pair(z, h - 1))
+                pairs.append(trusted(z, h - 1))
                 grown = [z[:i] + (z[i] + 1,) + z[i + 1:]
                          for i in range(1, len(z)) if z[i] < z[i - 1]]
                 if len(z) < ctx.n and c:
@@ -190,14 +176,45 @@ def _blocks(n: int, z: Parts, l: int) -> list[list[int]]:
 
 def _st_data(ctx: MatrixContext, zp: ZPair):
     """Yield (s, j, lower, upper) over the feasible data (s, t) of a factor,
-    as _least_degrees' docstring derives them, and try no other datum.
+    and try no other datum.
 
-    The walk is the program's, down the blocks from t_B = l, but it keeps
-    every path; each is a feasible datum. lower and upper are indexed by
-    1-based position (index 0 unused): lower is s - n on positions 1..s,
-    then block b fills t_b - t_{b-1} + r_b positions with its pin
-    t_b - y_b - m; upper holds the pins, s - m at position s+1 when no pin
-    is there, and inf elsewhere.
+    A datum is an s in 0..l and a weakly increasing t in [s, l]^k, k = n - l.
+    Its weights lam are dominant of length n, with lam_i >= s - n for i <= s,
+    lam_{s+1} <= s - m, lam_n = l - z_{l+1} - m, and lam at position t_i + i
+    (increasing in i) equal to pin i, v_i = t_i - z_{n+1-i} - m.
+    The least candidate, lower, takes at each position the largest pin at or
+    after it, raised to s - n on positions 1..s. The datum is feasible when
+    lower meets every pin and lower[s+1] <= s - m, that is exactly when
+      - t_1 <= s + z_n, that is v_1 <= s - m: lower[s+1] is the largest pin;
+      - t_i - t_{i-1} <= z_{n+1-i} - z_{n+2-i} for i >= 2: the pins weakly
+        decrease;
+      - t_k = l: pin k sits at or before position n, so it is at least the
+        position-n pin, which forces t_k >= l; with t_k = l it is that pin.
+    Its least degree is the sum of lower. Positions 1..s take s - n, because
+    v_1 <= s - m <= s - n; the positions after pin i-1, up to pin i, take
+    v_i; pin k is position n. So the least degree is
+      s(s - n) + (t_1 + 1 - s) v_1 + sum_{i >= 2} (t_i - t_{i-1} + 1) v_i,
+    and the index is j = mn - l^2 - s(m - n) - 2 sum(t).
+
+    Equal rows of z allow no step between their pins, so the walk runs over
+    the blocks of equal entries among z_n, z_{n-1}, ..., z_{l+1}. Block b
+    has value y_b and r_b rows, and its pins share one t_b. With t_0 = s
+    and y_0 = 0 a datum is feasible when 0 <= t_b - t_{b-1} <= y_b - y_{b-1}
+    and the last block B has t_B = l; its least degree is
+    s(s - n) + sum_b (t_b - t_{b-1} + r_b)(t_b - y_b - m), and
+    sum(t) = sum_b r_b t_b.
+
+    The walk starts at t_B = l and goes down the blocks, keeping every path:
+    at block b a path holds t_b, the sum of r_c t_c over c >= b, and lower
+    and upper after block b's pins. Only block 1's term reads s, so a path
+    at block 1 gives a datum for each s with t_1 - y_1 <= s <= t_1. Every
+    path reaches one (s = t_1), so the work follows the feasible data, not
+    the tuples t.
+
+    lower and upper are indexed by 1-based position (index 0 unused): lower
+    is s - n on positions 1..s, then block b fills t_b - t_{b-1} + r_b
+    positions with its pin t_b - y_b - m; upper holds the pins, s - m at
+    position s+1 when no pin is there, and inf elsewhere.
     """
     m, n = ctx.m, ctx.n
     l = zp.l
@@ -378,66 +395,13 @@ def ext_map_analysis(a: InvariantIdeal, b: InvariantIdeal, window: DegreeWindow)
 
 def _least_degrees(ctx: MatrixContext, zp: ZPair) -> dict[int, int]:
     """Least internal degree of Ext^j(J_{z,l}, S) for each j where it is
-    nonzero, by a dynamic program over the pins of the data (s, t).
-
-    A datum is an s in 0..l and a weakly increasing t in [s, l]^k, k = n - l.
-    Its weights lam are dominant of length n, with lam_i >= s - n for i <= s,
-    lam_{s+1} <= s - m, lam_n = l - z_{l+1} - m, and lam at position t_i + i
-    (increasing in i) equal to pin i, v_i = t_i - z_{n+1-i} - m.
-    The least candidate, lower, takes at each position the largest pin at or
-    after it, raised to s - n on positions 1..s. The datum is feasible when
-    lower meets every pin and lower[s+1] <= s - m, that is exactly when
-      - t_1 <= s + z_n, that is v_1 <= s - m: lower[s+1] is the largest pin;
-      - t_i - t_{i-1} <= z_{n+1-i} - z_{n+2-i} for i >= 2: the pins weakly
-        decrease;
-      - t_k = l: pin k sits at or before position n, so it is at least the
-        position-n pin, which forces t_k >= l; with t_k = l it is that pin.
-    Its least degree is the sum of lower. Positions 1..s take s - n, because
-    v_1 <= s - m <= s - n; the positions after pin i-1, up to pin i, take
-    v_i; pin k is position n. So the least degree is
-      s(s - n) + (t_1 + 1 - s) v_1 + sum_{i >= 2} (t_i - t_{i-1} + 1) v_i,
-    and the index is j = mn - l^2 - s(m - n) - 2 sum(t).
-
-    Equal rows of z allow no step between their pins, so the program runs
-    over the blocks of equal entries among z_n, z_{n-1}, ..., z_{l+1}. Block
-    b has value y_b and r_b rows, and its pins share one t_b. With t_0 = s
-    and y_0 = 0 a datum is feasible when 0 <= t_b - t_{b-1} <= y_b - y_{b-1}
-    and the last block B has t_B = l; its least degree is
-    s(s - n) + sum_b (t_b - t_{b-1} + r_b)(t_b - y_b - m), and
-    sum(t) = sum_b r_b t_b.
-
-    The program starts at t_B = l and walks down the blocks. At block b the
-    state is (t_b, sum of r_c t_c over c >= b), and its value is the least
-    sum of the terms of blocks b+1..B. Only block 1's term reads s, so one
-    pass serves every s: a state (t_1, total) at block 1 gives a datum for
-    each s with t_1 - y_1 <= s <= t_1. Every state reaches one (s = t_1),
-    so the work follows the feasible data, not the tuples t.
-    """
-    m, n = ctx.m, ctx.n
-    l = zp.l
-    blocks = _blocks(n, zp.z, l)
-    y, r = blocks.pop()
-    states = {(l, r * l): 0}
-    while blocks:
-        y_below, r_below = blocks.pop()
-        below: dict[tuple[int, int], int] = {}
-        for (u, total), deg in states.items():  # u is t_b, t below is t_{b-1}
-            v = u - y - m
-            for t in range(max(0, u - y + y_below), u + 1):
-                key = (t, total + r_below * t)
-                d = deg + (u - t + r) * v
-                if d < below.get(key, inf):
-                    below[key] = d
-        states = below
-        y, r = y_below, r_below
+    nonzero: the least sum of lower over the data of index j that _st_data
+    yields, a datum's least degree being the sum of its lower."""
     least: dict[int, int] = {}
-    for (t, total), deg in states.items():
-        v = t - y - m
-        for s in range(max(0, t - y), t + 1):
-            j = m * n - l * l - s * (m - n) - 2 * total
-            d = s * (s - n) + (t - s + r) * v + deg
-            if d < least.get(j, inf):
-                least[j] = d
+    for _, j, lower, _ in _st_data(ctx, zp):
+        d = sum(lower) - lower[0]
+        if d < least.get(j, inf):
+            least[j] = d
     return least
 
 
@@ -465,7 +429,8 @@ def regularity(a: InvariantIdeal) -> int:
     generator; so ((), h - 1) is a pair for the least such h, and the
     maximum always exists.
 
-    The closed form starts from the block form of _least_degrees. Put
+    The closed form starts from the block form of the least degree in
+    _st_data's docstring. Put
     d_b = t_b - t_{b-1}, which lies in [0, g_b] with g_b = y_b - y_{b-1},
     and R_b = r_b + ... + r_B, the rows in blocks b..B; then
     sum_b d_b = l - s and sum_b g_b = z_1. The pins, which carry the m of

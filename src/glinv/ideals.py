@@ -74,30 +74,13 @@ class InvariantIdeal(_Record):
         return self.gens == ((),)
 
 
-# each slot's own setter, which object.__setattr__ would look up by name
-_set_ctx, _set_gens = InvariantIdeal.ctx.__set__, InvariantIdeal.gens.__set__
-_set_ideal_key = InvariantIdeal._key.__set__
-
-
-def _trusted_ideal(ctx: MatrixContext, gens: tuple[Parts, ...]) -> InvariantIdeal:
-    """InvariantIdeal(ctx, gens) without the constructor's check, for gens
-    that are canonical by construction. It sets the slots ctx and gens and
-    the record key (ctx, gens) that equality and hashing read
-    (glinv._record), as the constructor does."""
-    a = object.__new__(InvariantIdeal)
-    _set_ctx(a, ctx)
-    _set_gens(a, gens)
-    _set_ideal_key(a, (ctx, gens))
-    return a
-
-
 def make_ideal(ctx: MatrixContext, gens: Iterable[Iterable[int]]) -> InvariantIdeal:
     """Build the ideal generated by an arbitrary family of partitions.
 
     Canonicalizes each generator, discards the non-minimal ones, and sorts.
     An empty family gives the zero ideal.
     """
-    return _trusted_ideal(ctx, minimalize(_generators(ctx, gens)))
+    return InvariantIdeal._trusted(ctx, minimalize(_generators(ctx, gens)))
 
 
 def _generators(ctx: MatrixContext, gens) -> list[Parts]:
@@ -133,7 +116,7 @@ def power_of_minors(ctx: MatrixContext, p: int, d: int) -> InvariantIdeal:
     sizes make the family an antichain outright. d = 0 gives the unit ideal.
     """
     p, d = _integer(p, "minor size p", 1, ctx.n), _integer(d, "exponent d", 0)
-    return _trusted_ideal(ctx, tuple(partitions_of_size_in_box(p * d, ctx.n, d)))
+    return InvariantIdeal._trusted(ctx, tuple(partitions_of_size_in_box(p * d, ctx.n, d)))
 
 
 def symbolic_power(ctx: MatrixContext, p: int, d: int) -> InvariantIdeal:
@@ -146,7 +129,7 @@ def symbolic_power(ctx: MatrixContext, p: int, d: int) -> InvariantIdeal:
     c falls, and the tails descend under each c.
     """
     p, d = _integer(p, "minor size p", 1, ctx.n), _integer(d, "exponent d", 0)
-    return _trusted_ideal(ctx, tuple(
+    return InvariantIdeal._trusted(ctx, tuple(
         partition((c,) * p + tail) for c in range(d, -1, -1)
         for tail in partitions_of_size_in_box(d - c, ctx.n - p, c)))
 
@@ -163,7 +146,7 @@ def saturated_power(ctx: MatrixContext, p: int, d: int) -> InvariantIdeal:
     and the tails descend under each c.
     """
     p, d = _integer(p, "minor size p", 1, ctx.n), _integer(d, "exponent d", 0)
-    return _trusted_ideal(ctx, tuple(
+    return InvariantIdeal._trusted(ctx, tuple(
         partition((c, c) + tail) for c in range(d, -1, -1)
         # rows 3..n, none when n = 1
         for tail in partitions_of_size_in_box((p - 1) * d - c, max(ctx.n - 2, 0), c)))
@@ -197,7 +180,7 @@ def saturate(a: InvariantIdeal, p: int) -> InvariantIdeal:
     Minimalizes the stripped generating family. p = 0 is the identity and
     p = n sends every nonzero ideal to the unit ideal.
     """
-    return _trusted_ideal(a.ctx, minimalize(saturation_generators(a, p)))
+    return InvariantIdeal._trusted(a.ctx, minimalize(saturation_generators(a, p)))
 
 
 def succ_min(ctx: MatrixContext, z, l: int) -> tuple[Parts, ...]:

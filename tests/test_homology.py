@@ -446,9 +446,9 @@ def _walked(ctx, zp):
                    for s, j, lower, upper in homology._st_data(ctx, zp))
 
 
-def test_least_degree_program_matches_scan_on_the_families():
+def test_least_degrees_match_scan_on_the_families():
     # _st_data yields the data the full scan finds feasible, each once,
-    # and the program's least degrees are the scan's
+    # and the least degrees read from those data are the scan's
     count = 0
     for ctx, zp in _family_factors():
         data = st_data_scan(ctx.m, ctx.n, zp.z, zp.l)
@@ -462,7 +462,7 @@ def test_least_degree_program_matches_scan_on_the_families():
     assert count == 1497
 
 
-def test_least_degree_program_matches_scan_on_random_raw_families():
+def test_least_degrees_match_scan_on_random_raw_families():
     rng = random.Random(1013)
     factors = 0
     for _ in range(320):

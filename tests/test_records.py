@@ -4,7 +4,9 @@ README promises that the records are frozen, that a record equals only a
 record of its own type, and that all but BettiTable and LCTable (which hold
 dicts) are hashable. These tests pin that, each record's repr, its
 constructor by position and by keyword, copy and pickle, and positional
-class patterns, without reading how the records are implemented.
+class patterns, without reading how the records are implemented. The
+library builds records it knows to be valid through the unchecked
+Cls._trusted(*fields); the last tests hold it to the constructor.
 """
 
 import copy
@@ -126,3 +128,26 @@ def test_positional_class_pattern(make, names, shown, hashable):
         case LCTable(ctx, p, rows):
             bound = (ctx, p, rows)
     assert bound == tuple(getattr(record, name) for name in names)
+
+
+@pytest.mark.parametrize("make,names,shown,hashable", CASES)
+def test_trusted_builds_the_record_the_constructor_builds(make, names, shown, hashable):
+    record = make()
+    cls, fields = type(record), tuple(getattr(record, name) for name in names)
+    trusted = cls._trusted(*fields)
+    assert type(trusted) is cls and trusted._key == record._key
+    assert trusted == record and record == trusted and repr(trusted) == shown
+    if hashable:
+        assert hash(trusted) == hash(record)
+    twin = pickle.loads(pickle.dumps(trusted))
+    assert type(twin) is cls and twin == record and repr(twin) == shown
+
+
+def test_trusted_skips_the_check():
+    with pytest.raises(ValueError):
+        ZPair((1, 2), 0)
+    zp = ZPair._trusted((1, 2), 0)
+    assert (zp.z, zp.l, zp._key) == ((1, 2), 0, ((1, 2), 0))
+    with pytest.raises(ValueError):
+        DegreeWindow(3, 2)
+    assert DegreeWindow._trusted(3, 2)._key == (3, 2)
