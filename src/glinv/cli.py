@@ -26,11 +26,11 @@ import sys
 from functools import cache
 from types import SimpleNamespace
 
-from .betti import _betti_terms, betti_polynomial, betti_table
+from .betti import _betti_terms, _block_terms, betti_polynomial, betti_table
 from .homology import (
     DegreeWindow,
     ZPair,
-    ext_quotient,
+    _ext_terms,
     regularity,
     zset,
 )
@@ -44,7 +44,7 @@ from .ideals import (
     saturated_power,
     symbolic_power,
 )
-from .loccoh import _ds_weight_count, ds_character, lc_table
+from .loccoh import _ds_terms, _ds_weight_count, _lc_table_updates, lc_table
 from .partitions import _integer, _qbinomial_updates, dominant_weight, qbinomial, size
 from .schur import EquivariantCharacter, dim_schur
 
@@ -363,11 +363,23 @@ def _parse_window(text: str) -> DegreeWindow:
     return DegreeWindow(int(match.group(1)), int(match.group(2)))
 
 
-def _term_texts(ch: EquivariantCharacter, template: str, sep: str) -> dict[int, list[str]]:
-    """The terms of ch as text, grouped by index in ascending order, from one
-    pass over its sorted keys. Each term is one % operation (degree,
-    multiplicity, *wm, *wn) on template, whose two weight slots hold one "%d"
-    per entry joined by sep; that format is built once per pair of weight
+def _term_format(template: str, sep: str, m: int, n: int) -> str:
+    """template with its two weight slots filled for weights of lengths m
+    and n, one "%d" per entry joined by sep: the format of one term
+    (degree, multiplicity, *wm, *wn) as one % operation."""
+    return template.format(sep.join(["%d"] * m), sep.join(["%d"] * n))
+
+
+# the templates of one term for _term_format: a pretty line, and the object
+# {"deg", "mult", "wm", "wn"} as json.dumps(..., sort_keys=True) writes it
+_PRETTY_TERM = "  deg %d  mult %d  S({}) * S({})"
+_JSON_TERM = '{{"deg": %d, "mult": %d, "wm": [{}], "wn": [{}]}}'
+
+
+def _term_texts(ch: EquivariantCharacter) -> dict[int, list[str]]:
+    """The terms of the Betti polynomial ch as json objects, grouped by index
+    in ascending order, from one pass over its sorted keys. Its weights vary
+    in length, so the format of each term is built once per pair of weight
     lengths."""
     formats: dict[tuple[int, int], str] = {}
     groups: dict[int, list[str]] = {}
@@ -379,45 +391,44 @@ def _term_texts(ch: EquivariantCharacter, template: str, sep: str) -> dict[int, 
         lengths = (len(wm), len(wn))
         fmt = formats.get(lengths)
         if fmt is None:
-            fmt = formats[lengths] = template.format(
-                sep.join(["%d"] * lengths[0]), sep.join(["%d"] * lengths[1]))
+            fmt = formats[lengths] = _term_format(_JSON_TERM, ", ", *lengths)
         texts.append(fmt % (deg, mult, *wm, *wn))
     return groups
 
 
-# the templates of one term for _term_texts: a pretty line, and the object
-# {"deg", "mult", "wm", "wn"} as json.dumps(..., sort_keys=True) writes it
-_PRETTY_TERM = "  deg %d  mult %d  S({}) * S({})"
-_JSON_TERM = '{{"deg": %d, "mult": %d, "wm": [{}], "wn": [{}]}}'
-
-
-def _print_character(ch: EquivariantCharacter, window: DegreeWindow, fmt: str,
-                     index_label: str) -> None:
-    """The character as one printed string joined from the sorted keys: under
-    json, the list of {"j", "terms", "window"} objects as json.dumps with
-    sorted keys writes it; otherwise a header line per index, then one line
-    per term. print writes the final newline on its own, so under python -u,
-    where a write cut short by a closing pipe returns without an error, that
-    write raises BrokenPipeError."""
+def _print_character(runs: dict[int, list[tuple[int, ...]]], ctx: MatrixContext,
+                     window: DegreeWindow, fmt: str, index_label: str) -> None:
+    """A windowed character, given as the sorted runs of flat terms
+    (degree, multiplicity, *wm, *wn) per index that glinv.schur._runs returns,
+    wm of length m and wn of length n, as one printed string: under json, the
+    list of {"j", "terms", "window"} objects as json.dumps with sorted keys
+    writes it; otherwise a header line per index, then one line per term.
+    Each term is one % operation on a format built once per call. print
+    writes the final newline on its own, so under python -u, where a write
+    cut short by a closing pipe returns without an error, that write raises
+    BrokenPipeError."""
     if fmt == "json":
+        term = _term_format(_JSON_TERM, ", ", ctx.m, ctx.n).__mod__
         window_text = f'"window": [{window.lo}, {window.hi}]'
-        objects = [f'{{"j": {j}, "terms": [{", ".join(texts)}], {window_text}}}'
-                   for j, texts in _term_texts(ch, _JSON_TERM, ", ").items()]
+        objects = [f'{{"j": {j}, "terms": [{", ".join(map(term, terms))}], {window_text}}}'
+                   for j, terms in runs.items()]
         print(f"[{', '.join(objects)}]")
         return
+    term = _term_format(_PRETTY_TERM, ",", ctx.m, ctx.n).__mod__
     lines = [f"window: {window.lo}..{window.hi}"]
-    if not ch:
+    if not runs:
         lines.append("no terms in the window")
-    for j, texts in _term_texts(ch, _PRETTY_TERM, ",").items():
+    for j, terms in runs.items():
         lines.append(f"{index_label}^{j}:")
-        lines += texts
+        lines += map(term, terms)
     print("\n".join(lines))
 
 
 def _cmd_ext(args) -> int:
     ideal = _resolve_ideal(args)
     window = _parse_window(args.window)
-    _print_character(ext_quotient(ideal, window), window, args.format, "Ext")
+    _print_character(_ext_terms(ideal.ctx, zset(ideal), window), ideal.ctx, window,
+                     args.format, "Ext")
     return 0
 
 
@@ -440,16 +451,19 @@ def _cmd_lc(args) -> int:
         if args.format == "csv":
             raise UsageError("csv output is not defined for --ds")
         if args.ds == 0:
+            cap = LC_DS_MAX_TERMS if args.max_terms is None else args.max_terms
             # the count only compares its bound with the cap, so _refuse can
             # reject a bad --max-terms after it
-            weights, exact = _ds_weight_count(ctx, window, args.max_terms)
-            _refuse(args, weights, f"lc --ds 0 --window={window.lo}..{window.hi} emits",
+            weights, exact = _ds_weight_count(ctx, window, cap)
+            _refuse(cap, weights, f"lc --ds 0 --window={window.lo}..{window.hi} emits",
                     "weights", exact)
-        ch = ds_character(ctx, args.ds, window)
-        _print_character(ch, window, args.format, "D")
+        _print_character(_ds_terms(ctx, args.ds, window), ctx, window, args.format, "D")
         return 0
     if args.window is not None:
         raise UsageError("--window needs --ds")
+    _refuse(QBINOM_MAX_TERMS if args.max_terms is None else args.max_terms,
+            _lc_table_updates(ctx, args.p), f"lc -m {args.m} -n {args.n} -p {args.p} makes",
+            "coefficient updates")
     table = lc_table(ctx, args.p)
     if args.format == "json":
         _emit_json({"p": args.p,
@@ -475,7 +489,11 @@ def _cmd_lc(args) -> int:
 
 def _cmd_betti(args) -> int:
     ctx = _context(args.m, args.n)
-    _refuse(args, _betti_terms(ctx, args.a, args.b),
+    # json writes every term of the polynomial; csv and pretty sum each
+    # block term once, whatever the Gauss coefficients
+    terms = (_betti_terms(ctx, args.a, args.b) if args.format == "json"
+             else sum(_block_terms(ctx, args.a, args.b)))
+    _refuse(args.max_terms, terms,
             f"betti -m {args.m} -n {args.n} -a {args.a} -b {args.b} makes", "terms")
     if args.format == "json":
         _print_betti_json(betti_polynomial(ctx, args.a, args.b), ctx, args.a, args.b)
@@ -495,7 +513,7 @@ def _print_betti_json(bp: EquivariantCharacter, ctx: MatrixContext, a: int, b: i
     """The Betti polynomial bp as json.dumps with sorted keys writes
     {"a", "b", "by_homological_index", "m", "n"}: the homological indices are
     string keys, so "10" comes before "2"."""
-    groups = _term_texts(bp, _JSON_TERM, ", ")
+    groups = _term_texts(bp)
     by_index = ", ".join(f'"{i}": [{", ".join(groups[i])}]' for i in sorted(groups, key=str))
     print(f'{{"a": {a}, "b": {b}, "by_homological_index": {{{by_index}}}, '
           f'"m": {ctx.m}, "n": {ctx.n}}}')
@@ -517,29 +535,31 @@ def _cmd_schurdim(args) -> int:
     return 0
 
 
-# qbinom refuses a query whose coefficient updates pass this cap before
-# making any; 20,000,000 updates take about 2 s (qbinom 400 200 makes
-# 15,920,200), and --max-terms sets another cap
+# qbinom and the lc table refuse a query whose coefficient updates pass this
+# cap before making any; 20,000,000 updates take about 2 s (qbinom 400 200
+# makes 15,920,200), and --max-terms sets another cap
 QBINOM_MAX_TERMS = 20_000_000
 
-# betti refuses a query whose Betti polynomial terms pass this cap before
-# making any, and --max-terms sets another cap. Near the cap (9x9 a=b=2
-# makes 170,171 terms and 10x10 a=b=1 makes 184,755) csv and pretty, which
-# sum each block once, take 0.1 to 0.4 s, and json, which builds every
-# term, 1.1 to 1.8 s
+# betti refuses a query whose terms pass this cap before making any, and
+# --max-terms sets another cap. csv and pretty count the block terms they
+# sum, json the Betti polynomial's terms it writes; they agree for a=b=1.
+# Near the cap, as whole processes, csv and pretty take about 0.4 s (10x10
+# sums 184,755 block terms at a=b=1 and 184,655 at a=b=2), and json 1.4 to
+# 1.6 s (9x9 a=b=2 writes 170,171 terms)
 BETTI_MAX_TERMS = 200_000
 
 # lc --ds 0 refuses a window whose weights pass this cap before making any;
-# 300,000 weights take about 2 s (a 6x6 window -100..-36 holds 336,339),
-# and --max-terms sets another cap
+# 300,000 weights take about 1.5 s (a 6x6 window -100..-36 holds 336,339
+# and takes 1.6 to 1.7 s as a whole process, pretty or json), and
+# --max-terms sets another cap
 LC_DS_MAX_TERMS = 300_000
 
 
-def _refuse(args, count: int, query: str, unit: str, exact: bool = True) -> None:
-    """Refuse a query past the cap args.max_terms before it starts: one
-    ValueError that names the count of its units, or a lower bound when
+def _refuse(cap: int, count: int, query: str, unit: str, exact: bool = True) -> None:
+    """Refuse a query past cap, the --max-terms in force, before it starts:
+    one ValueError that names the count of its units, or a lower bound when
     exact is false, and the --max-terms that runs (or counts) it."""
-    cap = _integer(args.max_terms, "--max-terms", 0)
+    cap = _integer(cap, "--max-terms", 0)
     if count > cap:
         amount, then = (f"{count:,}", "run it") if exact else (f"at least {count:,}", "count them")
         raise ValueError(f"{query} {amount} {unit}, more than the cap of {cap:,}; "
@@ -547,7 +567,7 @@ def _refuse(args, count: int, query: str, unit: str, exact: bool = True) -> None
 
 
 def _cmd_qbinom(args) -> int:
-    _refuse(args, _qbinomial_updates(args.a, args.b), f"qbinom {args.a} {args.b} makes",
+    _refuse(args.max_terms, _qbinomial_updates(args.a, args.b), f"qbinom {args.a} {args.b} makes",
             "coefficient updates")
     coeffs = qbinomial(args.a, args.b)
     if args.format == "json":
@@ -630,8 +650,9 @@ VERBS = {
         _arg("--ds", type=int, metavar="S",
              help="expand the character of the factor D_S instead"),
         _arg("--window", help="degree window lo..hi (with --ds)"),
-        _arg("--max-terms", type=int, default=LC_DS_MAX_TERMS, metavar="N",
-             help=f"refuse a --ds 0 window past N weights (default {LC_DS_MAX_TERMS:,})"))),
+        _arg("--max-terms", type=int, metavar="N",
+             help=f"refuse a table past N coefficient updates (default {QBINOM_MAX_TERMS:,}) "
+                  f"or a --ds 0 window past N weights (default {LC_DS_MAX_TERMS:,})"))),
     "betti": ("equivariant Betti numbers of the b-th powers of the a x a minors",
               _cmd_betti, _JPC, (
                   *_MN, _arg("-a", type=int, required=True, help="minor size"),

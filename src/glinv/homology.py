@@ -19,7 +19,7 @@ from math import inf
 from ._record import _Record
 from .ideals import InvariantIdeal, MatrixContext, _generators, ideal_leq
 from .partitions import Parts, _in_ideal, _index, _insert, _integer, _integers, part, partition
-from .schur import EquivariantCharacter
+from .schur import EquivariantCharacter, _runs
 
 
 class ZPair(_Record):
@@ -238,8 +238,9 @@ def _st_data(ctx: MatrixContext, zp: ZPair):
 
 
 def _lambdas(ctx: MatrixContext, s: int, lower, upper, window):
-    """Terms (wm, lam, degree) for the dominant length-n weights lam with
-    lower <= lam <= upper entrywise and degree = sum(lam) in the window.
+    """Flat terms (degree, 1, *wm, *lam) for the dominant length-n weights
+    lam with lower <= lam <= upper entrywise and degree = sum(lam) in the
+    window, each with multiplicity 1.
 
     wm is the GL_m weight paired with lam: lam with the block (s-n)^(m-n)
     inserted after position s and the tail raised by m-n. It is weakly
@@ -284,7 +285,7 @@ def _lambdas(ctx: MatrixContext, s: int, lower, upper, window):
     recurse, and the last is a loop inside the call for the one before it,
     which emits the terms. lam and wm are built in place, in one array of
     length n and one of length m whose block (and forced entries) are
-    written once, so a term costs two tuple() calls.
+    written once, so a term costs one tuple, built from both.
     """
     m, n = ctx.m, ctx.n
     lo, hi = window.lo, window.hi
@@ -321,13 +322,13 @@ def _lambdas(ctx: MatrixContext, s: int, lower, upper, window):
             return []
     if len(steps) < 2:
         if not steps:
-            return [(tuple(wm), tuple(lam), forced)] if lo <= forced <= hi else []
+            return [(forced, 1, *wm, *lam)] if lo <= forced <= hi else []
         i, j, shift, b, _, a, _, _ = steps[0]
         out = []
         for v in range(min(b, hi - forced), max(a, lo - forced) - 1, -1):
             lam[i] = v
             wm[j] = v + shift
-            out.append((tuple(wm), tuple(lam), forced + v))
+            out.append((forced + v, 1, *wm, *lam))
         return out
     i_last, j_last, shift_last, ub_last, _, lb_last, _, _ = steps[0]
     out = []
@@ -350,32 +351,35 @@ def _lambdas(ctx: MatrixContext, s: int, lower, upper, window):
             for w in range(min(v, ub_last, hi - total), max(lb_last, lo - total) - 1, -1):
                 lam[i_last] = w
                 wm[j_last] = w + shift_last
-                append((tuple(wm), tuple(lam), total + w))
+                append((total + w, 1, *wm, *lam))
 
     walk(len(steps) - 1, inf, forced)
     return out
 
 
-def _ext_character(ctx: MatrixContext, pairs, window) -> EquivariantCharacter:
-    """Windowed character of the sum of Ext(J_{z,l}, S) over pairs, keyed by
-    cohomological index; every factor merges its weights into the one
-    character."""
-    ch = EquivariantCharacter()
+def _ext_terms(ctx: MatrixContext, pairs, window) -> dict[int, list[tuple[int, ...]]]:
+    """Windowed character of the sum of Ext(J_{z,l}, S) over pairs, as the
+    sorted runs of flat terms (degree, multiplicity, *wm, *wn) per
+    cohomological index that _runs returns. The weights of each datum join
+    the list of the index j that _st_data yields with it; _runs sorts each
+    list once and merges equal terms, from whichever factors and data they
+    come."""
+    groups: dict[int, list[tuple[int, ...]]] = {}
     for zp in pairs:
         for s, j, lower, upper in _st_data(ctx, zp):
-            ch._add_weights(j, _lambdas(ctx, s, lower, upper, window))
-    return ch
+            groups.setdefault(j, []).extend(_lambdas(ctx, s, lower, upper, window))
+    return _runs(groups)
 
 
 def ext_jzl(ctx: MatrixContext, zp: ZPair, window: DegreeWindow) -> EquivariantCharacter:
     """Windowed character of Ext(J_{z,l}, S), keyed by cohomological index."""
     _check_zpair(ctx, zp)
-    return _ext_character(ctx, (zp,), window)
+    return EquivariantCharacter._from_runs(_ext_terms(ctx, (zp,), window), ctx.m)
 
 
 def ext_quotient(a: InvariantIdeal, window: DegreeWindow) -> EquivariantCharacter:
     """Windowed character of Ext(S/a, S): the sum over all factors of S/a."""
-    return _ext_character(a.ctx, zset(a), window)
+    return EquivariantCharacter._from_runs(_ext_terms(a.ctx, zset(a), window), a.ctx.m)
 
 
 def ext_map_analysis(a: InvariantIdeal, b: InvariantIdeal, window: DegreeWindow):
@@ -390,7 +394,8 @@ def ext_map_analysis(a: InvariantIdeal, b: InvariantIdeal, window: DegreeWindow)
         raise ValueError("ext_map_analysis needs the first ideal to contain the second")
     za = zset(a)
     zb = zset(b)
-    return tuple(_ext_character(a.ctx, pairs, window) for pairs in (za - zb, za & zb, zb - za))
+    return tuple(EquivariantCharacter._from_runs(_ext_terms(a.ctx, pairs, window), a.ctx.m)
+                 for pairs in (za - zb, za & zb, zb - za))
 
 
 def _least_degrees(ctx: MatrixContext, zp: ZPair) -> dict[int, int]:

@@ -5,8 +5,9 @@ GL-equivariant modules D_0, ..., D_{p-1}, and the multiplicity of D_s in
 H^j is the coefficient of q^j in the Gauss polynomial with q replaced by
 q^2 and the whole thing shifted by (n-p+1)^2 + (n-s)(m-n). The table
 builder below records those multiplicities; ds_character expands the
-character of a single factor over a degree window, and _ds_weight_count
-counts the weights of that expansion for s = 0 without making them.
+character of a single factor over a degree window. _lc_table_updates
+counts the work of a table, and _ds_weight_count the weights of the
+expansion for s = 0, without doing either.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from __future__ import annotations
 from ._record import _Record
 from .homology import DegreeWindow, _lambdas
 from .ideals import MatrixContext
-from .partitions import _integer, qbinomial
-from .schur import EquivariantCharacter
+from .partitions import _integer, _qbinomial_updates, qbinomial
+from .schur import EquivariantCharacter, _runs
 
 
 class LCTable(_Record):
@@ -46,6 +47,14 @@ def lc_table(ctx: MatrixContext, p: int) -> LCTable:
     return LCTable(ctx, p, {j: rows[j] for j in sorted(rows)})
 
 
+def _lc_table_updates(ctx: MatrixContext, p: int) -> int:
+    """The coefficient updates lc_table(ctx, p) makes, counted without making
+    them: those of qbinomial(n-s-1, p-1-s) for each factor D_s, s < p. p is
+    checked as lc_table checks it."""
+    p = _integer(p, "minor size p", 1, ctx.n)
+    return sum(_qbinomial_updates(ctx.n - s - 1, p - 1 - s) for s in range(p))
+
+
 def lc_support(ctx: MatrixContext, p: int) -> tuple[int, int]:
     """Least and greatest cohomological index with nonzero cohomology."""
     rows = lc_table(ctx, p).rows
@@ -60,8 +69,15 @@ def ds_character(ctx: MatrixContext, s: int, window: DegreeWindow) -> Equivarian
     enumerable: there every entry is at most -m, so each degree cuts out a
     finite set and the total degree never exceeds -m*n. For s >= 1 the
     constraints leave the leading entries unbounded above, every degree
-    slice is infinite dimensional, and the query is rejected.
+    slice is infinite dimensional, and the query is rejected (_ds_terms).
     """
+    return EquivariantCharacter._from_runs(_ds_terms(ctx, s, window), ctx.m)
+
+
+def _ds_terms(ctx: MatrixContext, s: int,
+              window: DegreeWindow) -> dict[int, list[tuple[int, ...]]]:
+    """ds_character(ctx, s, window) as the sorted runs of flat terms that
+    glinv.schur._runs returns, all at index 0; a ValueError for s >= 1."""
     if _integer(s, "s", 0, ctx.n - 1) >= 1:
         raise ValueError(
             f"D_{s} has infinite dimensional degree slices; "
@@ -71,9 +87,7 @@ def ds_character(ctx: MatrixContext, s: int, window: DegreeWindow) -> Equivarian
     # the other n-1 entries are each at most -m, so an entry below
     # lo + (n-1)*m leaves the degree under lo
     lower = [window.lo + (n - 1) * m] * (n + 1)
-    ch = EquivariantCharacter()
-    ch._add_weights(0, _lambdas(ctx, 0, lower, [-m] * (n + 1), window))
-    return ch
+    return _runs({0: _lambdas(ctx, 0, lower, [-m] * (n + 1), window)})
 
 
 # _ds_weight_count gives up exactness only past this many steps of its count

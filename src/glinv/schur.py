@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from itertools import groupby, islice
 from math import perm
+from operator import eq
 
 from ._record import _Record
 from .partitions import Weight, _integer, dominant_weight, pad_weight
@@ -85,10 +87,12 @@ class EquivariantCharacter:
     Entries are stored as (index, degree, wm, wn) -> multiplicity with all
     multiplicities positive; that key layout is the order items() returns.
     One private iterator, _sorted_terms, sorts the entries themselves; items()
-    and the renderers of glinv.cli read it, while dimension_table and
-    betti_polynomial read them unsorted: no summand becomes an object on the
-    way to a table or to text. A character in one cohomological degree uses
-    that degree as the index; plain graded characters use index 0.
+    and the Betti json renderer of glinv.cli read it, while dimension_table
+    and betti_polynomial read them unsorted: no summand becomes an object on
+    the way to a table or to text. Ext and D_0 characters are built whole
+    from sorted runs of flat terms (_runs, _from_runs), which the CLI renders
+    without a character. A character in one cohomological degree uses that
+    degree as the index; plain graded characters use index 0.
     """
 
     __slots__ = ("_terms",)
@@ -106,13 +110,17 @@ class EquivariantCharacter:
         self._terms[key] = self._terms.get(key, 0) + multiplicity
         return self
 
-    def _add_weights(self, index: int, weights) -> None:
-        """Add each (wm, wn, degree) of weights at index with multiplicity 1;
-        the weights are dominant tuples, as _lambdas builds them."""
-        terms = self._terms
-        for wm, wn, degree in weights:
-            key = (index, degree, wm, wn)
-            terms[key] = terms.get(key, 0) + 1
+    @classmethod
+    def _from_runs(cls, runs: dict[int, list[tuple[int, ...]]],
+                   m: int) -> "EquivariantCharacter":
+        """The character of runs as _runs returns them: each flat term
+        (degree, multiplicity, *wm, *wn) of index j, wm of length m, is the
+        summand keyed (j, degree, wm, wn). The keys of runs are distinct, so
+        nothing merges here."""
+        ch = cls()
+        ch._terms = {(j, term[0], term[2:2 + m], term[2 + m:]): term[1]
+                     for j, terms in runs.items() for term in terms}
+        return ch
 
     def __add__(self, other: "EquivariantCharacter") -> "EquivariantCharacter":
         out = EquivariantCharacter()
@@ -173,3 +181,27 @@ class EquivariantCharacter:
 
     def __repr__(self) -> str:
         return f"EquivariantCharacter({len(self._terms)} terms)"
+
+
+def _runs(groups: dict[int, list[tuple[int, ...]]]) -> dict[int, list[tuple[int, ...]]]:
+    """Sorted runs of flat terms: for each index j of groups, in ascending
+    order, its list of terms (degree, 1, *wm, *wn) sorted in place, with each
+    stretch of equal terms merged into one whose multiplicity is the
+    stretch's length; an index with no terms is dropped.
+
+    Every term enters with multiplicity 1 and all wm of one character have
+    one length, so the flat order of the terms is the order of their keys
+    (degree, wm, wn), and equal keys are neighbours after the sort. Merging
+    them gives the multiplicities a dict keyed by (j, degree, wm, wn) would
+    sum, in key order. One comparison of each pair of neighbours finds
+    whether any stretch exists, and the merge pass runs only then."""
+    runs = {}
+    for j in sorted(groups):
+        terms = groups[j]
+        if not terms:
+            continue
+        terms.sort()
+        if any(map(eq, terms, islice(terms, 1, None))):
+            terms = [(term[0], len(list(same)), *term[2:]) for term, same in groupby(terms)]
+        runs[j] = terms
+    return runs

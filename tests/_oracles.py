@@ -409,6 +409,19 @@ def _terms_by_index(terms) -> dict[int, list[dict]]:
     return groups
 
 
+def dict_merged_terms(groups, m: int) -> list:
+    """Flat terms (degree, 1, *wm, *wn), wm of length m, grouped by index j
+    in groups, merged by a dict keyed (j, degree, wm, wn) that adds 1 per
+    term, as characters once took their Ext and D_0 weights: the
+    ((j, degree, wm, wn), multiplicity) pairs in key order."""
+    terms: dict = {}
+    for j, flat in groups.items():
+        for term in flat:
+            key = (j, term[0], term[2:2 + m], term[2 + m:])
+            terms[key] = terms.get(key, 0) + 1
+    return sorted(terms.items())
+
+
 def character_json_dumps(terms, lo: int, hi: int) -> str:
     """JSON of a windowed character built as dicts and encoded by json.dumps
     with sorted keys; terms are ((j, deg, wm, wn), mult) pairs in key order."""

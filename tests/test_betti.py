@@ -230,6 +230,37 @@ def test_betti_term_count_is_the_number_of_adds(monkeypatch):
     assert cases == 189
 
 
+def test_block_term_count_is_the_number_of_terms_summed(monkeypatch):
+    # _block_terms counts the terms _block_sums sums: each term multiplies
+    # the constants of its two sides once, so the constants count the
+    # products
+    products = Counter()
+
+    class Constant(int):
+        def __mul__(self, other):
+            products["terms"] += 1
+            return int(self) * other
+
+    side = betti._block_side
+
+    def counted(*args):
+        size, h, c, table = side(*args)
+        return size, h, Constant(c), table
+
+    monkeypatch.setattr(betti, "_block_side", counted)
+    cases = 0
+    for n in range(1, 7):
+        for m in (n, n + 1, n + 2):
+            ctx = MatrixContext(m, n)
+            for a in range(1, n + 1):
+                for b in range(1, 4):
+                    products.clear()
+                    betti_table(ctx, a, b)
+                    assert products["terms"] == sum(betti._block_terms(ctx, a, b)), (m, n, a, b)
+                    cases += 1
+    assert cases == 189
+
+
 def _flattened(ctx, a, b):
     """The oracle: the Betti polynomial's terms flattened by dimension_table."""
     return BettiTable(betti_polynomial(ctx, a, b).dimension_table(ctx.m, ctx.n))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -354,12 +355,24 @@ def test_betti_refuses_work_past_the_cap_before_starting(capsys, monkeypatch):
     monkeypatch.undo()
     # 10x10 a=b=1 stays under the default cap
     assert cli._betti_terms(cli.MatrixContext(10, 10), 1, 1) == 184_755 < cli.BETTI_MAX_TERMS
+    # csv and pretty are priced by the block terms they sum, json by the
+    # terms of the polynomial it writes; for a = b = 1 the two agree
+    ctx = cli.MatrixContext(10, 10)
+    assert sum(cli._block_terms(ctx, 1, 1)) == cli._betti_terms(ctx, 1, 1)
+    assert sum(cli._block_terms(ctx, 2, 2)) < cli.BETTI_MAX_TERMS < cli._betti_terms(ctx, 2, 2)
     small = ["betti", "-m", "4", "-n", "3", "-a", "2", "-b", "2"]
+    blocks = sum(cli._block_terms(cli.MatrixContext(4, 3), 2, 2))
     count = cli._betti_terms(cli.MatrixContext(4, 3), 2, 2)
-    code, out, err = run(capsys, [*small, "--max-terms", str(count - 1)])
-    assert (code, out) == (1, "") and f"makes {count} terms" in err
-    code, out, _ = run(capsys, [*small, "--max-terms", str(count)])
-    assert code == 0 and out == run(capsys, small)[1]
+    assert blocks < count
+    for fmt in ("pretty", "csv"):
+        code, out, err = run(capsys, [*small, "--format", fmt, "--max-terms", str(blocks - 1)])
+        assert (code, out) == (1, "") and f"makes {blocks} terms" in err
+        code, out, _ = run(capsys, [*small, "--format", fmt, "--max-terms", str(blocks)])
+        assert code == 0 and out == run(capsys, [*small, "--format", fmt])[1]
+    code, out, _ = run(capsys, [*small, "--format", "json", "--max-terms", str(count - 1)])
+    assert code == 1 and f"makes {count} terms" in json.loads(out)["error"]
+    code, out, _ = run(capsys, [*small, "--format", "json", "--max-terms", str(count)])
+    assert code == 0 and out == run(capsys, [*small, "--format", "json"])[1]
     code, out, err = run(capsys, [*small, "--max-terms", "-1"])
     assert (code, out, err) == (1, "", "error: --max-terms must be at least 0, got -1\n")
     # a transposed query names the dimensions as given
@@ -370,7 +383,7 @@ def test_betti_refuses_work_past_the_cap_before_starting(capsys, monkeypatch):
 
 
 def test_lc_ds_refuses_work_past_the_cap_before_starting(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "ds_character", None)  # a refused query never computes
+    monkeypatch.setattr(cli, "_ds_terms", None)  # a refused query never computes
     argv = ["lc", "-m", "6", "-n", "6", "-p", "1", "--ds", "0", "--window=-200..-36"]
     code, out, err = run(capsys, argv)
     assert (code, out) == (1, "")
@@ -393,6 +406,57 @@ def test_lc_ds_refuses_work_past_the_cap_before_starting(capsys, monkeypatch):
     assert code == 0 and out == run(capsys, small)[1] and out.count("mult 1") == 83
     code, out, err = run(capsys, [*small, "--max-terms", "-1"])
     assert (code, out, err) == (1, "", "error: --max-terms must be at least 0, got -1\n")
+
+
+def test_lc_table_update_count_is_the_loops_count():
+    for n in range(1, 9):
+        for m in (n, n + 2):
+            ctx = cli.MatrixContext(m, n)
+            for p in range(1, n + 1):
+                want = sum(_qbinom_loop_updates(n - s - 1, p - 1 - s) for s in range(p))
+                assert loccoh._lc_table_updates(ctx, p) == want, (m, n, p)
+
+
+def test_lc_table_refuses_work_past_the_cap_before_starting(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "lc_table", None)  # a refused query never computes
+    argv = ["lc", "-m", "100000", "-n", "100000", "-p", "50000"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == ("error: lc -m 100000 -n 100000 -p 50000 makes 4,166,437,504,583,300,000 "
+                   "coefficient updates, more than the cap of 20,000,000; "
+                   "pass --max-terms 4166437504583300000 to run it\n")
+    code, out, err = run(capsys, [*argv, "--format", "json"])
+    assert code == 1 and "4,166,437,504,583,300,000" in json.loads(out)["error"] and err == ""
+    # p is checked before it is counted, with lc_table's message
+    code, out, err = run(capsys, ["lc", "-m", "3", "-n", "3", "-p", "4"])
+    assert (code, out) == (1, "") and err.startswith("error: minor size p must be ")
+    monkeypatch.undo()
+    small = ["lc", "-m", "9", "-n", "7", "-p", "4"]
+    count = loccoh._lc_table_updates(cli.MatrixContext(9, 7), 4)
+    code, out, err = run(capsys, [*small, "--max-terms", str(count - 1)])
+    assert (code, out) == (1, "") and f"makes {count} coefficient updates" in err
+    code, out, _ = run(capsys, [*small, "--max-terms", str(count)])
+    assert code == 0 and out == run(capsys, small)[1]
+    code, out, err = run(capsys, [*small, "--max-terms", "-1"])
+    assert (code, out, err) == (1, "", "error: --max-terms must be at least 0, got -1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["lc", "-m", "100000", "-n", "100000", "-p", "50000"],
+    ["lc", "-m", "6", "-n", "6", "-p", "1", "--ds", "0", "--window=-200..-36"],
+    ["betti", "-m", "12", "-n", "12", "-a", "1", "-b", "1"],
+    ["betti", "-m", "12", "-n", "12", "-a", "2", "-b", "2", "--format", "csv"],
+    ["qbinom", "800", "400"],
+])
+def test_refusals_are_one_line_in_a_whole_process_under_a_second(argv):
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "glinv", *argv],
+                          capture_output=True, text=True, timeout=30, env=ENV)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "--max-terms" in proc.stderr
+    assert elapsed < 1, elapsed
 
 
 def test_schurdim(capsys):

@@ -390,7 +390,10 @@ def test_lambdas_match_box_brute_force():
                 cases.append((m, n, 0, lower, [-m] * (n + 1), lo, hi))
     nonempty = 0
     for m, n, s, lower, upper, lo, hi in cases:
-        got = homology._lambdas(MatrixContext(m, n), s, lower, upper, DegreeWindow(lo, hi))
+        flat = homology._lambdas(MatrixContext(m, n), s, lower, upper, DegreeWindow(lo, hi))
+        # flat terms (degree, 1, *wm, *lam), read back as (wm, lam, degree)
+        assert all(len(term) == 2 + m + n and term[1] == 1 for term in flat)
+        got = [(term[2:2 + m], term[2 + m:], term[0]) for term in flat]
         want = lambdas_box_brute(m, n, s, lower, upper, lo, hi)
         assert sorted(got) == want, (m, n, s, lower, upper, lo, hi)
         # each weight once, in decreasing order of lam

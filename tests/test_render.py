@@ -1,9 +1,11 @@
 """The renderers of characters against the text the dict and join forms give.
 
-glinv.cli writes each term of a character with one % operation on a format
-built per pair of weight lengths. tests/_oracles.py keeps the forms that
-preceded it: dicts encoded by json.dumps with sorted keys, and weights joined
-by ",".join(map(str, w)). Both must give the same bytes on every sweep below.
+glinv.cli writes each term with one % operation: on one format per call for
+the sorted runs of an Ext or D_0 character, and on a format built per pair
+of weight lengths for a Betti polynomial. tests/_oracles.py keeps the forms
+that preceded it: dicts encoded by json.dumps with sorted keys, and weights
+joined by ",".join(map(str, w)), both read from the public characters. Both
+must give the same bytes on every sweep below.
 """
 
 import contextlib
@@ -11,7 +13,7 @@ import io
 
 from glinv import DegreeWindow, MatrixContext, betti_polynomial, ext_jzl
 from glinv.cli import _print_betti_json, _print_character
-from glinv.loccoh import ds_character
+from glinv.loccoh import _ds_terms, ds_character
 
 import glinv.homology as homology
 from _oracles import betti_json_dumps, character_json_dumps, character_pretty
@@ -26,9 +28,10 @@ def _printed(render, *args) -> str:
 
 
 def _ext_windows():
-    """(character, window) of every factor with n <= 3, z_1 <= 3 and
-    m - n in {0, 1, 2}, in the three windows of the small-factor Ext sweep
-    of test_homology, empty windows included."""
+    """(context, runs, character, window) of every factor with n <= 3,
+    z_1 <= 3 and m - n in {0, 1, 2}, in the three windows of the
+    small-factor Ext sweep of test_homology, empty windows included: the
+    runs the CLI prints and the public character of the same window."""
     for n in range(1, 4):
         for m in (n, n + 1, n + 2):
             ctx = MatrixContext(m, n)
@@ -37,33 +40,36 @@ def _ext_windows():
                 for lo, hi in ((least - 2, least), (least + 1, least + 3),
                                (least + 4, least + 7)):
                     window = DegreeWindow(lo, hi)
-                    yield ext_jzl(ctx, zp, window), window
+                    yield (ctx, homology._ext_terms(ctx, (zp,), window),
+                           ext_jzl(ctx, zp, window), window)
 
 
 def _d0_windows():
-    """(character, window) of D_0 for n <= 3, m in {n, n+1, n+2}: the top
-    degree -mn alone, a window below it, and the empty window above it."""
+    """(context, runs, character, window) of D_0 for n <= 3,
+    m in {n, n+1, n+2}: the top degree -mn alone, a window below it, and the
+    empty window above it."""
     for n in range(1, 4):
         for m in (n, n + 1, n + 2):
             ctx = MatrixContext(m, n)
             top = -m * n
             for lo, hi in ((top, top), (top - 6, top - 2), (top + 1, top + 4)):
                 window = DegreeWindow(lo, hi)
-                yield ds_character(ctx, 0, window), window
+                yield ctx, _ds_terms(ctx, 0, window), ds_character(ctx, 0, window), window
 
 
 def _labelled():
-    for ch, window in _ext_windows():
-        yield ch, window, "Ext"
-    for ch, window in _d0_windows():
-        yield ch, window, "D"
+    for case in _ext_windows():
+        yield *case, "Ext"
+    for case in _d0_windows():
+        yield *case, "D"
 
 
 def test_character_json_equals_json_dumps_of_the_dicts():
     count = empty = 0
-    for ch, window, label in _labelled():
+    for ctx, runs, ch, window, label in _labelled():
         want = character_json_dumps(ch._sorted_terms(), window.lo, window.hi)
-        assert _printed(_print_character, ch, window, "json", label) == want + "\n", window
+        got = _printed(_print_character, runs, ctx, window, "json", label)
+        assert got == want + "\n", window
         count += 1
         empty += not ch
     assert (count, empty) == (468 + 27, 205 + 9)
@@ -71,9 +77,9 @@ def test_character_json_equals_json_dumps_of_the_dicts():
 
 def test_character_pretty_lines_equal_the_joined_weights():
     one_entry = 0
-    for ch, window, label in _labelled():
+    for ctx, runs, ch, window, label in _labelled():
         terms = ch._sorted_terms()
-        lines = _printed(_print_character, ch, window, "pretty", label).split("\n")
+        lines = _printed(_print_character, runs, ctx, window, "pretty", label).split("\n")
         assert lines.pop() == ""
         assert lines == character_pretty(terms, window.lo, window.hi, label), window
         one_entry += sum(len(wm) == 1 for (_, _, wm, _), _ in terms)

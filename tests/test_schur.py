@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -11,7 +12,9 @@ from glinv import (
     enumerate_in_box,
 )
 
-from _oracles import ssyt_count
+from glinv.schur import _runs
+
+from _oracles import dict_merged_terms, ssyt_count
 
 
 def test_dim_schur_reference_values():
@@ -224,3 +227,42 @@ def test_dimension_table_rejects_weights_that_do_not_fit():
     for m in (0, True, 2.0):
         with pytest.raises(ValueError):
             long.dimension_table(m, 3)
+
+
+def _flat_groups(rng, m, n):
+    """Seeded groups {j: [(degree, 1, *wm, *wn), ...]} in shuffled order,
+    drawn from a few degrees and weights so that equal terms recur; some
+    indices hold no term, some hold no repeat."""
+    groups = {}
+    for j in rng.sample(range(-2, 6), rng.randint(1, 5)):
+        pool = [(rng.randint(-3, 3), 1, *(rng.randint(-2, 2) for _ in range(m + n)))
+                for _ in range(rng.randint(0, 6))]
+        k = rng.choice((0, len(pool), 2 * len(pool) + 3)) if pool else 0
+        groups[j] = rng.sample(pool, len(pool)) + [rng.choice(pool) for _ in range(k)]
+        rng.shuffle(groups[j])
+    return groups
+
+
+def test_runs_merge_equal_terms_as_the_dict_did():
+    # _runs against the dict merge it replaced: the same keys, summed
+    # multiplicities, the same order; and the character built from the runs
+    # holds exactly the dict's entries
+    rng = random.Random(26)
+    seen = {"merged": 0, "unmerged": 0, "empty index": 0}
+    for _ in range(300):
+        m = rng.randint(1, 4)
+        n = rng.randint(1, m)
+        groups = _flat_groups(rng, m, n)
+        want = dict_merged_terms(groups, m)
+        seen["empty index"] += any(not terms for terms in groups.values())
+        runs = _runs({j: list(terms) for j, terms in groups.items()})
+        assert list(runs) == sorted({key[0] for key, _ in want})
+        got = [((j, term[0], term[2:2 + m], term[2 + m:]), term[1])
+               for j, terms in runs.items() for term in terms]
+        assert got == want
+        for terms in runs.values():
+            merged = any(term[1] > 1 for term in terms)
+            seen["merged" if merged else "unmerged"] += 1
+        ch = EquivariantCharacter._from_runs(runs, m)
+        assert ch._sorted_terms() == want and list(ch._terms.items()) == want
+    assert min(seen.values()) >= 30, seen
