@@ -26,7 +26,8 @@ def h_rect(ctx: MatrixContext, r: int, s: int) -> EquivariantCharacter:
     box and beta inside the (m-r) x min(r,s) box. The pair sits at exponent
     |alpha| + |beta|, in internal degree r*s plus that exponent, with row
     weight attach(r, s, alpha, beta) and column weight
-    attach(r, s, beta', alpha').
+    attach(r, s, beta', alpha'); the row weight gives back the pair, so
+    each key is written once, with multiplicity 1.
     """
     m, n = ctx.m, ctx.n
     r, s = _integer(r, "rectangle height r", 1, n), _integer(s, "rectangle width s", 1)
@@ -41,7 +42,7 @@ def h_rect(ctx: MatrixContext, r: int, s: int) -> EquivariantCharacter:
         alpha_c, a = conjugate(alpha), size(alpha)
         for beta, col, b in betas:
             k = a + b
-            ch.add(k, row + beta, col + alpha_c, r * s + k)
+            ch._terms[(k, r * s + k, row + beta, col + alpha_c)] = 1
     return ch
 
 
@@ -52,17 +53,22 @@ def betti_polynomial(ctx: MatrixContext, a: int, b: int) -> EquivariantCharacter
     Sum over t = 0..n-a of the block for the (a+t) x (b+t) rectangle, with
     every block exponent k landing at homological index k + t^2 + 2t + 2u
     for each exponent 2u of qbinomial(t + min(a,b) - 1, t) taken in q^2,
-    weighted by the corresponding Gauss coefficient.
+    weighted by the corresponding Gauss coefficient. No key is made twice,
+    so each is written once, its multiplicity its Gauss coefficient: in
+    block t, r = a + t and s = b + t, the row weight wm of h_rect has rows
+    1..r at least s and row r + 1 = beta_1 <= min(r, s); a block t' > t has
+    rows 1..a + t' >= r + 1 at least b + t' > s, so wm fixes t. Then wm
+    fixes alpha and beta, so k; the index k + t^2 + 2t + 2u fixes u.
     """
     m, n = ctx.m, ctx.n
     a, b = _integer(a, "minor size a", 1, n), _integer(b, "power b", 1)
     out = EquivariantCharacter()
     for t in range(n - a + 1):
-        block = h_rect(ctx, a + t, b + t)._terms.items()
+        block = h_rect(ctx, a + t, b + t)._terms  # every multiplicity is 1
         base = t * t + 2 * t
         for u, gmult in enumerate(qbinomial(t + min(a, b) - 1, t)):
-            for (k, degree, wm, wn), mult in block:
-                out.add(k + base + 2 * u, wm, wn, degree, mult * gmult)
+            for k, degree, wm, wn in block:
+                out._terms[(k + base + 2 * u, degree, wm, wn)] = gmult
     return out
 
 
@@ -78,9 +84,9 @@ def _block_terms(ctx: MatrixContext, a: int, b: int) -> list[int]:
 
 
 def _betti_terms(ctx: MatrixContext, a: int, b: int) -> int:
-    """Terms betti_polynomial(ctx, a, b) adds, counted without making them:
-    it adds the terms of block t (_block_terms) once per coefficient of
-    qbinomial(t + c - 1, t), c = min(a, b), of which there are t(c - 1) + 1.
+    """Terms (all distinct keys) of betti_polynomial(ctx, a, b), counted
+    without making them: those of block t (_block_terms) once per coefficient
+    of qbinomial(t + c - 1, t), c = min(a, b), of which there are t(c - 1) + 1.
     """
     blocks = _block_terms(ctx, a, b)
     c = min(a, b)

@@ -450,6 +450,7 @@ def _cmd_lc(args) -> int:
         window = _parse_window(args.window)
         if args.format == "csv":
             raise UsageError("csv output is not defined for --ds")
+        _integer(args.p, "minor size p", 1, ctx.n)  # unused here, checked as lc_table does
         if args.ds == 0:
             cap = LC_DS_MAX_TERMS if args.max_terms is None else args.max_terms
             # the count only compares its bound with the cap, so _refuse can

@@ -324,6 +324,8 @@ def run_golden_checks() -> list[tuple[str, str | None]]:
             fn()
         except AssertionError as exc:
             results.append((name, str(exc)))
+        except Exception as exc:  # named by its type, so selftest ends in its summary
+            results.append((name, f"{type(exc).__name__}: {exc}"))
         else:
             results.append((name, None))
     return results

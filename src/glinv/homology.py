@@ -18,7 +18,7 @@ from math import inf
 
 from ._record import _Record
 from .ideals import InvariantIdeal, MatrixContext, _generators, ideal_leq
-from .partitions import Parts, _in_ideal, _index, _insert, _integer, _integers, part, partition
+from .partitions import Parts, _in_ideal, _index, _insert, _integer, part, partition
 from .schur import EquivariantCharacter, _runs
 
 
@@ -51,7 +51,8 @@ class DegreeWindow(_Record):
     hi: int
 
     def _check(self):
-        _integers((self.lo, self.hi))
+        for name in self.__slots__:
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.lo > self.hi:
             raise ValueError(f"empty degree window: {self.lo}..{self.hi}")
 
@@ -281,11 +282,10 @@ def _lambdas(ctx: MatrixContext, s: int, lower, upper, window):
     degree. Every range is finite, so the enumeration terminates.
 
     With no free position the walk is one test of F against the window;
-    with one it is a loop. Otherwise the free positions but the last
-    recurse, and the last is a loop inside the call for the one before it,
-    which emits the terms. lam and wm are built in place, in one array of
-    length n and one of length m whose block (and forced entries) are
-    written once, so a term costs one tuple, built from both.
+    otherwise it is one recursion over the free positions (_weight_walk).
+    lam and wm are built in place, in one array of length n and one of
+    length m whose block (and forced entries) are written once, so a term
+    costs one tuple, built from both.
     """
     m, n = ctx.m, ctx.n
     lo, hi = window.lo, window.hi
@@ -320,41 +320,30 @@ def _lambdas(ctx: MatrixContext, s: int, lower, upper, window):
             forced += a
         else:
             return []
-    if len(steps) < 2:
-        if not steps:
-            return [(forced, 1, *wm, *lam)] if lo <= forced <= hi else []
-        i, j, shift, b, _, a, _, _ = steps[0]
-        out = []
-        for v in range(min(b, hi - forced), max(a, lo - forced) - 1, -1):
-            lam[i] = v
-            wm[j] = v + shift
-            out.append((forced + v, 1, *wm, *lam))
-        return out
-    i_last, j_last, shift_last, ub_last, _, lb_last, _, _ = steps[0]
+    if not steps:
+        return [(forced, 1, *wm, *lam)] if lo <= forced <= hi else []
     out = []
-    append = out.append
+    _weight_walk(steps, len(steps) - 1, inf, forced, lam, wm, out.append)
+    return out
 
-    def walk(k: int, prev, partial: int) -> None:
-        i, j, shift, ub_i, budget, lb_i, reach, count = steps[k]
-        top = min(prev, ub_i, budget - partial)
-        bottom = max(lb_i, -((partial - reach) // count))
-        if k > 1:
-            for v in range(top, bottom - 1, -1):
-                lam[i] = v
-                wm[j] = v + shift
-                walk(k - 1, v, partial + v)
-            return
+
+def _weight_walk(steps, k: int, prev, partial: int, lam, wm, append) -> None:
+    """The walk of _lambdas from free position steps[k] on, after the entry
+    prev and with partial the sum of lam so far: each value, high to low,
+    goes into lam and wm; the walk recurses while k > 0, emits at k = 0."""
+    i, j, shift, ub_i, budget, lb_i, reach, count = steps[k]
+    top = min(prev, ub_i, budget - partial)
+    bottom = max(lb_i, -((partial - reach) // count))
+    if k:
         for v in range(top, bottom - 1, -1):
             lam[i] = v
             wm[j] = v + shift
-            total = partial + v
-            for w in range(min(v, ub_last, hi - total), max(lb_last, lo - total) - 1, -1):
-                lam[i_last] = w
-                wm[j_last] = w + shift_last
-                append((total + w, 1, *wm, *lam))
-
-    walk(len(steps) - 1, inf, forced)
-    return out
+            _weight_walk(steps, k - 1, v, partial + v, lam, wm, append)
+    else:
+        for v in range(top, bottom - 1, -1):
+            lam[i] = v
+            wm[j] = v + shift
+            append((partial + v, 1, *wm, *lam))
 
 
 def _ext_terms(ctx: MatrixContext, pairs, window) -> dict[int, list[tuple[int, ...]]]:

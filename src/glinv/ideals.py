@@ -17,7 +17,6 @@ from .partitions import (
     _in_ideal,
     _index,
     _integer,
-    _integers,
     minimalize,
     part,
     partition,
@@ -38,7 +37,8 @@ class MatrixContext(_Record):
     n: int
 
     def _check(self):
-        _integers((self.m, self.n))
+        for name in self.__slots__:
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if not (self.m >= self.n >= 1):
             raise ValueError(f"need m >= n >= 1, got m={self.m}, n={self.n}")
 

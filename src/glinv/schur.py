@@ -89,9 +89,10 @@ class EquivariantCharacter:
     One private iterator, _sorted_terms, sorts the entries themselves; items()
     and the Betti json renderer of glinv.cli read it, while dimension_table
     and betti_polynomial read them unsorted: no summand becomes an object on
-    the way to a table or to text. Ext and D_0 characters are built whole
-    from sorted runs of flat terms (_runs, _from_runs), which the CLI renders
-    without a character. A character in one cohomological degree uses that
+    the way to a table or to text. Engines build a character whole, without
+    add (for library callers): Ext and D_0 from sorted runs of flat terms
+    (_runs, _from_runs), which the CLI renders without a character, Betti
+    from distinct keys. A character in one cohomological degree uses that
     degree as the index; plain graded characters use index 0.
     """
 

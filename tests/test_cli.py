@@ -240,6 +240,22 @@ def test_lc_ds_has_no_csv(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("p", ["99", "0"])
+def test_lc_ds_checks_the_minor_size(capsys, p):
+    # --ds reads no table, but p is still checked as the table checks it
+    argv = ["lc", "-m", "2", "-n", "2", "-p", p, "--ds", "0", "--window=-5..-4"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: minor size p must be in 1..2, got {p}\n"
+    # usage errors still come first
+    code, _, err = run(capsys, [*argv, "--format", "csv"])
+    assert code == 2
+    assert err == "usage error: csv output is not defined for --ds\n"
+    code, _, err = run(capsys, argv[:-1])
+    assert code == 2
+    assert err == "usage error: --ds needs --window lo..hi\n"
+
+
 def test_lc_ds_json_golden(capsys):
     code, out, _ = run(capsys, ["lc", "-m", "2", "-n", "2", "-p", "1", "--ds", "0",
                                 "--window=-5..-4", "--format", "json"])
@@ -470,6 +486,23 @@ def test_selftest_passes(capsys):
     code, out, _ = run(capsys, ["selftest"])
     assert code == 0
     assert out.splitlines()[-1] == "22/22 checks passed"
+
+
+def test_selftest_reports_a_check_that_raises(capsys, monkeypatch):
+    # an exception other than an assertion is one FAIL line, never a traceback
+    from glinv import golden
+
+    def divides_by_zero():
+        return 1 / 0
+
+    checks = (golden.GOLDEN_CHECKS[0], ("divides-by-zero", divides_by_zero))
+    monkeypatch.setattr(golden, "GOLDEN_CHECKS", checks)
+    code, out, err = run(capsys, ["selftest"])
+    assert code == 1
+    assert out.splitlines() == [f"ok {checks[0][0]}",
+                                "FAIL divides-by-zero: ZeroDivisionError: division by zero",
+                                "1/2 checks passed"]
+    assert err == ""
 
 
 def test_domain_error_exit_code(capsys):

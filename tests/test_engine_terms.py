@@ -1,9 +1,10 @@
-"""Every term an engine adds to a character is a pair of dominant weights.
+"""Every term an engine puts in a character is a pair of dominant weights.
 
-EquivariantCharacter.add stores its weights as given, so the engines are
-the only guard of the key format: tuples of ints, weakly decreasing, the
-GL_m weight with at most m entries and the GL_n weight with at most n, both
-summing to the internal degree.
+The engines write their keys into a character unchecked, and
+EquivariantCharacter.add too stores its weights as given, so the engines
+are the only guard of the key format: tuples of ints, weakly decreasing,
+the GL_m weight with at most m entries and the GL_n weight with at most n,
+both summing to the internal degree.
 """
 
 from glinv import (

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from collections import Counter
 from math import inf
 
@@ -86,7 +87,10 @@ def test_degree_window():
 
 @pytest.mark.parametrize("lo, hi", [(-6.5, -5), (-6, -5.0), (False, True), (-6, "-5")])
 def test_degree_window_rejects_non_integer_bounds(lo, hi):
-    with pytest.raises(ValueError, match="integers"):
+    # the message names the first bound that is not an integer
+    name, value = ("hi", hi) if type(lo) is int else ("lo", lo)
+    message = rf"^{name} must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
         DegreeWindow(lo, hi)
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -35,7 +36,10 @@ def test_context_requires_ordered_sides():
 
 @pytest.mark.parametrize("m, n", [(3.5, 2), (3, 2.0), (True, True), (2, True), ("3", 2)])
 def test_context_rejects_non_integer_sides(m, n):
-    with pytest.raises(ValueError, match="integers"):
+    # the message names the first side that is not an integer
+    name, value = ("n", n) if type(m) is int else ("m", m)
+    message = rf"^{name} must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
         MatrixContext(m, n)
 
 

@@ -77,6 +77,9 @@ SLOTS = [
     (ds_character, (CTX, 0, DegreeWindow(-12, -9)), {1: 3}),
     (h_rect, (CTX, 2, 2), {1: 4, 2: 0}),
     (betti_polynomial, (CTX, 2, 1), {1: 0, 2: 0}),
+    # the records keep their own range messages; only the types come here
+    (MatrixContext, (3, 2), {0: None, 1: None}),
+    (DegreeWindow, (-12, -9), {0: None, 1: None}),
 ]
 
 CASES = [
@@ -137,3 +140,7 @@ def test_index_types_are_accepted():
     assert dim_schur((1,), Three()) == 3
     assert lc_table(CTX, Three()).rows == lc_table(CTX, 3).rows
     assert ZPair((), Three()) == ZPair((), 3)
+    assert MatrixContext(Three(), Three()) == MatrixContext(3, 3)
+    assert type(MatrixContext(Three(), Three()).m) is int
+    assert DegreeWindow(Three(), Three()) == DegreeWindow(3, 3)
+    assert type(DegreeWindow(Three(), Three()).hi) is int
