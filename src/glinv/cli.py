@@ -245,9 +245,30 @@ _FAMILIES = {"power": power_of_minors, "symbolic": symbolic_power,
              "saturated": saturated_power}
 
 
+def _at_most(most: int, template: str, *options: tuple[str, object]) -> None:
+    """A UsageError when more than most of the (flag, value) options are
+    given, a value being given when it is not None: template with the
+    given flags joined as "-m", "-m and -n" or "--in, --kind and --gens"."""
+    flags = [flag for flag, value in options if value is not None]
+    if len(flags) > most:
+        names = f"{', '.join(flags[:-1])} and {flags[-1]}" if flags[1:] else flags[0]
+        raise UsageError(template.format(names))
+
+
 def _resolve_ideal(args) -> InvariantIdeal:
-    infile = getattr(args, "infile", None)
+    """The ideal of a call, read from exactly one source: --in FILE, whose
+    file carries m and n, --kind with -p and -d, or --gens; the verbs power,
+    symbolic and saturated build their own family. Any other combination is
+    a usage error that names the options, so no option is ignored."""
+    infile = getattr(args, "infile", None) or None  # --in '' reads as absent
+    kind = getattr(args, "kind", None)
+    _at_most(1, "give one ideal source, not {}",
+             ("--in", infile), ("--kind", kind), ("--gens", getattr(args, "gens", None)))
+    if hasattr(args, "kind") and kind is None:  # saturate's -p is its own
+        _at_most(0, "{} given without --kind", ("-p", args.p), ("-d", args.d))
     if infile:
+        _at_most(0, "{} given with --in, whose file carries m and n",
+                 ("-m", args.m), ("-n", args.n))
         data = _read_ideal_file(infile)
         try:
             m, n, gens = data["m"], data["n"], data["gens"]

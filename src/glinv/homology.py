@@ -14,6 +14,7 @@ regularity are computed exactly without windows.
 
 from __future__ import annotations
 
+from itertools import groupby
 from math import inf
 
 from ._record import _Record
@@ -162,17 +163,10 @@ def _check_zpair(ctx: MatrixContext, zp: ZPair) -> None:
     _integer(zp.l, "l", 0, ctx.n - 1)
 
 
-def _blocks(n: int, z: Parts, l: int) -> list[list[int]]:
-    """Blocks [y, r] of equal entries among z_n, z_{n-1}, ..., z_{l+1},
+def _blocks(n: int, z: Parts, l: int) -> list[tuple[int, int]]:
+    """Blocks (y, r) of equal entries among z_n, z_{n-1}, ..., z_{l+1},
     bottom first: r rows of value y, the values strictly increasing."""
-    rows = z[l:]  # z_{l+1}, z_{l+2}, ...; the rest of z_{l+1..n} is 0
-    blocks = [[0, n - l - len(rows)]] if len(rows) < n - l else []
-    for y in reversed(rows):
-        if blocks and blocks[-1][0] == y:
-            blocks[-1][1] += 1
-        else:
-            blocks.append([y, 1])
-    return blocks
+    return [(y, len(list(rows))) for y, rows in groupby(reversed((z + (0,) * n)[l:n]))]
 
 
 def _st_data(ctx: MatrixContext, zp: ZPair):
@@ -185,8 +179,10 @@ def _st_data(ctx: MatrixContext, zp: ZPair):
     (increasing in i) equal to pin i, v_i = t_i - z_{n+1-i} - m.
     The least candidate, lower, takes at each position the largest pin at or
     after it, raised to s - n on positions 1..s. The datum is feasible when
-    lower meets every pin and lower[s+1] <= s - m, that is exactly when
-      - t_1 <= s + z_n, that is v_1 <= s - m: lower[s+1] is the largest pin;
+    lower meets every pin and its entry at position s+1 is at most s - m,
+    that is exactly when
+      - t_1 <= s + z_n, that is v_1 <= s - m: position s+1 of lower holds
+        the largest pin;
       - t_i - t_{i-1} <= z_{n+1-i} - z_{n+2-i} for i >= 2: the pins weakly
         decrease;
       - t_k = l: pin k sits at or before position n, so it is at least the
@@ -212,10 +208,16 @@ def _st_data(ctx: MatrixContext, zp: ZPair):
     path reaches one (s = t_1), so the work follows the feasible data, not
     the tuples t.
 
-    lower and upper are indexed by 1-based position (index 0 unused): lower
-    is s - n on positions 1..s, then block b fills t_b - t_{b-1} + r_b
-    positions with its pin t_b - y_b - m; upper holds the pins, s - m at
-    position s+1 when no pin is there, and inf elsewhere.
+    lower and upper bound the datum's weights entrywise. They are 0-based
+    (entry i - 1 bounds position i) and tight, that is weakly decreasing,
+    so _lambdas reads them as given. lower is s - n on positions 1..s, then
+    block b fills t_b - t_{b-1} + r_b positions with its pin t_b - y_b - m;
+    it weakly decreases, since s - n >= s - m >= pin 1 >= ... >= pin B.
+    upper carries each cap (the pins, and s - m at position s+1) to the
+    right, as a dominant weight does: inf on positions 1..s, s - m up to
+    block 1's pins, and on each later free stretch the pin on its left, so
+    t_b - t_{b-1} positions of block b-1's pin come before block b's r_b
+    pins; it weakly decreases with the pins.
     """
     m, n = ctx.m, ctx.n
     l = zp.l
@@ -226,15 +228,14 @@ def _st_data(ctx: MatrixContext, zp: ZPair):
     while blocks:
         y_below, r_below = blocks.pop()
         paths = [(t, total + r_below * t, [u - y - m] * (u - t + r) + lo,
-                  [inf] * (u - t) + [u - y - m] * r + up)
+                  [t - y_below - m] * (u - t) + [u - y - m] * r + up)
                  for u, total, lo, up in paths for t in range(max(0, u - y + y_below), u + 1)]
         y, r = y_below, r_below
     for u, total, lo, up in paths:
         v = u - y - m
         for s in range(max(0, u - y), u + 1):
-            lower = [s - n] * (s + 1) + [v] * (u - s + r) + lo
-            upper = [inf] * (u + 1) + [v] * r + up
-            upper[s + 1] = min(upper[s + 1], s - m)
+            lower = [s - n] * s + [v] * (u - s + r) + lo
+            upper = [inf] * s + [s - m] * (u - s) + [v] * r + up
             yield s, m * n - l * l - s * (m - n) - 2 * total, lower, upper
 
 
@@ -248,21 +249,22 @@ def _lambdas(ctx: MatrixContext, s: int, lower, upper, window):
     decreasing whenever the bounds give lam_s >= s - n and
     lam_{s+1} <= s - m, as the bound lists of every Ext datum and of D_0 do.
 
-    lower holds integers; upper holds integers or inf. Both are indexed by
-    1-based position (index 0 unused). The terms come in decreasing
+    lower holds integers; upper holds integers or inf. Both are 0-based
+    (entry i - 1 bounds position i) and tight: each weakly decreases, as
+    the bounds of _st_data's data and the constant ones of _ds_terms do,
+    so upper_i = min(upper_1..upper_i) and lower_i = max(lower_i..lower_n),
+    and _lambdas reads them as given. The terms come in decreasing
     lexicographic order of lam.
 
-    The bounds are tightened once: upper_i becomes min(upper_1..upper_i)
-    and lower_i becomes max(lower_i..lower_n), which every dominant lam in
-    the box meets. The box is empty when some tightened lower_i exceeds
-    upper_i. A position with lower_i = upper_i is forced: its entry is
-    written into lam and wm once, and its sum F starts the partial sum. The
-    walk visits only the free positions, lower_i < upper_i.
+    The box is empty when some lower_i exceeds upper_i. A position with
+    lower_i = upper_i is forced: its entry is written into lam and wm once,
+    and its sum F starts the partial sum. The walk visits only the free
+    positions, lower_i < upper_i.
 
     Dominance needs no test across a forced position k of value c. For
-    free i < k < j, lam_i >= lower_i >= lower_k = c, because the tightened
-    lower bounds decrease, and lam_j <= upper_j <= upper_k = c, because the
-    tightened upper bounds decrease; so lam_i >= c >= lam_j, and the forced
+    free i < k < j, lam_i >= lower_i >= lower_k = c, because the lower
+    bounds decrease, and lam_j <= upper_j <= upper_k = c, because the
+    upper bounds decrease; so lam_i >= c >= lam_j, and the forced
     entries themselves decrease for the same reason. The free positions
     therefore split into runs of consecutive positions, and dominance links
     only neighbours inside one run. A run that starts after a forced entry
@@ -275,7 +277,7 @@ def _lambdas(ctx: MatrixContext, s: int, lower, upper, window):
     forced c it is at least c >= upper_i. The lower bound is lower_i,
     raised so that the sum can still reach lo: the free entries after i in
     its run, r of them, are at most lam_i each, and the later runs sum to at
-    most L, the sum of their tightened upper bounds. So
+    most L, the sum of their upper bounds. So
     partial + (r + 1) lam_i + L >= lo, that is
     lam_i >= ceil((lo - partial - L) / (r + 1)). At the last free position
     r = L = 0, so every leaf lies in the window and its partial sum is the
@@ -292,28 +294,22 @@ def _lambdas(ctx: MatrixContext, s: int, lower, upper, window):
     tail = m - n  # the shift of position i > s inside wm, and of its value
     lam = [0] * n
     wm = [s - n] * m
-    ub = upper[1:]  # tightened in place, 0-based from here
-    for i in range(1, n):
-        if ub[i] > ub[i - 1]:
-            ub[i] = ub[i - 1]
     # per free position, right to left: (lam index, wm index, shift, upper,
     # hi less the least sum of the later free entries, lower, lo - L, r + 1)
     steps = []
     forced = least = later = most = 0
-    a, count, nxt = lower[n], 1, n + 1
+    count, nxt = 1, n - 1  # nxt: the free position that extends the run
     for i in range(n - 1, -1, -1):
-        if lower[i + 1] > a:  # a is the tightened lower bound
-            a = lower[i + 1]
-        b = ub[i]
+        a, b = lower[i], upper[i]
         shift = 0 if i < s else tail
         if a < b:
-            if i + 1 < nxt:  # i ends its run: the later runs sum to at most most
+            if i != nxt:  # i ends its run: the later runs sum to at most most
                 later, count = most, 1
             steps.append((i, i + shift, shift, b, hi - least, a, lo - later, count))
             least += a
             most += b
             count += 1
-            nxt = i
+            nxt = i - 1
         elif a == b:
             lam[i] = a
             wm[i + shift] = a + shift
@@ -393,7 +389,7 @@ def _least_degrees(ctx: MatrixContext, zp: ZPair) -> dict[int, int]:
     yields, a datum's least degree being the sum of its lower."""
     least: dict[int, int] = {}
     for _, j, lower, _ in _st_data(ctx, zp):
-        d = sum(lower) - lower[0]
+        d = sum(lower)
         if d < least.get(j, inf):
             least[j] = d
     return least

@@ -85,9 +85,9 @@ def _ds_terms(ctx: MatrixContext, s: int,
         )
     n, m = ctx.n, ctx.m
     # the other n-1 entries are each at most -m, so an entry below
-    # lo + (n-1)*m leaves the degree under lo
-    lower = [window.lo + (n - 1) * m] * (n + 1)
-    return _runs({0: _lambdas(ctx, 0, lower, [-m] * (n + 1), window)})
+    # lo + (n-1)*m leaves the degree under lo; constant bounds are tight
+    lower = [window.lo + (n - 1) * m] * n
+    return _runs({0: _lambdas(ctx, 0, lower, [-m] * n, window)})
 
 
 # _ds_weight_count gives up exactness only past this many steps of its count

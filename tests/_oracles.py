@@ -294,19 +294,18 @@ def lambdas_box_brute(m: int, n: int, s: int, lower, upper, lo: int, hi: int) ->
     """Every dominant length-n lam with lower_i <= lam_i <= upper_i and
     lo <= |lam| <= hi, with no pruning.
 
-    lower and upper are indexed by 1-based position (index 0 unused); upper
-    may hold inf. Every weakly decreasing tuple of values from
-    [lower_n, cap] is tried: each entry lies between lam_n >= lower_n and
+    lower and upper are 0-based (entry i - 1 bounds position i) and need
+    not be tight; upper may hold inf. Every weakly decreasing tuple of
+    values from [lower_n, cap] is tried: each entry lies between lam_n >= lower_n and
     lam_1, and lam_1 <= cap = min(upper_1, hi - lower_2 - ... - lower_n).
     Each lam is paired with the GL_m weight lam_1..lam_s, (s - n)^(m - n),
     then lam_{s+1} + m - n, ..., lam_n + m - n. Returns the sorted list of
     (wm, lam, degree).
     """
-    low, up = lower[1:], upper[1:]
-    cap = min(up[0], hi - sum(low[1:]))
+    cap = min(upper[0], hi - sum(lower[1:]))
     out = []
-    for lam in combinations_with_replacement(range(cap, low[-1] - 1, -1), n):
-        if (all(x <= v <= u for x, v, u in zip(low, lam, up))
+    for lam in combinations_with_replacement(range(cap, lower[-1] - 1, -1), n):
+        if (all(x <= v <= u for x, v, u in zip(lower, lam, upper))
                 and lo <= sum(lam) <= hi):
             wm = lam[:s] + (s - n,) * (m - n) + tuple(v + m - n for v in lam[s:])
             out.append((wm, lam, sum(lam)))

@@ -72,6 +72,8 @@ def test_normalize_pretty_mentions_degree(capsys):
     assert code == 0
     assert "degree 4" in out
     assert "###" in out
+    code, out, err = run(capsys, ["normalize", "-m", "3", "-n", "3", "--gens", "[]"])
+    assert (code, out, err) == (0, "m = 3, n = 3\nzero ideal (no generators)\n", "")
 
 
 def _grid(x):
@@ -592,6 +594,72 @@ def test_non_integer_json_is_a_domain_error(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+IDEAL_FILE = '{"m": 3, "n": 3, "gens": [[2, 2]]}'
+
+
+@pytest.mark.parametrize("argv, content, code, line", [
+    # an ideal comes from exactly one of --in, --kind and --gens; -m and -n
+    # come from the file under --in, and -p and -d go with --kind
+    (["reg", "--kind", "power", "-p", "2", "-d", "1", "-m", "3", "-n", "3", "--gens", "[[1]]"],
+     None, 2, "usage error: give one ideal source, not --kind and --gens"),
+    (["normalize", "--gens", "[[1]]", "--in", "FILE"],
+     IDEAL_FILE, 2, "usage error: give one ideal source, not --in and --gens"),
+    (["zset", "--in", "FILE", "--kind", "power", "-p", "2", "-d", "2", "--gens", "[[1]]"],
+     IDEAL_FILE, 2, "usage error: give one ideal source, not --in, --kind and --gens"),
+    (["ext", "--in", "FILE", "--kind", "symbolic", "--window=0..1"],
+     IDEAL_FILE, 2, "usage error: give one ideal source, not --in and --kind"),
+    (["reg", "--in", "FILE", "-m", "9", "-n", "2"],
+     IDEAL_FILE, 2, "usage error: -m and -n given with --in, whose file carries m and n"),
+    (["saturate", "--in", "FILE", "-n", "3", "-p", "2"],
+     IDEAL_FILE, 2, "usage error: -n given with --in, whose file carries m and n"),
+    (["reg", "--gens", "[[1]]", "-m", "3", "-n", "3", "-p", "2", "-d", "5"],
+     None, 2, "usage error: -p and -d given without --kind"),
+    (["zset", "--gens", "[[1]]", "-m", "3", "-n", "3", "-p", "2"],
+     None, 2, "usage error: -p given without --kind"),
+    (["ext", "--in", "FILE", "-d", "2", "--window=0..1"],
+     IDEAL_FILE, 2, "usage error: -d given without --kind"),
+    (["zset", "-m", "3", "-n", "3", "--kind", "power", "-p", "2"],
+     None, 2, "usage error: --kind needs -p and -d"),
+    (["zset", "-m", "3", "-n", "3"], None, 2, "usage error: need --gens, --kind, or --in FILE"),
+    (["normalize", "-m", "3", "-n", "3", "--gens", "[1]"],
+     None, 1, "error: generators must be a JSON list of integer lists"),
+    (["normalize", "--in", "FILE"], "[]", 1,
+     "error: ideal file must carry keys m, n, gens: list indices must be integers or slices, "
+     "not str"),
+    (["normalize", "--in", "FILE"], '{"m": 3}', 1,
+     "error: ideal file must carry keys m, n, gens: 'n'"),
+    (["schurdim", "-N", "3", "--weight", "x"],
+     None, 1, "error: weight is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    (["schurdim", "-N", "3", "--weight", "3"],
+     None, 1, "error: weight must be a JSON list of integers"),
+])
+def test_input_errors_are_one_pinned_line(tmp_path, capsys, argv, content, code, line):
+    # FILE in argv names a file that holds content
+    src = tmp_path / "ideal.json"
+    if content is not None:
+        src.write_text(content)
+    argv = [str(src) if word == "FILE" else word for word in argv]
+    assert run(capsys, argv) == (code, "", line + "\n")
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["reg", "--kind", "power", "-p", "2", "-d", "1", "-m", "3", "-n", "3"], "regularity = 3\n"),
+    (["reg", "--gens", "[[1]]", "-m", "3", "-n", "3"], "regularity = 1\n"),
+    (["reg", "--in", "FILE"], "regularity = 6\n"),
+    (["saturate", "--gens", "[[2,2]]", "-m", "3", "-n", "3", "-p", "2"],
+     "m = 3, n = 3\nunit ideal (generated by the empty minor)\n"),
+    (["saturate", "--in", "FILE", "-p", "2"],
+     "m = 3, n = 3\nunit ideal (generated by the empty minor)\n"),
+    (["zset", "--in", "FILE", "--format", "csv"], "l,z\n1,\n1,1 1\n1,1 1 1\n"),
+])
+def test_single_source_calls_run(tmp_path, capsys, argv, out):
+    # the calls of the table above with their extra option dropped
+    src = tmp_path / "ideal.json"
+    src.write_text(IDEAL_FILE)
+    argv = [str(src) if word == "FILE" else word for word in argv]
+    assert run(capsys, argv) == (0, out, "")
 
 
 @pytest.mark.parametrize("payload", [

@@ -2,6 +2,7 @@ import json
 import random
 import re
 from collections import Counter
+from itertools import accumulate
 from math import inf
 
 import pytest
@@ -195,6 +196,16 @@ def test_zset_rejects_generators_with_too_many_parts():
         zset_of_generators(MatrixContext(3, 3), [(2, 1), (1, 1, 1, 1)])
 
 
+@pytest.mark.parametrize("query", [
+    lambda ctx, zp: ext_jzl(ctx, zp, DegreeWindow(-9, 0)),
+    attainable_indices,
+    lambda ctx, zp: ext_min_degree(ctx, zp, 0),
+])
+def test_factor_queries_reject_z_with_more_than_n_parts(query):
+    with pytest.raises(ValueError, match=r"^z=\(1, 1, 1\) has more than 2 parts$"):
+        query(MatrixContext(3, 2), ZPair((1, 1, 1), 0))
+
+
 @pytest.mark.parametrize("gens", [[(1, 2)], [(2, -1)], [(True, 1)]])
 def test_zset_rejects_generators_that_are_not_partitions(gens):
     with pytest.raises(ValueError):
@@ -300,16 +311,19 @@ def test_ext_components_match_weight_first_oracle_on_every_small_factor():
 
 
 def _free_runs(lower, upper):
-    """Runs of consecutive free positions that the tightened bounds leave
-    (upper_i to the minimum from the left, lower_i to the maximum from the
-    right, free where they differ), or None when the tightened box is empty."""
-    n = len(lower) - 1
-    up = [min(upper[1:i + 1]) for i in range(1, n + 1)]
-    low = [max(lower[i:]) for i in range(1, n + 1)]
-    if any(x > u for x, u in zip(low, up)):
+    """Runs of consecutive free positions of a tight 0-based box (free where
+    the bounds differ), or None when the box is empty."""
+    if any(x > u for x, u in zip(lower, upper)):
         return None
-    free = [i for i in range(n) if low[i] < up[i]]
+    free = [i for i in range(len(lower)) if lower[i] < upper[i]]
     return sum(1 for k, i in enumerate(free) if not k or free[k - 1] != i - 1)
+
+
+def _tight(lower, upper):
+    """The box that _lambdas reads: upper to the minimum from the left,
+    lower to the maximum from the right, which every dominant weight in
+    the box meets."""
+    return ([max(lower[i:]) for i in range(len(lower))], list(accumulate(upper, min)))
 
 
 def test_ext_components_match_weight_first_oracle_on_four_rows():
@@ -338,20 +352,20 @@ def test_ext_components_match_weight_first_oracle_on_four_rows():
 
 
 def _random_box(rng, n):
-    """lower and upper bound lists (index 0 unused) around a random weakly
+    """Loose 0-based lower and upper bound lists around a random weakly
     decreasing weight with entries in [-5, 3], so that a later run of free
     entries can have a positive largest sum: each upper is inf, the
     weight's entry or a little above it, each lower the entry or a little
     below it; now and then one lower is raised above an earlier upper,
     which empties the box only after tightening."""
     lam = sorted((rng.randint(-5, 3) for _ in range(n)), reverse=True)
-    lower, upper = [0], [0]
+    lower, upper = [], []
     for v in lam:
         lower.append(v - rng.choice((0, 0, 1, 2)))
         upper.append(rng.choice((inf, v, v, v + 1, v + 2)))
     if n > 1 and rng.random() < 0.15:
-        i = rng.randint(1, n - 1)
-        j = rng.randint(i + 1, n)
+        i = rng.randint(0, n - 2)
+        j = rng.randint(i + 1, n - 1)
         if upper[i] < inf:
             lower[j] = max(lower[j], upper[i] + 1)
             upper[j] = max(upper[j], lower[j])
@@ -359,22 +373,23 @@ def _random_box(rng, n):
 
 
 def test_lambdas_match_box_brute_force():
-    # _lambdas against the unpruned enumeration, on seeded random boxes
-    # with n <= 6, m - n <= 2 and every s, in windows that miss the box,
-    # cut through it or hold all of it, and on the D_0 bounds of ds_character
+    # _lambdas on the tightened box against the unpruned enumeration on the
+    # loose one, on seeded random boxes with n <= 6, m - n <= 2 and every s,
+    # in windows that miss the box, cut through it or hold all of it, and on
+    # the D_0 bounds of ds_character
     rng = random.Random(23)
     seen = Counter()  # features of the boxes and of their windows
     cases = []
     for _ in range(400):
         n = rng.randint(1, 6)
         lower, upper = _random_box(rng, n)
-        runs = _free_runs(lower, upper)
+        tight = _tight(lower, upper)
+        runs = _free_runs(*tight)
         seen["inf upper"] += inf in upper
         seen[f"{runs} runs"] += 1
         if runs is None:
             assert all(x <= u for x, u in zip(lower, upper))  # only tightening empties it
-        least = sum(max(lower[i:]) for i in range(1, n + 1))
-        most = sum(min(upper[1:i + 1]) for i in range(1, n + 1))
+        least, most = map(sum, tight)
         start = least + rng.randint(-4, 6)
         windows = [(least - 5, least - 1), (start, start + rng.randint(0, 6))]
         if runs is not None and most < inf:
@@ -384,22 +399,23 @@ def test_lambdas_match_box_brute_force():
             if runs is not None:
                 seen["window misses" if hi < least or lo > most else
                      "window holds all" if lo <= least and most <= hi else "window cuts"] += 1
-            cases.append((n + rng.randint(0, 2), n, rng.randint(0, n - 1), lower, upper, lo, hi))
+            cases.append((n + rng.randint(0, 2), n, rng.randint(0, n - 1),
+                          (lower, upper), tight, lo, hi))
     for n in range(1, 5):
         for m in (n, n + 1, n + 2):
             top = -m * n
             for lo, hi in ((top - 9, top), (top - 6, top - 3), (top - 3, top + 4),
                            (top + 1, top + 5)):
-                lower = [lo + (n - 1) * m] * (n + 1)
-                cases.append((m, n, 0, lower, [-m] * (n + 1), lo, hi))
+                box = ([lo + (n - 1) * m] * n, [-m] * n)
+                cases.append((m, n, 0, box, box, lo, hi))
     nonempty = 0
-    for m, n, s, lower, upper, lo, hi in cases:
-        flat = homology._lambdas(MatrixContext(m, n), s, lower, upper, DegreeWindow(lo, hi))
+    for m, n, s, loose, tight, lo, hi in cases:
+        flat = homology._lambdas(MatrixContext(m, n), s, *tight, DegreeWindow(lo, hi))
         # flat terms (degree, 1, *wm, *lam), read back as (wm, lam, degree)
         assert all(len(term) == 2 + m + n and term[1] == 1 for term in flat)
         got = [(term[2:2 + m], term[2 + m:], term[0]) for term in flat]
-        want = lambdas_box_brute(m, n, s, lower, upper, lo, hi)
-        assert sorted(got) == want, (m, n, s, lower, upper, lo, hi)
+        want = lambdas_box_brute(m, n, s, *loose, lo, hi)
+        assert sorted(got) == want, (m, n, s, loose, lo, hi)
         # each weight once, in decreasing order of lam
         assert [lam for _, lam, _ in got] == sorted((lam for _, lam, _ in want), reverse=True)
         nonempty += bool(want)
@@ -448,9 +464,21 @@ def _closed(ctx, zp):
 
 
 def _walked(ctx, zp):
-    # the data _st_data yields, as a multiset comparable with st_data_scan's
-    return Counter((s, j, tuple(lower[1:]), tuple(upper[1:]))
-                   for s, j, lower, upper in homology._st_data(ctx, zp))
+    # the data _st_data yields, as a multiset comparable with _scanned's;
+    # each box is tight: both bounds weakly decrease and lower <= upper
+    walked = Counter()
+    for s, j, lower, upper in homology._st_data(ctx, zp):
+        for bound in (lower, upper):
+            assert all(a >= b for a, b in zip(bound, bound[1:])), (ctx, zp, s, bound)
+        assert all(a <= b for a, b in zip(lower, upper)), (ctx, zp, s, lower, upper)
+        walked[s, j, tuple(lower), tuple(upper)] += 1
+    return walked
+
+
+def _scanned(m, n, z, l):
+    # the data st_data_scan finds feasible, upper tightened to its prefix minimum
+    return Counter((s, j, lower, tuple(accumulate(upper, min)))
+                   for s, j, lower, upper in st_data_scan(m, n, z, l))
 
 
 def test_least_degrees_match_scan_on_the_families():
@@ -459,7 +487,7 @@ def test_least_degrees_match_scan_on_the_families():
     count = 0
     for ctx, zp in _family_factors():
         data = st_data_scan(ctx.m, ctx.n, zp.z, zp.l)
-        assert _walked(ctx, zp) == Counter(data), (ctx, zp)
+        assert _walked(ctx, zp) == _scanned(ctx.m, ctx.n, zp.z, zp.l), (ctx, zp)
         least = {}
         for _, j, lower, _ in data:
             least[j] = min(sum(lower), least.get(j, sum(lower)))
@@ -481,7 +509,7 @@ def test_least_degrees_match_scan_on_random_raw_families():
         for zp in zset_of_generators(ctx, gens):
             assert homology._least_degrees(ctx, zp) == least_degrees_scan(m, n, zp.z, zp.l), (
                 m, n, gens, zp)
-            assert _walked(ctx, zp) == Counter(st_data_scan(m, n, zp.z, zp.l)), (m, n, gens, zp)
+            assert _walked(ctx, zp) == _scanned(m, n, zp.z, zp.l), (m, n, gens, zp)
             assert _closed(ctx, zp) == factor_regularity_scan(m, n, zp.z, zp.l), (
                 m, n, gens, zp)
             factors += 1
@@ -506,7 +534,7 @@ def test_least_degree_program_matches_scan_on_edge_cases(m, n, z, l):
     ctx, zp = MatrixContext(m, n), ZPair(z, l)
     least = least_degrees_scan(m, n, z, l)
     assert least and homology._least_degrees(ctx, zp) == least
-    assert _walked(ctx, zp) == Counter(st_data_scan(m, n, z, l))
+    assert _walked(ctx, zp) == _scanned(m, n, z, l)
     assert attainable_indices(ctx, zp) == sorted(least)
     assert _closed(ctx, zp) == factor_regularity_scan(m, n, z, l)
 
