@@ -215,7 +215,7 @@ def _context(m: int, n: int) -> MatrixContext:
 
 def _check_gens(data) -> list:
     """data itself if it is a list of lists; make_ideal checks the entries
-    (partitions._integers), so that 2.7 or true is never coerced."""
+    (by partitions.dominant_weight), so that 2.7 or true is never coerced."""
     if not (isinstance(data, list) and all(isinstance(g, list) for g in data)):
         raise ValueError("generators must be a JSON list of integer lists")
     return data
@@ -260,13 +260,13 @@ def _resolve_ideal(args) -> InvariantIdeal:
     file carries m and n, --kind with -p and -d, or --gens; the verbs power,
     symbolic and saturated build their own family. Any other combination is
     a usage error that names the options, so no option is ignored."""
-    infile = getattr(args, "infile", None) or None  # --in '' reads as absent
+    infile = getattr(args, "infile", None)
     kind = getattr(args, "kind", None)
     _at_most(1, "give one ideal source, not {}",
              ("--in", infile), ("--kind", kind), ("--gens", getattr(args, "gens", None)))
     if hasattr(args, "kind") and kind is None:  # saturate's -p is its own
         _at_most(0, "{} given without --kind", ("-p", args.p), ("-d", args.d))
-    if infile:
+    if infile is not None:
         _at_most(0, "{} given with --in, whose file carries m and n",
                  ("-m", args.m), ("-n", args.n))
         data = _read_ideal_file(infile)

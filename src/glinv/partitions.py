@@ -27,37 +27,22 @@ def partition(parts: Iterable[int]) -> Parts:
 
     Entries must be weakly decreasing nonnegative integers; trailing zeros
     are dropped. The empty sequence is accepted and denotes the zero
-    partition.
+    partition. The entries are checked through dominant_weight, whose
+    integer and weakly-decreasing rules and messages hold here; partition
+    adds only a nonnegative last entry, so its zeros are the trailing ones.
     """
-    xs = _integers(parts)
-    for a, b in zip(xs, xs[1:]):
-        if a < b:
-            raise ValueError(f"not weakly decreasing: {xs}")
+    xs = dominant_weight(parts)
     if xs and xs[-1] < 0:
         raise ValueError(f"negative row length in {xs}")
-    k = len(xs)
-    while k and xs[k - 1] == 0:
-        k -= 1
-    return xs[:k]
-
-
-def _integers(entries: Iterable[int]) -> tuple[int, ...]:
-    """Entries as a tuple of ints; anything but an iterable of non-bool integers is a ValueError."""
-    try:
-        xs = tuple(entries)
-        if bool in map(type, xs):
-            raise ValueError(f"entries must be integers, not booleans: {xs}")
-        return tuple(map(index, xs))
-    except TypeError as exc:
-        raise ValueError(f"entries must be integers: {exc}") from None
+    return xs[:len(xs) - xs.count(0)]
 
 
 def _integer(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
     """value as an int in lo..hi, a missing bound leaving that side open.
 
     A bool or a value without __index__ is a ValueError, by the rule of
-    _integers; so is a value out of range. The message names the argument.
-    A plain int skips the type test.
+    dominant_weight; so is a value out of range. The message names the
+    argument. A plain int skips the type test.
     """
     if type(value) is not int:
         if isinstance(value, bool) or not hasattr(value, "__index__"):
@@ -250,8 +235,15 @@ def attach(r: int, s: int, a: Parts, b: Parts) -> Parts:
 
 
 def dominant_weight(entries: Iterable[int]) -> Weight:
-    """Validate a weakly decreasing integer vector."""
-    w = _integers(entries)
+    """Validate a weakly decreasing integer vector, returned as a tuple of
+    ints; anything but an iterable of non-bool integers is a ValueError."""
+    try:
+        w = tuple(entries)
+        if bool in map(type, w):
+            raise ValueError(f"entries must be integers, not booleans: {w}")
+        w = tuple(map(index, w))
+    except TypeError as exc:
+        raise ValueError(f"entries must be integers: {exc}") from None
     for a, b in zip(w, w[1:]):
         if a < b:
             raise ValueError(f"not weakly decreasing: {w}")

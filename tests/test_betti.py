@@ -131,6 +131,7 @@ def test_betti_table_render_and_csv():
         "    5:  .  .  .  . . .\n"
         "    6:  .  .  .  1 . ."
     )
+    assert BettiTable({}).render() == "(empty resolution)"
     assert tab.csv_rows() == [
         "i,degree,beta",
         "0,4,36",

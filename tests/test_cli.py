@@ -8,7 +8,7 @@ import time
 import pytest
 
 import glinv.cli as cli
-from glinv import betti, conjugate, loccoh
+from glinv import betti, conjugate, golden, loccoh
 from glinv.cli import VERBS, _build_parser, main, render_diagram
 
 from _argv_fuzz import mismatches
@@ -484,26 +484,36 @@ def test_schurdim(capsys):
     assert json.loads(out) == {"N": 3, "weight": [2, 1], "dim": 8}
 
 
+SELFTEST_NAMES = [
+    "conjugate", "qbinomial", "attach", "dual-weight", "schur-dimensions", "power-tables",
+    "saturation-tables", "symbolic-tables", "three-by-three-family", "succ-min",
+    "zset-minors", "zset-cube", "zset-square-powers", "ext-one-column", "ext-single-weight",
+    "lc-square", "lc-one-column", "ds-one-column", "h-rect", "betti-square",
+    "betti-one-column", "regularity",
+]
+
+
 def test_selftest_passes(capsys):
-    code, out, _ = run(capsys, ["selftest"])
-    assert code == 0
-    assert out.splitlines()[-1] == "22/22 checks passed"
+    # the corpus is every check_* function of glinv.golden, in the order written
+    code, out, err = run(capsys, ["selftest"])
+    assert (code, err) == (0, "")
+    assert out == "".join(f"ok {name}\n" for name in SELFTEST_NAMES) + "22/22 checks passed\n"
 
 
-def test_selftest_reports_a_check_that_raises(capsys, monkeypatch):
+@pytest.mark.parametrize("check, line", [
     # an exception other than an assertion is one FAIL line, never a traceback
-    from glinv import golden
-
-    def divides_by_zero():
-        return 1 / 0
-
-    checks = (golden.GOLDEN_CHECKS[0], ("divides-by-zero", divides_by_zero))
+    pytest.param(lambda: 1 / 0, "FAIL bad: ZeroDivisionError: division by zero",
+                 id="other-exception"),
+    # a failed pin names what it checked, the value wanted and the value got
+    pytest.param(lambda: golden._eq(1, 2, "one"), "FAIL bad: one: expected 2, got 1",
+                 id="failed-pin"),
+])
+def test_selftest_reports_a_check_that_raises(capsys, monkeypatch, check, line):
+    checks = (golden.GOLDEN_CHECKS[0], ("bad", check))
     monkeypatch.setattr(golden, "GOLDEN_CHECKS", checks)
     code, out, err = run(capsys, ["selftest"])
     assert code == 1
-    assert out.splitlines() == [f"ok {checks[0][0]}",
-                                "FAIL divides-by-zero: ZeroDivisionError: division by zero",
-                                "1/2 checks passed"]
+    assert out.splitlines() == [f"ok {checks[0][0]}", line, "1/2 checks passed"]
     assert err == ""
 
 
@@ -634,6 +644,11 @@ IDEAL_FILE = '{"m": 3, "n": 3, "gens": [[2, 2]]}'
      None, 1, "error: weight is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
     (["schurdim", "-N", "3", "--weight", "3"],
      None, 1, "error: weight must be a JSON list of integers"),
+    # an empty --in is a source: with --gens it is a second one, alone it
+    # names a file that cannot be read
+    (["normalize", "--in", "", "-m", "3", "-n", "3", "--gens", "[[1]]"],
+     None, 2, "usage error: give one ideal source, not --in and --gens"),
+    (["zset", "--in", ""], None, 1, "error: cannot read ideal file : No such file or directory"),
 ])
 def test_input_errors_are_one_pinned_line(tmp_path, capsys, argv, content, code, line):
     # FILE in argv names a file that holds content

@@ -130,10 +130,12 @@ def test_irred_term_stores_dominant_weight_tuples():
 
 def test_character_accumulates_multiplicity():
     ch = EquivariantCharacter()
+    assert repr(ch) == "EquivariantCharacter(0 terms)"
     ch.add(3, (1, 1), (2,), 2)
     ch.add(3, (1, 1), (2,), 2, 4)
     assert ch.multiplicity(3, (1, 1), (2,), 2) == 5
     assert len(ch) == 1
+    assert repr(ch) == "EquivariantCharacter(1 terms)"
     with pytest.raises(ValueError):
         ch.add(0, (1,), (1,), 1, 0)
 
