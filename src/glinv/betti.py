@@ -12,6 +12,7 @@ dimension sum per block and exponent, without building the polynomial.
 from __future__ import annotations
 
 from math import comb, factorial, prod
+from typing import Iterator
 
 from ._record import _Record
 from .ideals import MatrixContext
@@ -72,25 +73,27 @@ def betti_polynomial(ctx: MatrixContext, a: int, b: int) -> EquivariantCharacter
     return out
 
 
-def _block_terms(ctx: MatrixContext, a: int, b: int) -> list[int]:
+def _block_terms(ctx: MatrixContext, a: int, b: int) -> Iterator[int]:
     """Terms of the block of the (a+t) x (b+t) rectangle for t = 0..n-a,
-    counted without making them: with c = min(a, b) and e = c + t, one per
-    pair of partitions in the e x (n-a-t) and (m-a-t) x e boxes, that is
-    C(n - a + c, e) C(m - a + c, e). _block_sums sums each once."""
+    counted without making them and yielded in that order, one product at a
+    time: with c = min(a, b) and e = c + t, one per pair of partitions in the
+    e x (n-a-t) and (m-a-t) x e boxes, that is C(n - a + c, e)
+    C(m - a + c, e). _block_sums sums each once."""
     m, n = ctx.m, ctx.n
     a, b = _integer(a, "minor size a", 1, n), _integer(b, "power b", 1)
     c = min(a, b)
-    return [comb(n - a + c, c + t) * comb(m - a + c, c + t) for t in range(n - a + 1)]
+    return (comb(n - a + c, c + t) * comb(m - a + c, c + t) for t in range(n - a + 1))
 
 
-def _betti_terms(ctx: MatrixContext, a: int, b: int) -> int:
+def _betti_terms(ctx: MatrixContext, a: int, b: int) -> Iterator[int]:
     """Terms (all distinct keys) of betti_polynomial(ctx, a, b), counted
-    without making them: those of block t (_block_terms) once per coefficient
-    of qbinomial(t + c - 1, t), c = min(a, b), of which there are t(c - 1) + 1.
+    without making them and yielded block by block: those of block t
+    (_block_terms) once per coefficient of qbinomial(t + c - 1, t),
+    c = min(a, b), of which there are t(c - 1) + 1.
     """
     blocks = _block_terms(ctx, a, b)
     c = min(a, b)
-    return sum(terms * (t * (c - 1) + 1) for t, terms in enumerate(blocks))
+    return (terms * (t * (c - 1) + 1) for t, terms in enumerate(blocks))
 
 
 class BettiTable(_Record):

@@ -25,6 +25,7 @@ import re
 import sys
 from functools import cache
 from types import SimpleNamespace
+from typing import Iterable
 
 from .betti import _betti_terms, _block_terms, betti_polynomial, betti_table
 from .homology import (
@@ -334,20 +335,22 @@ def _cmd_compare(args) -> int:
     right = make_ideal(ctx, _parse_gens(args.right))
     ge = ideal_leq(left, right)
     le = ideal_leq(right, left)
-    relation = {(True, True): "equal", (True, False): "contains",
-                (False, True): "contained-in", (False, False): "incomparable"}[(ge, le)]
+    relation, wording = _RELATIONS[(ge, le)]
     if args.format == "json":
         _emit_json({"relation": relation,
                     "left": _ideal_json(left), "right": _ideal_json(right)})
     else:
-        wording = {
-            "equal": "the ideals are equal",
-            "contains": "the left ideal strictly contains the right",
-            "contained-in": "the left ideal is strictly contained in the right",
-            "incomparable": "the ideals are incomparable",
-        }[relation]
         print(wording)
     return 0
+
+
+# (left >= right, right >= left) as ideals -> (json relation, pretty wording)
+_RELATIONS = {
+    (True, True): ("equal", "the ideals are equal"),
+    (True, False): ("contains", "the left ideal strictly contains the right"),
+    (False, True): ("contained-in", "the left ideal is strictly contained in the right"),
+    (False, False): ("incomparable", "the ideals are incomparable"),
+}
 
 
 def _cmd_saturate(args) -> int:
@@ -395,26 +398,6 @@ def _term_format(template: str, sep: str, m: int, n: int) -> str:
 # {"deg", "mult", "wm", "wn"} as json.dumps(..., sort_keys=True) writes it
 _PRETTY_TERM = "  deg %d  mult %d  S({}) * S({})"
 _JSON_TERM = '{{"deg": %d, "mult": %d, "wm": [{}], "wn": [{}]}}'
-
-
-def _term_texts(ch: EquivariantCharacter) -> dict[int, list[str]]:
-    """The terms of the Betti polynomial ch as json objects, grouped by index
-    in ascending order, from one pass over its sorted keys. Its weights vary
-    in length, so the format of each term is built once per pair of weight
-    lengths."""
-    formats: dict[tuple[int, int], str] = {}
-    groups: dict[int, list[str]] = {}
-    index = None
-    for (j, deg, wm, wn), mult in ch._sorted_terms():
-        if j != index:
-            index = j
-            texts = groups[j] = []
-        lengths = (len(wm), len(wn))
-        fmt = formats.get(lengths)
-        if fmt is None:
-            fmt = formats[lengths] = _term_format(_JSON_TERM, ", ", *lengths)
-        texts.append(fmt % (deg, mult, *wm, *wn))
-    return groups
 
 
 def _print_character(runs: dict[int, list[tuple[int, ...]]], ctx: MatrixContext,
@@ -477,7 +460,7 @@ def _cmd_lc(args) -> int:
             # the count only compares its bound with the cap, so _refuse can
             # reject a bad --max-terms after it
             weights, exact = _ds_weight_count(ctx, window, cap)
-            _refuse(cap, weights, f"lc --ds 0 --window={window.lo}..{window.hi} emits",
+            _refuse(cap, [weights], f"lc --ds 0 --window={window.lo}..{window.hi} emits",
                     "weights", exact)
         _print_character(_ds_terms(ctx, args.ds, window), ctx, window, args.format, "D")
         return 0
@@ -513,9 +496,8 @@ def _cmd_betti(args) -> int:
     ctx = _context(args.m, args.n)
     # json writes every term of the polynomial; csv and pretty sum each
     # block term once, whatever the Gauss coefficients
-    terms = (_betti_terms(ctx, args.a, args.b) if args.format == "json"
-             else sum(_block_terms(ctx, args.a, args.b)))
-    _refuse(args.max_terms, terms,
+    counts = (_betti_terms if args.format == "json" else _block_terms)(ctx, args.a, args.b)
+    _refuse(args.max_terms, counts,
             f"betti -m {args.m} -n {args.n} -a {args.a} -b {args.b} makes", "terms")
     if args.format == "json":
         _print_betti_json(betti_polynomial(ctx, args.a, args.b), ctx, args.a, args.b)
@@ -534,8 +516,22 @@ def _cmd_betti(args) -> int:
 def _print_betti_json(bp: EquivariantCharacter, ctx: MatrixContext, a: int, b: int) -> None:
     """The Betti polynomial bp as json.dumps with sorted keys writes
     {"a", "b", "by_homological_index", "m", "n"}: the homological indices are
-    string keys, so "10" comes before "2"."""
-    groups = _term_texts(bp)
+    string keys, so "10" comes before "2". The terms are written as json
+    objects, grouped by index, from one pass over bp's sorted keys; their
+    weights vary in length, so the format of a term is built once per pair
+    of weight lengths."""
+    formats: dict[tuple[int, int], str] = {}
+    groups: dict[int, list[str]] = {}
+    index = None
+    for (j, deg, wm, wn), mult in bp._sorted_terms():
+        if j != index:
+            index = j
+            texts = groups[j] = []
+        lengths = (len(wm), len(wn))
+        fmt = formats.get(lengths)
+        if fmt is None:
+            fmt = formats[lengths] = _term_format(_JSON_TERM, ", ", *lengths)
+        texts.append(fmt % (deg, mult, *wm, *wn))
     by_index = ", ".join(f'"{i}": [{", ".join(groups[i])}]' for i in sorted(groups, key=str))
     print(f'{{"a": {a}, "b": {b}, "by_homological_index": {{{by_index}}}, '
           f'"m": {ctx.m}, "n": {ctx.n}}}')
@@ -565,9 +561,9 @@ QBINOM_MAX_TERMS = 20_000_000
 # betti refuses a query whose terms pass this cap before making any, and
 # --max-terms sets another cap. csv and pretty count the block terms they
 # sum, json the Betti polynomial's terms it writes; they agree for a=b=1.
-# Near the cap, as whole processes, csv and pretty take about 0.4 s (10x10
-# sums 184,755 block terms at a=b=1 and 184,655 at a=b=2), and json 1.4 to
-# 1.6 s (9x9 a=b=2 writes 170,171 terms)
+# Near the cap, as whole processes on a shared 2-vCPU machine, csv and
+# pretty take 0.3 to 0.5 s (10x10 sums 184,755 block terms at a=b=1 and
+# 184,655 at a=b=2), and json 1.0 to 1.4 s (9x9 a=b=2 writes 170,171 terms)
 BETTI_MAX_TERMS = 200_000
 
 # lc --ds 0 refuses a window whose weights pass this cap before making any;
@@ -577,11 +573,25 @@ BETTI_MAX_TERMS = 200_000
 LC_DS_MAX_TERMS = 300_000
 
 
-def _refuse(cap: int, count: int, query: str, unit: str, exact: bool = True) -> None:
+# _refuse counts exactly up to the cap in force or this ceiling, whichever
+# is higher, so no count takes long to make or to print
+_COUNT_CEILING = 2**63
+
+
+def _refuse(cap: int, counts: Iterable[int], query: str, unit: str, exact: bool = True) -> None:
     """Refuse a query past cap, the --max-terms in force, before it starts:
-    one ValueError that names the count of its units, or a lower bound when
-    exact is false, and the --max-terms that runs (or counts) it."""
+    one ValueError that names the sum of counts, its units, or a lower bound
+    when exact is false, and the --max-terms that runs (or counts) it. The
+    counts are read one at a time and summed up to the ceiling
+    max(cap, _COUNT_CEILING); once the sum passes it the rest go unread,
+    and the bound named is the ceiling plus one."""
     cap = _integer(cap, "--max-terms", 0)
+    ceiling, count = max(cap, _COUNT_CEILING), 0
+    for part in counts:
+        count += part
+        if count > ceiling:
+            count, exact = ceiling + 1, False
+            break
     if count > cap:
         amount, then = (f"{count:,}", "run it") if exact else (f"at least {count:,}", "count them")
         raise ValueError(f"{query} {amount} {unit}, more than the cap of {cap:,}; "
@@ -589,7 +599,7 @@ def _refuse(cap: int, count: int, query: str, unit: str, exact: bool = True) -> 
 
 
 def _cmd_qbinom(args) -> int:
-    _refuse(args.max_terms, _qbinomial_updates(args.a, args.b), f"qbinom {args.a} {args.b} makes",
+    _refuse(args.max_terms, [_qbinomial_updates(args.a, args.b)], f"qbinom {args.a} {args.b} makes",
             "coefficient updates")
     coeffs = qbinomial(args.a, args.b)
     if args.format == "json":

@@ -17,10 +17,10 @@ from .partitions import (
     _in_ideal,
     _index,
     _integer,
+    _sized,
     minimalize,
     part,
     partition,
-    partitions_of_size_in_box,
     truncate_columns,
 )
 
@@ -112,44 +112,50 @@ def power_of_minors(ctx: MatrixContext, p: int, d: int) -> InvariantIdeal:
     """d-th power of the ideal of p x p minors.
 
     Generated by every partition of size p*d with at most n parts, each part
-    at most d, built canonical and descending (no constructor check); equal
-    sizes make the family an antichain outright. d = 0 gives the unit ideal.
+    at most d: the first row is some c <= d and rows 1..n sum to p*d
+    (_equal_rows with k = 1). d = 0 gives the unit ideal.
     """
     p, d = _integer(p, "minor size p", 1, ctx.n), _integer(d, "exponent d", 0)
-    return InvariantIdeal._trusted(ctx, tuple(partitions_of_size_in_box(p * d, ctx.n, d)))
+    return _equal_rows(ctx, 1, p * d, d)
 
 
 def symbolic_power(ctx: MatrixContext, p: int, d: int) -> InvariantIdeal:
     """d-th symbolic power of the ideal of p x p minors.
 
-    Generated by the partitions whose first p rows share a common value c
-    and whose rows p..n sum to d, over c = 0..d: an antichain, since for
-    c < c' the c-member has the shorter first row but more boxes below row p.
-    Built canonical and descending, so it skips the constructor's check:
-    c falls, and the tails descend under each c.
+    Generated by the partitions whose first p rows share a common value
+    c <= d and whose rows p..n sum to d (_equal_rows with k = p).
     """
     p, d = _integer(p, "minor size p", 1, ctx.n), _integer(d, "exponent d", 0)
-    return InvariantIdeal._trusted(ctx, tuple(
-        partition((c,) * p + tail) for c in range(d, -1, -1)
-        for tail in partitions_of_size_in_box(d - c, ctx.n - p, c)))
+    return _equal_rows(ctx, p, d, d)
 
 
 def saturated_power(ctx: MatrixContext, p: int, d: int) -> InvariantIdeal:
     """Saturation of the d-th power of the p x p minors by the maximal ideal.
 
     Generated by the partitions with x_1 = x_2 = c <= d whose rows 2..n sum
-    to (p-1)*d. Without the cap c <= d the same row conditions admit
-    partitions that lie outside the saturation, so the cap is part of the
-    description, not an optimization. An antichain, since for c < c' the
-    c-member has the shorter first row but more boxes below row 2. Built
-    canonical and descending, so it skips the constructor's check: c falls,
-    and the tails descend under each c.
+    to (p-1)*d (_equal_rows with k = 2). Without the cap c <= d the same row
+    conditions admit partitions that lie outside the saturation, so the cap
+    is part of the description, not an optimization.
     """
     p, d = _integer(p, "minor size p", 1, ctx.n), _integer(d, "exponent d", 0)
+    return _equal_rows(ctx, 2, (p - 1) * d, d)
+
+
+def _equal_rows(ctx: MatrixContext, k: int, total: int, d: int) -> InvariantIdeal:
+    """The ideal generated by the partitions with at most n parts whose first
+    k rows equal some c <= d and whose rows k..n sum to total, for k >= 1.
+
+    Built canonical and descending, so it skips the constructor's check: c
+    falls from min(d, total), and under each c the tails (rows k+1..n, each
+    at most c, summing to total - c) descend. At c = 0 only the empty tail
+    exists, which gives (); c > 0 needs k <= n rows, and k = 2 > n = 1 only
+    with total = 0. An antichain: for c < c' the c-member has the shorter
+    first row but more boxes after row k, so neither contains the other, and
+    members with the same c are distinct partitions of the same size.
+    """
     return InvariantIdeal._trusted(ctx, tuple(
-        partition((c, c) + tail) for c in range(d, -1, -1)
-        # rows 3..n, none when n = 1
-        for tail in partitions_of_size_in_box((p - 1) * d - c, max(ctx.n - 2, 0), c)))
+        (c,) * k + tail if c else () for c in range(min(d, total), -1, -1)
+        for tail in _sized(total - c, max(ctx.n - k, 0), c)))
 
 
 def strip_short_columns(x, p: int) -> Parts:

@@ -12,6 +12,8 @@ expansion for s = 0, without doing either.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from ._record import _Record
 from .homology import DegreeWindow, _lambdas
 from .ideals import MatrixContext
@@ -47,12 +49,13 @@ def lc_table(ctx: MatrixContext, p: int) -> LCTable:
     return LCTable(ctx, p, {j: rows[j] for j in sorted(rows)})
 
 
-def _lc_table_updates(ctx: MatrixContext, p: int) -> int:
+def _lc_table_updates(ctx: MatrixContext, p: int) -> Iterator[int]:
     """The coefficient updates lc_table(ctx, p) makes, counted without making
-    them: those of qbinomial(n-s-1, p-1-s) for each factor D_s, s < p. p is
-    checked as lc_table checks it."""
+    them and yielded one factor at a time: those of qbinomial(n-s-1, p-1-s)
+    for each factor D_s, s = 0..p-1. p is checked as lc_table checks it,
+    before the first is counted."""
     p = _integer(p, "minor size p", 1, ctx.n)
-    return sum(_qbinomial_updates(ctx.n - s - 1, p - 1 - s) for s in range(p))
+    return (_qbinomial_updates(ctx.n - s - 1, p - 1 - s) for s in range(p))
 
 
 def lc_support(ctx: MatrixContext, p: int) -> tuple[int, int]:

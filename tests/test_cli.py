@@ -372,15 +372,15 @@ def test_betti_refuses_work_past_the_cap_before_starting(capsys, monkeypatch):
     assert code == 1 and "2,704,155" in json.loads(out)["error"] and err == ""
     monkeypatch.undo()
     # 10x10 a=b=1 stays under the default cap
-    assert cli._betti_terms(cli.MatrixContext(10, 10), 1, 1) == 184_755 < cli.BETTI_MAX_TERMS
+    assert sum(cli._betti_terms(cli.MatrixContext(10, 10), 1, 1)) == 184_755 < cli.BETTI_MAX_TERMS
     # csv and pretty are priced by the block terms they sum, json by the
     # terms of the polynomial it writes; for a = b = 1 the two agree
     ctx = cli.MatrixContext(10, 10)
-    assert sum(cli._block_terms(ctx, 1, 1)) == cli._betti_terms(ctx, 1, 1)
-    assert sum(cli._block_terms(ctx, 2, 2)) < cli.BETTI_MAX_TERMS < cli._betti_terms(ctx, 2, 2)
+    assert sum(cli._block_terms(ctx, 1, 1)) == sum(cli._betti_terms(ctx, 1, 1))
+    assert sum(cli._block_terms(ctx, 2, 2)) < cli.BETTI_MAX_TERMS < sum(cli._betti_terms(ctx, 2, 2))
     small = ["betti", "-m", "4", "-n", "3", "-a", "2", "-b", "2"]
     blocks = sum(cli._block_terms(cli.MatrixContext(4, 3), 2, 2))
-    count = cli._betti_terms(cli.MatrixContext(4, 3), 2, 2)
+    count = sum(cli._betti_terms(cli.MatrixContext(4, 3), 2, 2))
     assert blocks < count
     for fmt in ("pretty", "csv"):
         code, out, err = run(capsys, [*small, "--format", fmt, "--max-terms", str(blocks - 1)])
@@ -426,13 +426,48 @@ def test_lc_ds_refuses_work_past_the_cap_before_starting(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "error: --max-terms must be at least 0, got -1\n")
 
 
+def test_counts_past_the_ceiling_stop_and_name_a_bound(capsys, monkeypatch):
+    ceiling = cli._COUNT_CEILING
+    assert ceiling == 2**63
+    # _refuse reads no count after their sum passes the ceiling, or the cap
+    # when that is higher, and names the ceiling plus one as a bound
+    counts = iter([ceiling - 1, 1, 1, 5])
+    with pytest.raises(ValueError) as exc:
+        cli._refuse(0, counts, "q makes", "terms")
+    assert str(exc.value) == ("q makes at least 9,223,372,036,854,775,809 terms, more than "
+                              "the cap of 0; pass --max-terms 9223372036854775809 to count them")
+    assert list(counts) == [5]
+    cli._refuse(2 * ceiling, [ceiling, 1, 1], "q makes", "terms")  # under the cap: no refusal
+    with pytest.raises(ValueError, match="^q makes 7 terms, more than the cap of 6; "):
+        cli._refuse(6, [3, 4], "q makes", "terms")
+    monkeypatch.setattr(cli, "betti_table", None)  # a refused query never computes
+    code, out, err = run(capsys, ["betti", "-m", "10000", "-n", "10000", "-a", "1", "-b", "1"])
+    assert (code, out) == (1, "")
+    assert err == ("error: betti -m 10000 -n 10000 -a 1 -b 1 makes at least "
+                   "9,223,372,036,854,775,809 terms, more than the cap of 200,000; "
+                   "pass --max-terms 9223372036854775809 to count them\n")
+    # a cap past the ceiling raises it, and a count past that cap names the
+    # cap plus one: 34x34 a=b=1 makes C(68, 34) - 1 terms, about 2.8 * 10^19
+    assert ceiling < 10**19 < sum(cli._block_terms(cli.MatrixContext(34, 34), 1, 1))
+    code, out, err = run(capsys, ["betti", "-m", "34", "-n", "34", "-a", "1", "-b", "1",
+                                  "--max-terms", str(10**19)])
+    assert (code, out) == (1, "")
+    assert err == ("error: betti -m 34 -n 34 -a 1 -b 1 makes at least "
+                   "10,000,000,000,000,000,001 terms, more than the cap of "
+                   "10,000,000,000,000,000,000; pass --max-terms 10000000000000000001 "
+                   "to count them\n")
+    # an exact count past the ceiling, qbinom's closed form, is named as the bound
+    code, out, err = run(capsys, ["qbinom", str(10**10), str(10**9)])
+    assert (code, out) == (1, "") and "makes at least 9,223,372,036,854,775,809 " in err
+
+
 def test_lc_table_update_count_is_the_loops_count():
     for n in range(1, 9):
         for m in (n, n + 2):
             ctx = cli.MatrixContext(m, n)
             for p in range(1, n + 1):
                 want = sum(_qbinom_loop_updates(n - s - 1, p - 1 - s) for s in range(p))
-                assert loccoh._lc_table_updates(ctx, p) == want, (m, n, p)
+                assert sum(loccoh._lc_table_updates(ctx, p)) == want, (m, n, p)
 
 
 def test_lc_table_refuses_work_past_the_cap_before_starting(capsys, monkeypatch):
@@ -450,7 +485,7 @@ def test_lc_table_refuses_work_past_the_cap_before_starting(capsys, monkeypatch)
     assert (code, out) == (1, "") and err.startswith("error: minor size p must be ")
     monkeypatch.undo()
     small = ["lc", "-m", "9", "-n", "7", "-p", "4"]
-    count = loccoh._lc_table_updates(cli.MatrixContext(9, 7), 4)
+    count = sum(loccoh._lc_table_updates(cli.MatrixContext(9, 7), 4))
     code, out, err = run(capsys, [*small, "--max-terms", str(count - 1)])
     assert (code, out) == (1, "") and f"makes {count} coefficient updates" in err
     code, out, _ = run(capsys, [*small, "--max-terms", str(count)])
@@ -465,6 +500,15 @@ def test_lc_table_refuses_work_past_the_cap_before_starting(capsys, monkeypatch)
     ["betti", "-m", "12", "-n", "12", "-a", "1", "-b", "1"],
     ["betti", "-m", "12", "-n", "12", "-a", "2", "-b", "2", "--format", "csv"],
     ["qbinom", "800", "400"],
+    # past 2**63 a count stops and names a bound: without the ceiling the
+    # first of these runs for about 28 s, the second writes a 2,917-character
+    # line, the third sums 5,000,000 Gauss counts, and the last two end in
+    # Python's int-to-str digit limit
+    ["betti", "-m", "10000", "-n", "10000", "-a", "1", "-b", "1"],
+    ["betti", "-m", "2000", "-n", "2000", "-a", "1", "-b", "1"],
+    ["lc", "-m", "10000000", "-n", "10000000", "-p", "5000000"],
+    ["qbinom", "1" + "0" * 2000, "5" + "0" * 1999],
+    ["lc", "-m", "3", "-n", "3", "-p", "1", "--ds", "0", f"--window=-1{'0' * 2200}..-9"],
 ])
 def test_refusals_are_one_line_in_a_whole_process_under_a_second(argv):
     start = time.perf_counter()

@@ -19,7 +19,13 @@ from glinv import (
     symbolic_power,
 )
 
-from _oracles import ideal_leq_scan, minimalize_scan, succ_min_brute, symbolic_generators_dep
+from _oracles import (
+    box_partitions,
+    ideal_leq_scan,
+    minimalize_scan,
+    succ_min_brute,
+    symbolic_generators_dep,
+)
 
 CTX3 = MatrixContext(3, 3)
 CTX4 = MatrixContext(4, 4)
@@ -187,6 +193,38 @@ def test_family_builders_pass_the_constructor_check():
                     for family in (power_of_minors, symbolic_power, saturated_power):
                         a = family(ctx, p, d)
                         assert InvariantIdeal(ctx, a.gens) == a, (family, m, n, p, d)
+
+
+def _row(x, i):
+    return x[i - 1] if i <= len(x) else 0
+
+
+# each family's defining condition, as its docstring states it, on a
+# partition x of the n x d box (so x_1 <= d holds already)
+FAMILY_DEFINITIONS = {
+    power_of_minors: lambda x, p, d: sum(x) == p * d,
+    symbolic_power: lambda x, p, d: (len({_row(x, i) for i in range(1, p + 1)}) == 1
+                                     and sum(x[p - 1:]) == d),
+    saturated_power: lambda x, p, d: _row(x, 1) == _row(x, 2) and sum(x[1:]) == (p - 1) * d,
+}
+
+
+def test_family_builders_equal_their_definitions():
+    # every partition of the n x d box that meets the family's definition,
+    # in descending order, is the builder's tuple: n <= 6, m in {n, n + 1},
+    # every p, d <= 6
+    builds = 0
+    for n in range(1, 7):
+        for m in (n, n + 1):
+            ctx = MatrixContext(m, n)
+            for d in range(7):
+                box = sorted(box_partitions(n, d), reverse=True)
+                for p in range(1, n + 1):
+                    for family, meets in FAMILY_DEFINITIONS.items():
+                        want = tuple(x for x in box if meets(x, p, d))
+                        assert family(ctx, p, d).gens == want, (family.__name__, m, n, p, d)
+                        builds += 1
+    assert builds == 3 * 2 * 7 * 21
 
 
 CTX54 = MatrixContext(5, 4)
