@@ -30,8 +30,8 @@ from typing import Iterable
 from .betti import _betti_terms, _block_terms, betti_polynomial, betti_table
 from .homology import (
     DegreeWindow,
-    ZPair,
     _ext_terms,
+    _zset_walk,
     regularity,
     zset,
 )
@@ -359,24 +359,19 @@ def _cmd_saturate(args) -> int:
     return 0
 
 
-def _sorted_pairs(pairs) -> list[ZPair]:
-    return sorted(pairs, key=lambda zp: (-zp.l, size(zp.z), zp.z))
-
-
 def _cmd_zset(args) -> int:
     ideal = _resolve_ideal(args)
-    pairs = _sorted_pairs(zset(ideal))
+    # cells (z, h) of the pairs (z, h - 1), by l descending, then size and z
+    cells = sorted(_zset_walk(ideal.ctx, ideal.gens),
+                   key=lambda cell: (-cell[1], size(cell[0]), cell[0]))
     if args.format == "json":
         _emit_json({"m": ideal.ctx.m, "n": ideal.ctx.n,
-                    "pairs": [{"z": list(zp.z), "l": zp.l} for zp in pairs]})
+                    "pairs": [{"z": list(z), "l": h - 1} for z, h in cells]})
     elif args.format == "csv":
-        print("l,z")
-        for zp in pairs:
-            print(f"{zp.l},{' '.join(map(str, zp.z))}")
+        print("\n".join(["l,z", *(f"{h - 1},{' '.join(map(str, z))}" for z, h in cells)]))
     else:
-        print(f"{len(pairs)} composition factor{'s' if len(pairs) != 1 else ''}:")
-        for zp in pairs:
-            print(f"l={zp.l}  z=({','.join(map(str, zp.z))})")
+        print("\n".join([f"{len(cells)} composition factor{'s' if len(cells) != 1 else ''}:",
+                         *(f"l={h - 1}  z=({','.join(map(str, z))})" for z, h in cells)]))
     return 0
 
 

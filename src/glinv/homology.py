@@ -14,12 +14,12 @@ regularity are computed exactly without windows.
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import chain, groupby
 from math import inf
 
 from ._record import _Record
 from .ideals import InvariantIdeal, MatrixContext, _generators, ideal_leq
-from .partitions import Parts, _in_ideal, _index, _insert, _integer, part, partition
+from .partitions import Parts, _in_ideal, _index, _integer, part, partition
 from .schur import EquivariantCharacter, _runs
 
 
@@ -79,76 +79,91 @@ def zset_of_generators(ctx: MatrixContext, gens) -> frozenset[ZPair]:
     h = 0 lies in the box itself (x(c) = x), and a cell containing one is in
     the ideal: its least height is 0 and it yields no pair. Such a cell is
     dropped and not grown, because every cell above it contains the same
-    generator and is in the ideal too. The containment index of
-    glinv.partitions answers this membership test (_in_ideal); it holds the
-    generators with x_1 <= c, each entering at c = x_1. Every cell the walk
-    reaches contains a seed, so z_1 >= c, and lies in the box, so
-    z_1 <= c: each surviving cell has z_1 = c and gives the pair (z, h-1).
-    The work is the surviving cells and the cells one box above them, not
-    the box.
+    generator and is in the ideal too.
+
+    Every cell the walk reaches contains a seed, so z_1 >= c, and lies in
+    the box, so z_1 <= c: each surviving cell has z_1 = c and gives the pair
+    (z, h-1). The containment index of glinv.partitions answers the
+    membership test (_in_ideal), and one index, built once, serves every c:
+    a query follows a branch v of the root only when v <= z_1 = c, so it
+    never reaches a generator with x_1 > c, which lies outside the box. No
+    column reaches the generators with the largest x_1, and the index
+    leaves them out. The work is the surviving cells and the cells one box
+    above them, not the box.
 
     Each pair meets the equal-rows condition of ZPair: a generator attaining
     h has x(c) <= z, so c <= z_i <= z_1 = c for i <= h.
     """
-    return _zset_walk(ctx, _generators(ctx, gens))
+    cells = _zset_walk(ctx, _generators(ctx, gens))
+    return frozenset(ZPair._trusted(z, h - 1) for z, h in cells)
 
 
-def _zset_walk(ctx: MatrixContext, xs) -> frozenset[ZPair]:
+def _zset_walk(ctx: MatrixContext, xs):
     """The walk of zset_of_generators over canonical generators with at most
-    n parts. Its cells are canonical and meet the equal-rows condition by
-    construction, so the pairs skip the ZPair checks (ZPair._trusted).
+    n parts, yielding its cells (z, h): the pair is (z, h - 1). The cells
+    are canonical and meet the equal-rows condition by construction, so a
+    caller may build their pairs without the ZPair checks (ZPair._trusted).
 
-    Every column count's seeds are built before the walk, in one pass per
-    generator x over c = 0, 1, ..., x_1 - 1: a row pointer h moves down x as
-    c rises, so that h counts the rows longer than c, and tail is the sum of
-    the rows it has left. The seed is then (c^h, x_{h+1}, ...), of size
-    c*h + tail (the empty cell at c = 0). x enters the containment index at
-    the start of column x_1; one with the largest x_1 never enters it.
+    The columns c run from the top, x_1 - 1 for the largest x_1, down to 0,
+    and one column's seeds exist at a time. A generator's truncation to c
+    columns is the truncation of its truncation to c + 1, and its h, the
+    rows of x longer than c, is the number of rows of x(c+1) equal to c+1.
+    So the seeds of column c come from the distinct seeds of column c+1,
+    together with the generators with x_1 = c+1, which are their own
+    truncations: the seed from such a key t is (c^h, t_{h+1}, ...), h the
+    entries of t equal to c+1 (the empty cell at c = 0). Each seed keeps
+    the least h of the keys that give it.
     """
-    cmax = max((x[0] for x in xs if x), default=0)
-    seeds: list[dict[int, dict[Parts, int]]] = [{} for _ in range(cmax)]
-    enters: list[list[Parts]] = [[] for _ in range(cmax)]
+    by_first: dict[int, list[Parts]] = {}
     for x in xs:
-        first = part(x, 1)
-        if first < cmax:
-            enters[first].append(x)
-        h, tail = len(x), 0
-        for c in range(first):
-            while x[h - 1] <= c:
-                h -= 1
-                tail += x[h]
-            t = (c,) * h + x[h:] if c else ()
-            cells = seeds[c].setdefault(c * h + tail, {})
-            if h < cells.get(t, h + 1):
-                cells[t] = h
-    trie = _index()
-    pairs = []
-    trusted = ZPair._trusted
-    for c, levels in enumerate(seeds):
-        for x in enters[c]:
-            _insert(trie, x)
+        if x:
+            by_first.setdefault(x[0], []).append(x)
+    cmax = max(by_first, default=0)
+    trie = _index(x for x in xs if not x or x[0] < cmax)
+    n = ctx.n
+    seeds: dict[Parts, int] = {}
+    for c in range(cmax - 1, -1, -1):
+        top = c + 1
+        keys, seeds = seeds, {}
+        for t in chain(keys, by_first.get(top, ())):
+            h = t.count(top)
+            z = (c,) * h + t[h:] if c else ()
+            if h < seeds.get(z, h + 1):
+                seeds[z] = h
+        levels: dict[int, dict[Parts, int]] = {}
+        for z, h in seeds.items():
+            levels.setdefault(sum(z), {})[z] = h
         k = min(levels)
         while levels:
-            cells = levels.pop(k, {})
+            cells = levels.pop(k, None)
             k += 1
+            if not cells:
+                continue
+            above = levels.setdefault(k, {})
             for z, h in cells.items():
                 if _in_ideal(trie, z):
                     continue
-                pairs.append(trusted(z, h - 1))
-                grown = [z[:i] + (z[i] + 1,) + z[i + 1:]
-                         for i in range(1, len(z)) if z[i] < z[i - 1]]
-                if len(z) < ctx.n and c:
-                    grown.append(z + (1,))
-                above = levels.setdefault(k, {})
-                for y in grown:
+                yield z, h
+                # z plus one box in row i, for each row i > 1 shorter than
+                # the row before it, then in a new row
+                row = list(z)
+                for i in range(1, len(z)):
+                    v = row[i]
+                    if v < row[i - 1]:
+                        row[i] = v + 1
+                        y = tuple(row)
+                        row[i] = v
+                        if h < above.get(y, h + 1):
+                            above[y] = h
+                if c and len(z) < n:
+                    y = z + (1,)
                     if h < above.get(y, h + 1):
                         above[y] = h
-    return frozenset(pairs)
 
 
 def zset(a: InvariantIdeal) -> frozenset[ZPair]:
     """Composition factor indices of S/a; a.gens is canonical already."""
-    return _zset_walk(a.ctx, a.gens)
+    return frozenset(ZPair._trusted(z, h - 1) for z, h in _zset_walk(a.ctx, a.gens))
 
 
 def saturation_filter(pairs, p: int) -> frozenset[ZPair]:
@@ -449,7 +464,7 @@ def regularity(a: InvariantIdeal) -> int:
     if a.is_unit:
         raise ValueError("the unit ideal has no regularity")
     n = a.ctx.n
-    return 1 + max(_factor_regularity(n, zp.z, zp.l) for zp in zset(a))
+    return 1 + max(_factor_regularity(n, z, h - 1) for z, h in _zset_walk(a.ctx, a.gens))
 
 
 def _factor_regularity(n: int, z: Parts, l: int) -> int:

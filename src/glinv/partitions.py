@@ -297,15 +297,17 @@ def qbinomial(a: int, b: int) -> tuple[int, ...]:
 
 def _qbinomial_updates(a: int, b: int) -> int:
     """The coefficient updates qbinomial(a, b) makes, counted without making
-    them. With top = b(a - b), step i = 1..b makes max(0, top - k + 1)
-    subtractions, k = a - b + i, and max(0, top - i + 1) additions; each
-    is a sum of max(0, c - i) over i = 1..b, whose p = min(b, c - 1)
-    positive terms add up to p*c - p(p + 1)/2. 0 when b > a."""
+    them, plus its b outer steps, each priced as one update: qbinomial(a, a)
+    makes no update but still takes a steps. With top = b(a - b), step
+    i = 1..b makes max(0, top - k + 1) subtractions, k = a - b + i, and
+    max(0, top - i + 1) additions; each is a sum of max(0, c - i) over
+    i = 1..b, whose p = min(b, c - 1) positive terms add up to
+    p*c - p(p + 1)/2. 0 when b > a."""
     a, b = _integer(a, "a", 0), _integer(b, "b", 0)
     if b > a:
         return 0
     top = b * (a - b)
-    total = 0
+    total = b
     for c in (top - (a - b) + 1, top + 1):
         p = min(b, max(0, c - 1))
         total += p * c - p * (p + 1) // 2

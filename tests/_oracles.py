@@ -463,6 +463,20 @@ def hook_content_dim(x: tuple[int, ...], N: int) -> int:
     return num // den
 
 
+def weyl_pair_product(w: tuple[int, ...], N: int) -> int:
+    """dim S_w C^N by the plain Weyl product over every pair i < j < N of
+    w zero-padded to length N, zero tail included: (w_i - w_j + j - i) /
+    (j - i), with no closed form for the tail."""
+    w = tuple(w) + (0,) * (N - len(w))
+    num = den = 1
+    for i in range(N):
+        for j in range(i + 1, N):
+            num *= w[i] - w[j] + j - i
+            den *= j - i
+    assert num % den == 0, (w, N)
+    return num // den
+
+
 def partitions_of(d: int, rows: int) -> list[tuple[int, ...]]:
     """Partitions of d with at most rows parts, own enumeration."""
     out: list[tuple[int, ...]] = []

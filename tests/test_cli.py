@@ -8,7 +8,7 @@ import time
 import pytest
 
 import glinv.cli as cli
-from glinv import betti, conjugate, golden, loccoh
+from glinv import betti, conjugate, golden, loccoh, zset
 from glinv.cli import VERBS, _build_parser, main, render_diagram
 
 from _argv_fuzz import mismatches
@@ -125,6 +125,48 @@ def test_zset_csv_golden(capsys):
                                 "-p", "2", "-d", "2", "--format", "csv"])
     assert code == 0
     assert out == "l,z\n1,\n1,1 1\n0,1 1 1\n"
+
+
+def _zset_texts(m: int, n: int, pairs) -> dict[str, str]:
+    # zset's three formats, written one line at a time from the ZPair
+    # records sorted by l descending, then size and z
+    pairs = sorted(pairs, key=lambda zp: (-zp.l, sum(zp.z), zp.z))
+    header = f"{len(pairs)} composition factor{'s' if len(pairs) != 1 else ''}:"
+    lines = {"csv": ["l,z", *(f"{zp.l},{' '.join(map(str, zp.z))}" for zp in pairs)],
+             "pretty": [header, *(f"l={zp.l}  z=({','.join(map(str, zp.z))})" for zp in pairs)]}
+    texts = {fmt: "".join(f"{line}\n" for line in rows) for fmt, rows in lines.items()}
+    texts["json"] = json.dumps({"m": m, "n": n, "pairs": [{"z": list(zp.z), "l": zp.l}
+                                                        for zp in pairs]}, sort_keys=True) + "\n"
+    return texts
+
+
+def _assert_zset_prints(capsys, ideal, argv):
+    for fmt, text in _zset_texts(ideal.ctx.m, ideal.ctx.n, zset(ideal)).items():
+        assert run(capsys, ["zset", *argv, "--format", fmt]) == (0, text, ""), (argv, fmt)
+
+
+@pytest.mark.parametrize("kind", sorted(cli._FAMILIES))
+def test_zset_prints_the_sorted_pairs_of_zset_on_the_families(capsys, kind):
+    # the CLI sorts the walk's plain cells; zset() builds ZPair records
+    for n in range(1, 7):
+        for m in (n, n + 1):
+            for p in range(1, n + 1):
+                for d in range(1, 6):
+                    ideal = cli._FAMILIES[kind](cli.MatrixContext(m, n), p, d)
+                    _assert_zset_prints(capsys, ideal, ["--kind", kind, "-p", str(p), "-d", str(d),
+                                                        "-m", str(m), "-n", str(n)])
+
+
+@pytest.mark.parametrize("m, n, gens", [
+    (3, 3, []),  # the zero ideal: no pair
+    (3, 3, [[]]),  # the unit ideal: no pair
+    (4, 4, [[5, 1], [2, 2, 2, 2], [5, 1, 0], [6, 1]]),
+    (5, 4, [[7, 1], [3, 3, 3], [4, 4, 1, 1]]),
+    (6, 6, [[4, 4, 4], [6, 2, 2, 1], [3, 3, 3, 3, 3, 3], [1, 1, 1, 1, 1, 1]]),
+])
+def test_zset_prints_the_sorted_pairs_of_zset_on_raw_gens(capsys, m, n, gens):
+    ideal = cli.make_ideal(cli.MatrixContext(m, n), gens)
+    _assert_zset_prints(capsys, ideal, ["--gens", json.dumps(gens), "-m", str(m), "-n", str(n)])
 
 
 def test_ext_requires_window(capsys):
@@ -328,10 +370,11 @@ def test_qbinom_matches_pascal_in_every_format(capsys):
 
 
 def _qbinom_loop_updates(a: int, b: int) -> int:
-    # the updates of partitions.qbinomial's two loops, counted by running them
+    # the updates of partitions.qbinomial's two inner loops and the steps of
+    # its outer loop, counted by running them
     top, count = b * (a - b), 0
     for i in range(1, b + 1):
-        count += len(range(top, a - b + i - 1, -1)) + len(range(i, top + 1))
+        count += 1 + len(range(top, a - b + i - 1, -1)) + len(range(i, top + 1))
     return count
 
 
@@ -347,10 +390,10 @@ def test_qbinom_refuses_work_past_the_cap_before_starting(capsys, monkeypatch):
     monkeypatch.setattr(cli, "qbinomial", None)  # a refused query never computes
     code, out, err = run(capsys, ["qbinom", "800", "400"])
     assert (code, out) == (1, "")
-    assert err == ("error: qbinom 800 400 makes 127,680,400 coefficient updates, more than "
-                   "the cap of 20,000,000; pass --max-terms 127680400 to run it\n")
+    assert err == ("error: qbinom 800 400 makes 127,680,800 coefficient updates, more than "
+                   "the cap of 20,000,000; pass --max-terms 127680800 to run it\n")
     code, out, err = run(capsys, ["qbinom", "800", "400", "--format", "json"])
-    assert code == 1 and "127,680,400" in json.loads(out)["error"] and err == ""
+    assert code == 1 and "127,680,800" in json.loads(out)["error"] and err == ""
     monkeypatch.undo()
     count = _qbinom_loop_updates(12, 5)
     code, out, err = run(capsys, ["qbinom", "12", "5", "--max-terms", str(count - 1)])
@@ -475,11 +518,11 @@ def test_lc_table_refuses_work_past_the_cap_before_starting(capsys, monkeypatch)
     argv = ["lc", "-m", "100000", "-n", "100000", "-p", "50000"]
     code, out, err = run(capsys, argv)
     assert (code, out) == (1, "")
-    assert err == ("error: lc -m 100000 -n 100000 -p 50000 makes 4,166,437,504,583,300,000 "
+    assert err == ("error: lc -m 100000 -n 100000 -p 50000 makes 4,166,437,505,833,275,000 "
                    "coefficient updates, more than the cap of 20,000,000; "
-                   "pass --max-terms 4166437504583300000 to run it\n")
+                   "pass --max-terms 4166437505833275000 to run it\n")
     code, out, err = run(capsys, [*argv, "--format", "json"])
-    assert code == 1 and "4,166,437,504,583,300,000" in json.loads(out)["error"] and err == ""
+    assert code == 1 and "4,166,437,505,833,275,000" in json.loads(out)["error"] and err == ""
     # p is checked before it is counted, with lc_table's message
     code, out, err = run(capsys, ["lc", "-m", "3", "-n", "3", "-p", "4"])
     assert (code, out) == (1, "") and err.startswith("error: minor size p must be ")
@@ -509,6 +552,10 @@ def test_lc_table_refuses_work_past_the_cap_before_starting(capsys, monkeypatch)
     ["lc", "-m", "10000000", "-n", "10000000", "-p", "5000000"],
     ["qbinom", "1" + "0" * 2000, "5" + "0" * 1999],
     ["lc", "-m", "3", "-n", "3", "-p", "1", "--ds", "0", f"--window=-1{'0' * 2200}..-9"],
+    # Gauss polynomials that make no coefficient update but loop a times;
+    # without the outer steps in their count each runs past 20 s
+    ["lc", "-m", "100000", "-n", "100000", "-p", "100000"],
+    ["qbinom", "1000000000", "1000000000"],
 ])
 def test_refusals_are_one_line_in_a_whole_process_under_a_second(argv):
     start = time.perf_counter()

@@ -183,8 +183,16 @@ def test_zset_walk_equals_box_table_on_random_raw_families():
     # least height wins, whichever generator seeds the cell first
     (3, [(3, 3), (4, 2)]),
     (3, [(4, 2), (3, 3)]),
-    # every generator has the largest first row, so none enters the index
+    # every generator has the largest first row, which no cell reaches, so
+    # the containment index holds none of them
     (4, [(4, 4), (4, 1, 1, 1)]),
+    # at c = 2 the truncation (3, 2) of (5, 2), of height 1, and the
+    # generator (3, 3), of height 2, give the same seed (2, 2)
+    (3, [(5, 2), (3, 3)]),
+    # columns whose seeds all come from truncations several columns above:
+    # c = 5..0 from (7, 1), and c = 4..2 from (6, 6, 6)
+    (3, [(7, 1)]),
+    (4, [(6, 6, 6), (2, 2, 2, 2)]),
 ])
 def test_zset_walk_equals_box_table_on_edge_cases(n, gens):
     got = _plain(zset_of_generators(MatrixContext(n, n), gens))

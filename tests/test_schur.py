@@ -14,7 +14,7 @@ from glinv import (
 
 from glinv.schur import _runs
 
-from _oracles import dict_merged_terms, ssyt_count
+from _oracles import dict_merged_terms, ssyt_count, weyl_pair_product
 
 
 def test_dim_schur_reference_values():
@@ -55,6 +55,22 @@ def test_dim_schur_zero_tail_at_large_N():
     assert dim_schur((1,), N) == N
     assert dim_schur((2,), N) == N * (N + 1) // 2
     assert dim_schur((1, 1), N) == N * (N - 1) // 2
+
+
+def test_dim_schur_zero_tail_takes_the_shorter_form():
+    # row i's tail factor has N - k factors in one form and w_i in the other;
+    # a row longer than the tail takes the first, a short row the second, and
+    # both give the plain pair product over i < j < N, here on random weights
+    # with short and long rows and on long first rows over a short tail
+    rng = random.Random(3000)
+    cases = [((483238, 8, 2), 10), ((200000, 8, 2), 10), ((9, 1), 12), ((3, 3, 3), 4)]
+    for _ in range(1000):
+        N = rng.randint(1, 12)
+        rows = [rng.choice((rng.randint(1, 4), rng.randint(1, 60)))
+                for _ in range(rng.randint(0, N))]
+        cases.append((tuple(sorted(rows, reverse=True)), N))
+    for w, N in cases:
+        assert dim_schur(w, N) == weyl_pair_product(w, N), (w, N)
 
 
 def test_dim_schur_negative_weights():
