@@ -361,17 +361,16 @@ def _cmd_saturate(args) -> int:
 
 def _cmd_zset(args) -> int:
     ideal = _resolve_ideal(args)
-    # cells (z, h) of the pairs (z, h - 1), by l descending, then size and z
-    cells = sorted(_zset_walk(ideal.ctx, ideal.gens),
-                   key=lambda cell: (-cell[1], size(cell[0]), cell[0]))
+    pairs = sorted(_zset_walk(ideal.ctx, ideal.gens),
+                   key=lambda pair: (-pair[1], size(pair[0]), pair[0]))
     if args.format == "json":
         _emit_json({"m": ideal.ctx.m, "n": ideal.ctx.n,
-                    "pairs": [{"z": list(z), "l": h - 1} for z, h in cells]})
+                    "pairs": [{"z": list(z), "l": l} for z, l in pairs]})
     elif args.format == "csv":
-        print("\n".join(["l,z", *(f"{h - 1},{' '.join(map(str, z))}" for z, h in cells)]))
+        print("\n".join(["l,z", *(f"{l},{' '.join(map(str, z))}" for z, l in pairs)]))
     else:
-        print("\n".join([f"{len(cells)} composition factor{'s' if len(cells) != 1 else ''}:",
-                         *(f"l={h - 1}  z=({','.join(map(str, z))})" for z, h in cells)]))
+        print("\n".join([f"{len(pairs)} composition factor{'s' if len(pairs) != 1 else ''}:",
+                         *(f"l={l}  z=({','.join(map(str, z))})" for z, l in pairs)]))
     return 0
 
 

@@ -94,15 +94,14 @@ def zset_of_generators(ctx: MatrixContext, gens) -> frozenset[ZPair]:
     Each pair meets the equal-rows condition of ZPair: a generator attaining
     h has x(c) <= z, so c <= z_i <= z_1 = c for i <= h.
     """
-    cells = _zset_walk(ctx, _generators(ctx, gens))
-    return frozenset(ZPair._trusted(z, h - 1) for z, h in cells)
+    return frozenset(ZPair._trusted(z, l) for z, l in _zset_walk(ctx, _generators(ctx, gens)))
 
 
 def _zset_walk(ctx: MatrixContext, xs):
     """The walk of zset_of_generators over canonical generators with at most
-    n parts, yielding its cells (z, h): the pair is (z, h - 1). The cells
-    are canonical and meet the equal-rows condition by construction, so a
-    caller may build their pairs without the ZPair checks (ZPair._trusted).
+    n parts, yielding its pairs as plain tuples (z, l), l = h - 1. The z are
+    canonical and meet the equal-rows condition by construction, so a
+    caller may build ZPairs from them without the checks (ZPair._trusted).
 
     The columns c run from the top, x_1 - 1 for the largest x_1, down to 0,
     and one column's seeds exist at a time. A generator's truncation to c
@@ -143,7 +142,7 @@ def _zset_walk(ctx: MatrixContext, xs):
             for z, h in cells.items():
                 if _in_ideal(trie, z):
                     continue
-                yield z, h
+                yield z, h - 1
                 # z plus one box in row i, for each row i > 1 shorter than
                 # the row before it, then in a new row
                 row = list(z)
@@ -163,7 +162,7 @@ def _zset_walk(ctx: MatrixContext, xs):
 
 def zset(a: InvariantIdeal) -> frozenset[ZPair]:
     """Composition factor indices of S/a; a.gens is canonical already."""
-    return frozenset(ZPair._trusted(z, h - 1) for z, h in _zset_walk(a.ctx, a.gens))
+    return frozenset(ZPair._trusted(z, l) for z, l in _zset_walk(a.ctx, a.gens))
 
 
 def saturation_filter(pairs, p: int) -> frozenset[ZPair]:
@@ -464,7 +463,7 @@ def regularity(a: InvariantIdeal) -> int:
     if a.is_unit:
         raise ValueError("the unit ideal has no regularity")
     n = a.ctx.n
-    return 1 + max(_factor_regularity(n, z, h - 1) for z, h in _zset_walk(a.ctx, a.gens))
+    return 1 + max(_factor_regularity(n, z, l) for z, l in _zset_walk(a.ctx, a.gens))
 
 
 def _factor_regularity(n: int, z: Parts, l: int) -> int:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from itertools import groupby, islice
-from math import perm
+from math import comb
 from operator import eq
 
 from ._record import _Record
@@ -32,9 +32,8 @@ def _dim_schur(w: Weight, N: int) -> int:
     With k the number of entries before the trailing zeros, the pairs inside
     the zero tail give 1, and row i < k (where w_i > 0) gives over the tail
     prod_{j=k}^{N-1} (w_i + j - i) / (j - i)
-    = perm(w_i + N-1-i, N-k) / perm(N-1-i, N-k)
-    = perm(w_i + N-1-i, w_i) / perm(w_i + k-1-i, w_i),
-    of 2(N - k) and 2 w_i factors; the row takes the shorter form, so a zero
+    = C(w_i + N-1-i, w_i) / C(w_i + k-1-i, w_i).
+    math.comb takes min(w_i, N-1-i) and min(w_i, k-1-i) factors, so a zero
     tail costs no N^2 work and a long row no w_i work.
     """
     k = len(w)
@@ -48,12 +47,9 @@ def _dim_schur(w: Weight, N: int) -> int:
         for j in range(i + 1, k):
             num *= w[i] - w[j] + j - i
             den *= j - i
-        if k < N < k + w[i]:
-            num *= perm(w[i] + N - 1 - i, N - k)
-            den *= perm(N - 1 - i, N - k)
-        elif k < N:
-            num *= perm(w[i] + N - 1 - i, w[i])
-            den *= perm(w[i] + k - 1 - i, w[i])
+        if k < N:
+            num *= comb(w[i] + N - 1 - i, w[i])
+            den *= comb(w[i] + k - 1 - i, w[i])
     if num % den:
         raise ArithmeticError(f"dimension product not integral for {w}")
     return num // den

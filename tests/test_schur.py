@@ -58,10 +58,10 @@ def test_dim_schur_zero_tail_at_large_N():
 
 
 def test_dim_schur_zero_tail_takes_the_shorter_form():
-    # row i's tail factor has N - k factors in one form and w_i in the other;
-    # a row longer than the tail takes the first, a short row the second, and
-    # both give the plain pair product over i < j < N, here on random weights
-    # with short and long rows and on long first rows over a short tail
+    # row i's tail factor is a ratio of binomials, each computed from the
+    # shorter of its two sides, and gives the plain pair product over
+    # i < j < N, here on random weights with short and long rows and on long
+    # first rows over a short tail
     rng = random.Random(3000)
     cases = [((483238, 8, 2), 10), ((200000, 8, 2), 10), ((9, 1), 12), ((3, 3, 3), 4)]
     for _ in range(1000):
