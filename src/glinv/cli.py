@@ -461,7 +461,7 @@ def _cmd_lc(args) -> int:
     if args.window is not None:
         raise UsageError("--window needs --ds")
     _refuse(QBINOM_MAX_TERMS if args.max_terms is None else args.max_terms,
-            _lc_table_updates(ctx, args.p), f"lc -m {args.m} -n {args.n} -p {args.p} makes",
+            [_lc_table_updates(ctx, args.p)], f"lc -m {args.m} -n {args.n} -p {args.p} makes",
             "coefficient updates")
     table = lc_table(ctx, args.p)
     if args.format == "json":

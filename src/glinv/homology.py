@@ -19,7 +19,7 @@ from math import inf
 
 from ._record import _Record
 from .ideals import InvariantIdeal, MatrixContext, _generators, ideal_leq
-from .partitions import Parts, _in_ideal, _index, _integer, part, partition
+from .partitions import Parts, _in_ideal, _index, _integer, minimalize, part, partition
 from .schur import EquivariantCharacter, _runs
 
 
@@ -70,6 +70,10 @@ def zset_of_generators(ctx: MatrixContext, gens) -> frozenset[ZPair]:
     Equivalently: among the generators with x(c) <= z, the least column
     height h is l+1. Each (c, z) therefore yields at most one l.
 
+    The pairs depend only on the ideal: a generator that contains another
+    changes no least height. So the family is minimalized first, and the
+    walk below reads the antichain it needs.
+
     For each c the walk grows upward inside the n x c box, one box at a
     time, in order of size. A generator with h >= 1 rows longer than c has
     x(c) = (c^h, x_{h+1}, x_{h+2}, ...), a seed cell that starts with its
@@ -88,13 +92,18 @@ def zset_of_generators(ctx: MatrixContext, gens) -> frozenset[ZPair]:
     a query follows a branch v of the root only when v <= z_1 = c, so it
     never reaches a generator with x_1 > c, which lies outside the box. No
     column reaches the generators with the largest x_1, and the index
-    leaves them out. The work is the surviving cells and the cells one box
-    above them, not the box.
+    leaves them out. A seed is never in the ideal: a generator inside x(c)
+    lies inside x, so it is x, as the generators form an antichain, and x
+    does not fit in x(c) != x. So only the cells that growth alone reached
+    are tested, and none below the size of the smallest indexed generator.
+    The work is the surviving cells and the cells one box above them, not
+    the box.
 
     Each pair meets the equal-rows condition of ZPair: a generator attaining
     h has x(c) <= z, so c <= z_i <= z_1 = c for i <= h.
     """
-    return frozenset(ZPair._trusted(z, l) for z, l in _zset_walk(ctx, _generators(ctx, gens)))
+    xs = minimalize(_generators(ctx, gens))
+    return frozenset(ZPair._trusted(z, l) for z, l in _zset_walk(ctx, xs))
 
 
 def _zset_walk(ctx: MatrixContext, xs):
@@ -102,6 +111,9 @@ def _zset_walk(ctx: MatrixContext, xs):
     n parts, yielding its pairs as plain tuples (z, l), l = h - 1. The z are
     canonical and meet the equal-rows condition by construction, so a
     caller may build ZPairs from them without the checks (ZPair._trusted).
+    The generators must form an antichain, as a.gens does: the walk tests
+    no seed for membership, and a generator inside another would let a
+    seed in the ideal through as a pair.
 
     The columns c run from the top, x_1 - 1 for the largest x_1, down to 0,
     and one column's seeds exist at a time. A generator's truncation to c
@@ -112,13 +124,20 @@ def _zset_walk(ctx: MatrixContext, xs):
     truncations: the seed from such a key t is (c^h, t_{h+1}, ...), h the
     entries of t equal to c+1 (the empty cell at c = 0). Each seed keeps
     the least h of the keys that give it.
+
+    A cell holds 2h when a seed gave it its least h and 2h + 1 when only
+    growth did; the minimum still picks the least h, a seed on ties. Only
+    odd cells are tested, and only at sizes the index's smallest generator
+    can fit in.
     """
     by_first: dict[int, list[Parts]] = {}
     for x in xs:
         if x:
             by_first.setdefault(x[0], []).append(x)
     cmax = max(by_first, default=0)
-    trie = _index(x for x in xs if not x or x[0] < cmax)
+    indexed = [x for x in xs if not x or x[0] < cmax]
+    trie = _index(indexed)
+    least = min(map(sum, indexed), default=inf)
     n = ctx.n
     seeds: dict[Parts, int] = {}
     for c in range(cmax - 1, -1, -1):
@@ -131,18 +150,20 @@ def _zset_walk(ctx: MatrixContext, xs):
                 seeds[z] = h
         levels: dict[int, dict[Parts, int]] = {}
         for z, h in seeds.items():
-            levels.setdefault(sum(z), {})[z] = h
+            levels.setdefault(sum(z), {})[z] = 2 * h
         k = min(levels)
         while levels:
             cells = levels.pop(k, None)
+            query = k >= least
             k += 1
             if not cells:
                 continue
             above = levels.setdefault(k, {})
-            for z, h in cells.items():
-                if _in_ideal(trie, z):
+            for z, mark in cells.items():
+                if mark & 1 and query and _in_ideal(trie, z):
                     continue
-                yield z, h - 1
+                yield z, (mark >> 1) - 1
+                mark |= 1
                 # z plus one box in row i, for each row i > 1 shorter than
                 # the row before it, then in a new row
                 row = list(z)
@@ -152,12 +173,12 @@ def _zset_walk(ctx: MatrixContext, xs):
                         row[i] = v + 1
                         y = tuple(row)
                         row[i] = v
-                        if h < above.get(y, h + 1):
-                            above[y] = h
+                        if mark < above.get(y, mark + 1):
+                            above[y] = mark
                 if c and len(z) < n:
                     y = z + (1,)
-                    if h < above.get(y, h + 1):
-                        above[y] = h
+                    if mark < above.get(y, mark + 1):
+                        above[y] = mark
 
 
 def zset(a: InvariantIdeal) -> frozenset[ZPair]:

@@ -145,17 +145,23 @@ def _equal_rows(ctx: MatrixContext, k: int, total: int, d: int) -> InvariantIdea
     """The ideal generated by the partitions with at most n parts whose first
     k rows equal some c <= d and whose rows k..n sum to total, for k >= 1.
 
-    Built canonical and descending, so it skips the constructor's check: c
-    falls from min(d, total), and under each c the tails (rows k+1..n, each
-    at most c, summing to total - c) descend. At c = 0 only the empty tail
-    exists, which gives (); c > 0 needs k <= n rows, and k = 2 > n = 1 only
-    with total = 0. An antichain: for c < c' the c-member has the shorter
-    first row but more boxes after row k, so neither contains the other, and
-    members with the same c are distinct partitions of the same size.
+    Rows k..n of a member form a partition y of total with at most n - k + 1
+    parts, each at most d, and rows 1..k-1 copy y_1 = c; so the members are
+    one enumeration, _sized(total, n - k + 1, d), with y_1 written k - 1
+    more times in front (the power, k = 1, is that enumeration itself). y = ()
+    exists only at total = 0 and gives (); k = 2 > n = 1, no rows for y,
+    comes only with total = 0.
+
+    Built canonical and descending, so it skips the constructor's check:
+    the y descend, and copying y_1 keeps their order. An antichain: for
+    c < c' the c-member has the shorter first row but more boxes after
+    row k, so neither contains the other, and members with the same c are
+    distinct partitions of the same size.
     """
-    return InvariantIdeal._trusted(ctx, tuple(
-        (c,) * k + tail if c else () for c in range(min(d, total), -1, -1)
-        for tail in _sized(total - c, max(ctx.n - k, 0), c)))
+    ys = _sized(total, ctx.n - k + 1, d)
+    if k > 1:
+        ys = ((y[0],) * (k - 1) + y if y else () for y in ys)
+    return InvariantIdeal._trusted(ctx, tuple(ys))
 
 
 def strip_short_columns(x, p: int) -> Parts:

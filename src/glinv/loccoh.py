@@ -12,8 +12,6 @@ expansion for s = 0, without doing either.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from ._record import _Record
 from .homology import DegreeWindow, _lambdas
 from .ideals import MatrixContext
@@ -49,13 +47,22 @@ def lc_table(ctx: MatrixContext, p: int) -> LCTable:
     return LCTable(ctx, p, {j: rows[j] for j in sorted(rows)})
 
 
-def _lc_table_updates(ctx: MatrixContext, p: int) -> Iterator[int]:
+def _lc_table_updates(ctx: MatrixContext, p: int) -> int:
     """The coefficient updates lc_table(ctx, p) makes, counted without making
-    them and yielded one factor at a time: those of qbinomial(n-s-1, p-1-s)
-    for each factor D_s, s = 0..p-1. p is checked as lc_table checks it,
-    before the first is counted."""
+    them: those of qbinomial(n-s-1, p-1-s) summed over the factors D_s,
+    s = 0..p-1, in closed form. p is checked as lc_table checks it.
+
+    With b = p-1-s and D = n-p, factor D_s makes _qbinomial_updates(b + D, b):
+    its b outer steps and, for c = bD + 1 and c = (b-1)D + 1, the sum of
+    max(0, c - i) over i = 1..b. At D = 0 both sums are 0. At D >= 1 both
+    c are at least b, so each sum is b*c - b(b+1)/2, and the factor costs
+    (2D - 1)b^2 + (2 - D)b. The sums over b = 0..p-1 use sum b = p(p-1)/2
+    and sum b^2 = (p-1)p(2p-1)/6.
+    """
     p = _integer(p, "minor size p", 1, ctx.n)
-    return (_qbinomial_updates(ctx.n - s - 1, p - 1 - s) for s in range(p))
+    d = ctx.n - p
+    steps, squares = p * (p - 1) // 2, (p - 1) * p * (2 * p - 1) // 6
+    return steps if not d else (2 * d - 1) * squares + (2 - d) * steps
 
 
 def lc_support(ctx: MatrixContext, p: int) -> tuple[int, int]:

@@ -207,16 +207,41 @@ def partitions_of_size_in_box(total: int, rows: int, cols: int) -> list[Parts]:
 
 
 def _sized(total: int, rows: int, cap: int) -> Iterator[Parts]:
+    """The partitions of total >= 0 with at most `rows` parts, each at most
+    cap (rows, cap >= 0), in strictly descending lexicographic order; ()
+    alone for total = 0.
+
+    One list of rows is rewritten in place. The first partition fills the
+    rows greedily, cap boxes each. The next lowers the rightmost row i that
+    can drop: row i falls by one to v, and rows i.. must still hold the
+    boxes they held, so v * (rows - i) must reach that count (and v >= 1).
+    The rows from i on are then refilled greedily with at most v boxes each,
+    the largest tail under the lowered row. No row can drop after the last
+    partition, whose rows are as even as the count allows.
+    """
     if total == 0:
         yield ()
         return
-    if rows <= 0 or cap <= 0:
+    if total > rows * cap:
         return
-    # the head must carry at least an equal share of the remaining boxes
-    lo = -(-total // rows)
-    for head in range(min(cap, total), lo - 1, -1):
-        for tail in _sized(total - head, rows - 1, head):
-            yield (head,) + tail
+    row, rest, v = [], total, cap
+    while True:
+        q, r = divmod(rest, v)
+        row += [v] * q
+        if r:
+            row.append(r)
+        yield tuple(row)
+        i, rest = len(row), 0
+        while True:
+            i -= 1
+            if i < 0:
+                return
+            v = row[i]
+            rest += v
+            v -= 1
+            if v * (rows - i) >= rest:
+                break
+        del row[i:]
 
 
 def attach(r: int, s: int, a: Parts, b: Parts) -> Parts:

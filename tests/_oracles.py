@@ -86,6 +86,21 @@ def box_partitions(rows: int, cols: int) -> list[tuple[int, ...]]:
     return out
 
 
+def sized_partitions(total: int, rows: int, cap: int):
+    """Partitions of total with at most `rows` parts, each at most cap, in
+    strictly descending lexicographic order, by recursion on the first row:
+    it falls from min(cap, total) to an equal share of the boxes, and the
+    rest follow under it."""
+    if total == 0:
+        yield ()
+        return
+    if rows <= 0 or cap <= 0:
+        return
+    for head in range(min(cap, total), -(-total // rows) - 1, -1):
+        for tail in sized_partitions(total - head, rows - 1, head):
+            yield (head,) + tail
+
+
 def inside(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
     """Diagram x lies inside diagram y: no more rows, and row by row no longer."""
     return len(x) <= len(y) and all(a <= b for a, b in zip(x, y))

@@ -469,6 +469,22 @@ def test_lc_ds_refuses_work_past_the_cap_before_starting(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "error: --max-terms must be at least 0, got -1\n")
 
 
+def test_lc_ds_count_gives_way_to_a_bound_past_two_million_steps(capsys, monkeypatch):
+    # at n = m = 3 the count takes 3b steps, b = -9 - lo: b = 666,666 makes
+    # 1,999,998, which _DS_COUNT_STEPS allows, and b = 666,667 makes
+    # 2,000,001, which it does not, so the second names the bound
+    monkeypatch.setattr(cli, "_ds_terms", None)  # a refused query never computes
+    head = ["lc", "-m", "3", "-n", "3", "-p", "1", "--ds", "0"]
+    code, out, err = run(capsys, [*head, "--window=-666675..-9"])
+    assert (code, out) == (1, "")
+    assert err == ("error: lc --ds 0 --window=-666675..-9 emits 8,230,557,613,545,268 weights, "
+                   "more than the cap of 300,000; pass --max-terms 8230557613545268 to run it\n")
+    code, out, err = run(capsys, [*head, "--window=-666676..-9"])
+    assert (code, out) == (1, "")
+    assert err == ("error: lc --ds 0 --window=-666676..-9 emits at least 37,037,407,408 weights, "
+                   "more than the cap of 300,000; pass --max-terms 37037407408 to count them\n")
+
+
 def test_counts_past_the_ceiling_stop_and_name_a_bound(capsys, monkeypatch):
     ceiling = cli._COUNT_CEILING
     assert ceiling == 2**63
@@ -510,7 +526,17 @@ def test_lc_table_update_count_is_the_loops_count():
             ctx = cli.MatrixContext(m, n)
             for p in range(1, n + 1):
                 want = sum(_qbinom_loop_updates(n - s - 1, p - 1 - s) for s in range(p))
-                assert sum(loccoh._lc_table_updates(ctx, p)) == want, (m, n, p)
+                assert loccoh._lc_table_updates(ctx, p) == want, (m, n, p)
+
+
+def test_lc_table_update_count_is_the_sum_of_the_factor_counts():
+    # the closed form over the factors D_s equals the sum of their Gauss
+    # polynomials' counts, one per factor, for every D = n - p
+    for n in range(1, 41):
+        ctx = cli.MatrixContext(n + 1, n)
+        for p in range(1, n + 1):
+            want = sum(cli._qbinomial_updates(n - s - 1, p - 1 - s) for s in range(p))
+            assert loccoh._lc_table_updates(ctx, p) == want, (n, p)
 
 
 def test_lc_table_refuses_work_past_the_cap_before_starting(capsys, monkeypatch):
@@ -523,12 +549,18 @@ def test_lc_table_refuses_work_past_the_cap_before_starting(capsys, monkeypatch)
                    "pass --max-terms 4166437505833275000 to run it\n")
     code, out, err = run(capsys, [*argv, "--format", "json"])
     assert code == 1 and "4,166,437,505,833,275,000" in json.loads(out)["error"] and err == ""
+    # at p = n every factor makes no update, and the count is its outer steps
+    code, out, err = run(capsys, ["lc", "-m", "10000000", "-n", "10000000", "-p", "10000000"])
+    assert (code, out) == (1, "")
+    assert err == ("error: lc -m 10000000 -n 10000000 -p 10000000 makes 49,999,995,000,000 "
+                   "coefficient updates, more than the cap of 20,000,000; "
+                   "pass --max-terms 49999995000000 to run it\n")
     # p is checked before it is counted, with lc_table's message
     code, out, err = run(capsys, ["lc", "-m", "3", "-n", "3", "-p", "4"])
     assert (code, out) == (1, "") and err.startswith("error: minor size p must be ")
     monkeypatch.undo()
     small = ["lc", "-m", "9", "-n", "7", "-p", "4"]
-    count = sum(loccoh._lc_table_updates(cli.MatrixContext(9, 7), 4))
+    count = loccoh._lc_table_updates(cli.MatrixContext(9, 7), 4)
     code, out, err = run(capsys, [*small, "--max-terms", str(count - 1)])
     assert (code, out) == (1, "") and f"makes {count} coefficient updates" in err
     code, out, _ = run(capsys, [*small, "--max-terms", str(count)])
@@ -545,8 +577,8 @@ def test_lc_table_refuses_work_past_the_cap_before_starting(capsys, monkeypatch)
     ["qbinom", "800", "400"],
     # past 2**63 a count stops and names a bound: without the ceiling the
     # first of these runs for about 28 s, the second writes a 2,917-character
-    # line, the third sums 5,000,000 Gauss counts, and the last two end in
-    # Python's int-to-str digit limit
+    # line, and the last two end in Python's int-to-str digit limit; the
+    # third is one closed-form count past the ceiling
     ["betti", "-m", "10000", "-n", "10000", "-a", "1", "-b", "1"],
     ["betti", "-m", "2000", "-n", "2000", "-a", "1", "-b", "1"],
     ["lc", "-m", "10000000", "-n", "10000000", "-p", "5000000"],
@@ -555,6 +587,9 @@ def test_lc_table_refuses_work_past_the_cap_before_starting(capsys, monkeypatch)
     # Gauss polynomials that make no coefficient update but loop a times;
     # without the outer steps in their count each runs past 20 s
     ["lc", "-m", "100000", "-n", "100000", "-p", "100000"],
+    # 10^7 factors, once counted one at a time in about 15 s, now summed in
+    # closed form
+    ["lc", "-m", "10000000", "-n", "10000000", "-p", "10000000"],
     ["qbinom", "1000000000", "1000000000"],
 ])
 def test_refusals_are_one_line_in_a_whole_process_under_a_second(argv):

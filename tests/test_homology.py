@@ -103,6 +103,16 @@ def test_zset_ignores_redundant_generators():
     assert zset(make_ideal(ctx, [(2, 1)])) == lean
 
 
+def test_zset_of_generators_reads_the_ideal_of_a_raw_family():
+    # (2, 1) contains (1, 1); its seed (1, 1) at c = 1 lies in the ideal,
+    # and a walk over the raw family, which tests no seed, would give the
+    # extra pair ((1, 1), 0)
+    ctx = MatrixContext(3, 3)
+    want = zset(make_ideal(ctx, [(1, 1)]))
+    assert want == {ZPair((), 1)}
+    assert zset_of_generators(ctx, [(2, 1), (1, 1)]) == want
+
+
 def test_zset_of_trivial_ideals_is_empty():
     ctx = MatrixContext(3, 3)
     assert zset(make_ideal(ctx, [])) == frozenset()
@@ -220,21 +230,28 @@ def test_zset_rejects_generators_that_are_not_partitions(gens):
         zset_of_generators(MatrixContext(3, 3), gens)
 
 
-@pytest.mark.parametrize("n, pairs, cells", [(8, 83, 112), (10, 94, 131)])
-def test_zset_walk_tests_cells_that_follow_the_pairs(monkeypatch, n, pairs, cells):
+@pytest.mark.parametrize("n, pairs, cells, queries", [(8, 83, 112, 29), (10, 94, 131, 37)])
+def test_zset_walk_tests_cells_that_follow_the_pairs(monkeypatch, n, pairs, cells, queries):
     # the n x c boxes of c < 10 hold 48,620 cells at n = 8 and 167,960 at
-    # n = 10; the walk tests only the cells it reaches, each once
-    tested = []
+    # n = 10; the walk reaches only the pairs and the cells one box above
+    # them that lie in the ideal. It queries the containment index only on
+    # cells that growth alone reached, each at most once: a seed is never in
+    # the ideal. So the cells are the pairs plus the queries answered "in"
+    tested, inside = [], []
     in_ideal = homology._in_ideal
 
     def counted(trie, z):
         tested.append(z)
-        return in_ideal(trie, z)
+        found = in_ideal(trie, z)
+        if found:
+            inside.append(z)
+        return found
 
     monkeypatch.setattr(homology, "_in_ideal", counted)
     got = zset(symbolic_power(MatrixContext(n, n), 4, 10))
     assert len(got) == pairs
-    assert len(tested) == len(set(tested)) == cells
+    assert len(tested) == len(set(tested)) == queries
+    assert len(got) + len(inside) == cells
 
 
 def test_zset_of_maximal_ideal_powers():

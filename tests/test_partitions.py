@@ -17,9 +17,9 @@ from glinv import (
     size,
     truncate_columns,
 )
-from glinv.partitions import pad_weight
+from glinv.partitions import _sized, pad_weight
 
-from _oracles import conjugate_boxes, qbinomial_pascal
+from _oracles import conjugate_boxes, qbinomial_pascal, sized_partitions
 
 
 def test_partition_canonicalizes():
@@ -131,6 +131,16 @@ def test_partitions_of_size_in_box():
         assert sorted(got) == sorted(brute)
         # strictly descending, the order of a canonical generating family
         assert all(a > b for a, b in zip(got, got[1:])), got
+
+
+def test_sized_equals_the_recursive_oracle_in_order():
+    # the one loop that lowers the rightmost row that can drop yields the
+    # recursion's partitions in the recursion's order
+    for total in range(25):
+        for rows in range(9):
+            for cap in range(12):
+                got = list(_sized(total, rows, cap))
+                assert got == list(sized_partitions(total, rows, cap)), (total, rows, cap)
 
 
 def test_attach_examples():
