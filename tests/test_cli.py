@@ -587,8 +587,7 @@ def test_lc_table_refuses_work_past_the_cap_before_starting(capsys, monkeypatch)
     # Gauss polynomials that make no coefficient update but loop a times;
     # without the outer steps in their count each runs past 20 s
     ["lc", "-m", "100000", "-n", "100000", "-p", "100000"],
-    # 10^7 factors, once counted one at a time in about 15 s, now summed in
-    # closed form
+    # 10^7 factors: counted one at a time, their sum takes about 15 s
     ["lc", "-m", "10000000", "-n", "10000000", "-p", "10000000"],
     ["qbinom", "1000000000", "1000000000"],
 ])
