@@ -55,6 +55,16 @@ def _dim_schur(w: Weight, N: int) -> int:
     return num // den
 
 
+def _dim_schur_factors(w: Weight, N: int) -> int:
+    """The work of _dim_schur on the same w and N, counted without doing it:
+    k(k - 1)/2 pair factors over the k entries before the zero tail, plus
+    min(w_i, N - k) for each row's tail binomials when there is a tail."""
+    k = len(w)
+    while k and not w[k - 1]:
+        k -= 1
+    return k * (k - 1) // 2 + (sum(min(v, N - k) for v in w[:k]) if k < N else 0)
+
+
 class IrredTerm(_Record):
     """One summand S_wm(C^m) (x) S_wn(C^n) in a single internal degree.
 

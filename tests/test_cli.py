@@ -8,7 +8,7 @@ import time
 import pytest
 
 import glinv.cli as cli
-from glinv import betti, conjugate, golden, loccoh, zset
+from glinv import betti, conjugate, dim_schur, golden, loccoh, zset
 from glinv.cli import VERBS, _build_parser, main, render_diagram
 
 from _argv_fuzz import mismatches
@@ -590,6 +590,10 @@ def test_lc_table_refuses_work_past_the_cap_before_starting(capsys, monkeypatch)
     # 10^7 factors: counted one at a time, their sum takes about 15 s
     ["lc", "-m", "10000000", "-n", "10000000", "-p", "10000000"],
     ["qbinom", "1000000000", "1000000000"],
+    # distinct entries: 600 ran about 14 s and ended in the int-to-str
+    # digit limit, and 3,000 ran past 20 s
+    ["schurdim", "-N", "600", "--weight", str(list(range(600, 0, -1)))],
+    ["schurdim", "-N", "3000", "--weight", str(list(range(3000, 0, -1)))],
 ])
 def test_refusals_are_one_line_in_a_whole_process_under_a_second(argv):
     start = time.perf_counter()
@@ -607,6 +611,35 @@ def test_schurdim(capsys):
                                 "--format", "json"])
     assert code == 0
     assert json.loads(out) == {"N": 3, "weight": [2, 1], "dim": 8}
+
+
+def test_schurdim_factor_count_follows_the_pairs_and_the_tail():
+    # k(k - 1)/2 pairs of the k entries before the zero tail, and
+    # min(w_i, N - k) per row when a tail is there
+    for w, N, count in [((), 5, 0), ((1,), 100000, 1), ((483238, 8, 2), 10, 3 + 7 + 7 + 2),
+                        ((3, 2, 1), 3, 3), ((-1, -2, -3), 3, 3), ((2, 0, -1), 3, 3),
+                        ((5, 5, 5, 5), 6, 6 + 4 * 2)]:
+        assert cli._dim_schur_factors(w + (0,) * (N - len(w)), N) == count, (w, N)
+
+
+def test_schurdim_refuses_work_past_the_cap_before_starting(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_dim_schur", None)  # a refused query never computes
+    code, out, err = run(capsys, ["schurdim", "-N", "600", "--weight",
+                                  str(list(range(600, 0, -1)))])
+    assert (code, out) == (1, "")
+    assert err == ("error: schurdim -N 600 multiplies 179,700 factors, more than the cap of "
+                   "40,000; pass --max-terms 179700 to run it\n")
+    monkeypatch.undo()
+    small = ["schurdim", "-N", "10", "--weight", "[483238,8,2]"]
+    code, out, err = run(capsys, [*small, "--max-terms", "18"])
+    assert (code, out) == (1, "") and "multiplies 19 factors" in err and "--max-terms 19 " in err
+    code, out, _ = run(capsys, [*small, "--max-terms", "19"])
+    assert code == 0 and out == f"dim = {dim_schur((483238, 8, 2), 10)}\n"
+    code, out, err = run(capsys, [*small, "--max-terms", "-1"])
+    assert (code, out, err) == (1, "", "error: --max-terms must be at least 0, got -1\n")
+    # the weight and N are checked before the count
+    code, out, err = run(capsys, ["schurdim", "-N", "2", "--weight", "[1,1,1]", "--max-terms", "0"])
+    assert (code, out, err) == (1, "", "error: (1, 1, 1) is longer than 2\n")
 
 
 SELFTEST_NAMES = [

@@ -163,6 +163,22 @@ def test_zset_walk_equals_box_table_on_the_families():
                         assert got == zset_box_table(n, gens), (family.__name__, m, n, p, d)
 
 
+def test_zset_walk_finds_the_family_cells_it_tests_among_the_generators(monkeypatch):
+    # every cell the walk tests on these families equals a generator, so the
+    # lookup answers it and the containment index is never built
+    def unused(xs):
+        raise AssertionError("the walk built the containment index")
+
+    monkeypatch.setattr(homology, "_index", unused)
+    for family in (power_of_minors, symbolic_power, saturated_power):
+        for n in range(1, 8):
+            ctx = MatrixContext(n, n)
+            for p in range(1, n + 1):
+                for d in range(1, 7):
+                    a = family(ctx, p, d)
+                    assert _plain(zset(a)) == zset_box_table(n, a.gens), (family.__name__, n, p, d)
+
+
 def test_zset_walk_equals_box_table_on_random_raw_families():
     # repeated, redundant, empty and zero-padded generators, some with x_1 <= c
     # for the smaller column counts c, so that cells inside the box are pruned
@@ -203,6 +219,15 @@ def test_zset_walk_equals_box_table_on_random_raw_families():
     # c = 5..0 from (7, 1), and c = 4..2 from (6, 6, 6)
     (3, [(7, 1)]),
     (4, [(6, 6, 6), (2, 2, 2, 2)]),
+    # the one cell tested, (2, 2, 1), strictly contains the generator (2, 2):
+    # the lookup misses, and the index, built then, finds it
+    (3, [(3, 1, 1), (2, 2)]),
+    # the first miss, (3, 3, 1), is out of the ideal and a pair; the next,
+    # (3, 3, 2), is in, through (3, 2, 2)
+    (3, [(4, 4), (3, 2, 2)]),
+    # the lookup finds the generator (3, 3, 1) before the misses (3, 2, 2)
+    # and (3, 3, 2) build the index
+    (3, [(4,), (3, 3, 1)]),
 ])
 def test_zset_walk_equals_box_table_on_edge_cases(n, gens):
     got = _plain(zset_of_generators(MatrixContext(n, n), gens))
@@ -234,25 +259,32 @@ def test_zset_rejects_generators_that_are_not_partitions(gens):
 def test_zset_walk_tests_cells_that_follow_the_pairs(monkeypatch, n, pairs, cells):
     # the n x c boxes of c < 10 hold 48,620 cells at n = 8 and 167,960 at
     # n = 10; the walk reaches only the pairs and the cells one box above
-    # them that lie in the ideal, so the cells are the pairs plus the
-    # queries answered "in". It queries the containment index only on cells
-    # that growth alone reached, each at most once, since a seed is never
-    # in the ideal; here each of those cells is in the ideal, so the
-    # queries made are cells - pairs (29 and 37)
+    # them that lie in the ideal, so the cells are the pairs plus the cells
+    # it drops. It tests only cells that growth alone reached, each at most
+    # once, since a seed is never in the ideal; here each tested cell is a
+    # generator, found by lookup in the walk's set of generators, so it
+    # drops cells - pairs of them (29 and 37) and never builds the
+    # containment index. The set is observed by standing in for the
+    # module's set
     tested, inside = [], []
-    in_ideal = homology._in_ideal
 
-    def counted(trie, z):
-        tested.append(z)
-        found = in_ideal(trie, z)
-        if found:
-            inside.append(z)
-        return found
+    class Recorded(set):
+        def __contains__(self, z):
+            tested.append(z)
+            found = set.__contains__(self, z)
+            if found:
+                inside.append(z)
+            return found
 
-    monkeypatch.setattr(homology, "_in_ideal", counted)
+    def unused(*args):
+        raise AssertionError("the walk asked the containment index")
+
+    monkeypatch.setattr(homology, "set", Recorded, raising=False)
+    monkeypatch.setattr(homology, "_index", unused)
+    monkeypatch.setattr(homology, "_in_ideal", unused)
     got = zset(symbolic_power(MatrixContext(n, n), 4, 10))
     assert len(got) == pairs
-    assert len(tested) == len(set(tested)) == cells - pairs
+    assert len(tested) == len(set(tested)) == len(inside) == cells - pairs
     assert len(got) + len(inside) == cells
 
 
