@@ -291,12 +291,55 @@ def _resolve_ideal(args) -> InvariantIdeal:
     return make_ideal(ctx, _parse_gens(args.gens))
 
 
-def _ideal_json(ideal: InvariantIdeal) -> dict:
-    return {"m": ideal.ctx.m, "n": ideal.ctx.n,
-            "gens": [list(g) for g in ideal.gens]}
+class _ListFormats(dict):
+    """k -> template with its one slot filled by k "%d" joined by ", ",
+    made on first use: the format that writes, in one % operation, the JSON
+    holding an int list of length k. The %d of an int is its repr, which is
+    what json.dumps writes, so "[%d, %d]" % (2, 1) is json.dumps([2, 1]).
+    Only the lengths met are made and kept, each format no longer than the
+    list text it first wrote, so the kept formats never outgrow the output."""
+
+    def __init__(self, template: str):
+        super().__init__()
+        self.template = template
+
+    def __missing__(self, k: int) -> str:
+        self[k] = self.template.format(", ".join(["%d"] * k))
+        return self[k]
+
+
+_JSON_GEN = _ListFormats("[{}]")
+_JSON_PAIR = _ListFormats('{{"l": %d, "z": [{}]}}')
+
+
+def _ideal_fields(ideal: InvariantIdeal) -> str:
+    """The keys of the ideal object {"gens", "m", "n"}, braces left out, as
+    json.dumps(..., sort_keys=True) writes them."""
+    return '"gens": [%s], "m": %d, "n": %d' % (
+        ", ".join([_JSON_GEN[len(g)] % g for g in ideal.gens]), ideal.ctx.m, ideal.ctx.n)
+
+
+def _decimal(value: int) -> str:
+    """str(value) for an int value >= 0 of any length. str refuses a value
+    past Python's int-to-str digit limit (sys.get_int_max_str_digits(), 0
+    for none), which stays in force because it also guards the parsing of
+    --gens and --weight; so a longer value is cut by divmod into pieces of
+    limit - 1 digits, each converted under the limit."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit or value.bit_length() < 3 * limit:  # below 8**limit, so at most limit digits
+        return str(value)
+    width = limit - 1
+    base, pieces = 10**width, []
+    while value >= base:
+        value, low = divmod(value, base)
+        pieces.append(str(low).zfill(width))
+    pieces.append(str(value))
+    return "".join(reversed(pieces))
 
 
 def _emit_json(obj) -> None:
+    """obj as json.dumps(..., sort_keys=True) writes it: the lc table and
+    qbinom, whose keys are strings of ints and sort as strings."""
     print(json.dumps(obj, sort_keys=True))
 
 
@@ -308,8 +351,12 @@ def render_diagram(x, indent: str = "  ") -> str:
 
 
 def _print_ideal(ideal: InvariantIdeal, fmt: str) -> None:
+    """The ideal under json as the object {"gens", "m", "n"} that
+    json.dumps(..., sort_keys=True) writes, from one template; otherwise m
+    and n, then the zero or unit ideal named, or each generator with its
+    degree and Young diagram."""
     if fmt == "json":
-        _emit_json(_ideal_json(ideal))
+        print("{%s}" % _ideal_fields(ideal))
         return
     print(f"m = {ideal.ctx.m}, n = {ideal.ctx.n}")
     if ideal.is_zero:
@@ -333,15 +380,21 @@ def _cmd_compare(args) -> int:
     ctx = _context(args.m, args.n)
     left = make_ideal(ctx, _parse_gens(args.left))
     right = make_ideal(ctx, _parse_gens(args.right))
-    ge = ideal_leq(left, right)
-    le = ideal_leq(right, left)
-    relation, wording = _RELATIONS[(ge, le)]
-    if args.format == "json":
-        _emit_json({"relation": relation,
-                    "left": _ideal_json(left), "right": _ideal_json(right)})
-    else:
-        print(wording)
+    _print_compare(left, right, _RELATIONS[(ideal_leq(left, right), ideal_leq(right, left))],
+                   args.format)
     return 0
+
+
+def _print_compare(left: InvariantIdeal, right: InvariantIdeal, relation: tuple[str, str],
+                   fmt: str) -> None:
+    """relation, a value of _RELATIONS: under json the object
+    {"left", "relation", "right"} that json.dumps(..., sort_keys=True)
+    writes, from one template; otherwise its wording."""
+    if fmt == "json":
+        print('{"left": {%s}, "relation": "%s", "right": {%s}}'
+              % (_ideal_fields(left), relation[0], _ideal_fields(right)))
+    else:
+        print(relation[1])
 
 
 # (left >= right, right >= left) as ideals -> (json relation, pretty wording)
@@ -360,18 +413,29 @@ def _cmd_saturate(args) -> int:
 
 
 def _cmd_zset(args) -> int:
+    """The pairs (z, l) of the ideal's Z-set, sorted by l descending, then
+    size and z, printed by _print_zset."""
     ideal = _resolve_ideal(args)
-    pairs = sorted(_zset_walk(ideal.ctx, ideal.gens),
-                   key=lambda pair: (-pair[1], size(pair[0]), pair[0]))
-    if args.format == "json":
-        _emit_json({"m": ideal.ctx.m, "n": ideal.ctx.n,
-                    "pairs": [{"z": list(z), "l": l} for z, l in pairs]})
-    elif args.format == "csv":
+    _print_zset(sorted(_zset_walk(ideal.ctx, ideal.gens),
+                       key=lambda pair: (-pair[1], sum(pair[0]), pair[0])),
+                ideal.ctx, args.format)
+    return 0
+
+
+def _print_zset(pairs: list[tuple[tuple[int, ...], int]], ctx: MatrixContext, fmt: str) -> None:
+    """The pairs (z, l) in their order. Under json they are the object
+    {"m", "n", "pairs"}, each pair {"l", "z"}, as json.dumps(...,
+    sort_keys=True) writes it, by one template per length of z; under csv a
+    header, then "l,z" with z's parts spaced; otherwise a count, then one
+    line per pair."""
+    if fmt == "json":
+        print('{"m": %d, "n": %d, "pairs": [%s]}' % (
+            ctx.m, ctx.n, ", ".join([_JSON_PAIR[len(z)] % (l, *z) for z, l in pairs])))
+    elif fmt == "csv":
         print("\n".join(["l,z", *(f"{l},{' '.join(map(str, z))}" for z, l in pairs)]))
     else:
         print("\n".join([f"{len(pairs)} composition factor{'s' if len(pairs) != 1 else ''}:",
                          *(f"l={l}  z=({','.join(map(str, z))})" for z, l in pairs)]))
-    return 0
 
 
 def _parse_window(text: str) -> DegreeWindow:
@@ -389,7 +453,10 @@ def _term_format(template: str, sep: str, m: int, n: int) -> str:
 
 
 # the templates of one term for _term_format: a pretty line, and the object
-# {"deg", "mult", "wm", "wn"} as json.dumps(..., sort_keys=True) writes it
+# {"deg", "mult", "wm", "wn"} as json.dumps(..., sort_keys=True) writes it.
+# Every JSON answer is written by such % templates, keys in sorted order,
+# but the error object, whose message needs escaping, and the lc table and
+# qbinom, whose string keys sort as strings (_emit_json)
 _PRETTY_TERM = "  deg %d  mult %d  S({}) * S({})"
 _JSON_TERM = '{{"deg": %d, "mult": %d, "wm": [{}], "wn": [{}]}}'
 
@@ -432,12 +499,17 @@ def _cmd_ext(args) -> int:
 
 def _cmd_reg(args) -> int:
     ideal = _resolve_ideal(args)
-    r = regularity(ideal)
-    if args.format == "json":
-        _emit_json({"regularity": r, **_ideal_json(ideal)})
+    _print_reg(ideal, regularity(ideal), args.format)
+    return 0
+
+
+def _print_reg(ideal: InvariantIdeal, r: int, fmt: str) -> None:
+    """The regularity r of the ideal: under json the ideal object with it,
+    {"gens", "m", "n", "regularity"}, from one template."""
+    if fmt == "json":
+        print('{%s, "regularity": %d}' % (_ideal_fields(ideal), r))
     else:
         print(f"regularity = {r}")
-    return 0
 
 
 def _cmd_lc(args) -> int:
@@ -545,9 +617,9 @@ def _cmd_schurdim(args) -> int:
             "factors")
     dim = _dim_schur(padded, N)
     if args.format == "json":
-        _emit_json({"N": args.N, "weight": list(weight), "dim": dim})
+        print('{"N": %d, "dim": %s, "weight": %s}' % (N, _decimal(dim), list(weight)))
     else:
-        print(f"dim = {dim}")
+        print(f"dim = {_decimal(dim)}")
     return 0
 
 

@@ -613,6 +613,45 @@ def test_schurdim(capsys):
     assert json.loads(out) == {"N": 3, "weight": [2, 1], "dim": 8}
 
 
+def test_schurdim_keeps_its_bytes(capsys):
+    argv = ["schurdim", "-N", "3", "--weight", "[2,1]"]
+    assert run(capsys, argv) == (0, "dim = 8\n", "")
+    assert run(capsys, [*argv, "--format", "json"]) == (
+        0, '{"N": 3, "dim": 8, "weight": [2, 1]}\n', "")
+
+
+def _horner(digits: str) -> int:
+    """The int of a decimal string, read 1,000 digits at a time, each read
+    under Python's int-to-str digit limit."""
+    value = 0
+    for start in range(0, len(digits), 1000):
+        piece = digits[start:start + 1000]
+        value = value * 10**len(piece) + int(piece)
+    return value
+
+
+def test_schurdim_prints_every_digit_past_the_int_to_str_limit(capsys):
+    # the staircase (200, 199, ..., 1) in GL_200 has dimension 2^19900, with
+    # 5,991 digits: str() of it raises under the default limit of 4,300
+    argv = ["schurdim", "-N", "200", "--weight", json.dumps(list(range(200, 0, -1)))]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "") and out.startswith("dim = ") and out.endswith("\n")
+    digits = out[len("dim = "):-1]
+    assert len(digits) == 5991 and digits.isdigit() and _horner(digits) == 1 << 19900
+    code, out, err = run(capsys, [*argv, "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out == '{"N": 200, "dim": %s, "weight": %s}\n' % (digits, list(range(200, 0, -1)))
+
+
+def test_decimal_writes_every_digit():
+    # pieces of limit - 1 digits, zero-filled: a piece of zeros or with
+    # leading zeros keeps its width
+    for value in (0, 7, 10**4299 - 1, 10**4299, 10**4300 - 1, 10**4300, 10**8600 + 7,
+                  10**8598 * 3 + 10**5, 3**20000):
+        text = cli._decimal(value)
+        assert text.isdigit() and (text == "0" or text[0] != "0") and _horner(text) == value
+
+
 def test_schurdim_factor_count_follows_the_pairs_and_the_tail():
     # k(k - 1)/2 pairs of the k entries before the zero tail, and
     # min(w_i, N - k) per row when a tail is there
