@@ -175,7 +175,7 @@ def test_ideal_zset_reg_saturate_json_equal_json_dumps_on_raw_families():
         for p in range(n + 1):
             want = _dumps(_ideal_dict(saturate(ideal, p)))
             assert _answer(["saturate", *source, "-p", str(p)]) == (0, want), (source, p)
-        code, out = _answer(["reg", *source])
+        code, out = _reg_answer(ideal)
         errors.update(json.loads(out).values() if code else ())
         empty += not zset(ideal)
         gens_lengths.update(map(len, ideal.gens))
