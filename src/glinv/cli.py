@@ -292,24 +292,37 @@ def _resolve_ideal(args) -> InvariantIdeal:
 
 
 class _ListFormats(dict):
-    """k -> template with its one slot filled by k "%d" joined by ", ",
-    made on first use: the format that writes, in one % operation, the JSON
-    holding an int list of length k. The %d of an int is its repr, which is
-    what json.dumps writes, so "[%d, %d]" % (2, 1) is json.dumps([2, 1]).
-    Only the lengths met are made and kept, each format no longer than the
-    list text it first wrote, so the kept formats never outgrow the output."""
+    """lengths -> template with each slot filled by one "%d" per entry of an
+    int list, joined by sep, made on first use: the format that writes those
+    lists and the template's own %d fields in one % operation. lengths is an
+    int for one slot, a tuple for several. The %d of an int is its repr, as
+    json.dumps writes it. Only the lengths met are kept, each format at most
+    twice the text it first wrote, so the kept formats never outgrow the
+    output."""
 
-    def __init__(self, template: str):
+    def __init__(self, template: str, sep: str = ", "):
         super().__init__()
         self.template = template
+        self.sep = sep
 
-    def __missing__(self, k: int) -> str:
-        self[k] = self.template.format(", ".join(["%d"] * k))
-        return self[k]
+    def __missing__(self, lengths: int | tuple[int, ...]) -> str:
+        counts = lengths if isinstance(lengths, tuple) else (lengths,)
+        self[lengths] = self.template.format(*[self.sep.join(["%d"] * k) for k in counts])
+        return self[lengths]
 
 
+# the formats of the int lists the answers hold; the JSON ones write them as
+# json.dumps(..., sort_keys=True) does, since every JSON answer but the error
+# object, whose message needs escaping, and the lc table and qbinom, whose
+# string keys sort as strings (_emit_json), is written by % templates. A term
+# is (degree, multiplicity, *wm, *wn), keyed by the lengths of wm and wn
 _JSON_GEN = _ListFormats("[{}]")
 _JSON_PAIR = _ListFormats('{{"l": %d, "z": [{}]}}')
+_JSON_TERM = _ListFormats('{{"deg": %d, "mult": %d, "wm": [{}], "wn": [{}]}}')
+_CSV_PAIR = _ListFormats("%d,{}", " ")
+_PRETTY_PAIR = _ListFormats("l=%d  z=({})", ",")
+_PRETTY_GEN = _ListFormats("({})  degree %d", ",")
+_PRETTY_TERM = _ListFormats("  deg %d  mult %d  S({}) * S({})", ",")
 
 
 def _ideal_fields(ideal: InvariantIdeal) -> str:
@@ -343,11 +356,10 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def render_diagram(x, indent: str = "  ") -> str:
-    """Young diagram of the partition x, one '#' per box, rows left-aligned."""
-    if not x:
-        return f"{indent}(no boxes)"
-    return "\n".join(f"{indent}{'#' * v}" for v in x)
+def render_diagram(x) -> str:
+    """Young diagram of the partition x, one '#' per box, rows left-aligned
+    and indented by two spaces."""
+    return "\n".join(["  " + "#" * v for v in x]) if x else "  (no boxes)"
 
 
 def _print_ideal(ideal: InvariantIdeal, fmt: str) -> None:
@@ -367,7 +379,7 @@ def _print_ideal(ideal: InvariantIdeal, fmt: str) -> None:
         return
     print(f"{len(ideal.gens)} generator{'s' if len(ideal.gens) != 1 else ''}:")
     for g in ideal.gens:
-        print(f"({','.join(map(str, g))})  degree {size(g)}")
+        print(_PRETTY_GEN[len(g)] % (*g, size(g)))
         print(render_diagram(g))
 
 
@@ -425,17 +437,17 @@ def _cmd_zset(args) -> int:
 def _print_zset(pairs: list[tuple[tuple[int, ...], int]], ctx: MatrixContext, fmt: str) -> None:
     """The pairs (z, l) in their order. Under json they are the object
     {"m", "n", "pairs"}, each pair {"l", "z"}, as json.dumps(...,
-    sort_keys=True) writes it, by one template per length of z; under csv a
-    header, then "l,z" with z's parts spaced; otherwise a count, then one
-    line per pair."""
+    sort_keys=True) writes it; under csv a header, then "l,z" with z's parts
+    spaced; otherwise a count, then one line per pair. Each pair is written
+    by its format's template for the length of z."""
     if fmt == "json":
         print('{"m": %d, "n": %d, "pairs": [%s]}' % (
             ctx.m, ctx.n, ", ".join([_JSON_PAIR[len(z)] % (l, *z) for z, l in pairs])))
     elif fmt == "csv":
-        print("\n".join(["l,z", *(f"{l},{' '.join(map(str, z))}" for z, l in pairs)]))
+        print("\n".join(["l,z", *[_CSV_PAIR[len(z)] % (l, *z) for z, l in pairs]]))
     else:
         print("\n".join([f"{len(pairs)} composition factor{'s' if len(pairs) != 1 else ''}:",
-                         *(f"l={l}  z=({','.join(map(str, z))})" for z, l in pairs)]))
+                         *[_PRETTY_PAIR[len(z)] % (l, *z) for z, l in pairs]]))
 
 
 def _parse_window(text: str) -> DegreeWindow:
@@ -445,22 +457,6 @@ def _parse_window(text: str) -> DegreeWindow:
     return DegreeWindow(int(match.group(1)), int(match.group(2)))
 
 
-def _term_format(template: str, sep: str, m: int, n: int) -> str:
-    """template with its two weight slots filled for weights of lengths m
-    and n, one "%d" per entry joined by sep: the format of one term
-    (degree, multiplicity, *wm, *wn) as one % operation."""
-    return template.format(sep.join(["%d"] * m), sep.join(["%d"] * n))
-
-
-# the templates of one term for _term_format: a pretty line, and the object
-# {"deg", "mult", "wm", "wn"} as json.dumps(..., sort_keys=True) writes it.
-# Every JSON answer is written by such % templates, keys in sorted order,
-# but the error object, whose message needs escaping, and the lc table and
-# qbinom, whose string keys sort as strings (_emit_json)
-_PRETTY_TERM = "  deg %d  mult %d  S({}) * S({})"
-_JSON_TERM = '{{"deg": %d, "mult": %d, "wm": [{}], "wn": [{}]}}'
-
-
 def _print_character(runs: dict[int, list[tuple[int, ...]]], ctx: MatrixContext,
                      window: DegreeWindow, fmt: str, index_label: str) -> None:
     """A windowed character, given as the sorted runs of flat terms
@@ -468,18 +464,18 @@ def _print_character(runs: dict[int, list[tuple[int, ...]]], ctx: MatrixContext,
     wm of length m and wn of length n, as one printed string: under json, the
     list of {"j", "terms", "window"} objects as json.dumps with sorted keys
     writes it; otherwise a header line per index, then one line per term.
-    Each term is one % operation on a format built once per call. print
+    Each term is one % operation on the format of its weight lengths. print
     writes the final newline on its own, so under python -u, where a write
     cut short by a closing pipe returns without an error, that write raises
     BrokenPipeError."""
     if fmt == "json":
-        term = _term_format(_JSON_TERM, ", ", ctx.m, ctx.n).__mod__
+        term = _JSON_TERM[ctx.m, ctx.n].__mod__
         window_text = f'"window": [{window.lo}, {window.hi}]'
         objects = [f'{{"j": {j}, "terms": [{", ".join(map(term, terms))}], {window_text}}}'
                    for j, terms in runs.items()]
         print(f"[{', '.join(objects)}]")
         return
-    term = _term_format(_PRETTY_TERM, ",", ctx.m, ctx.n).__mod__
+    term = _PRETTY_TERM[ctx.m, ctx.n].__mod__
     lines = [f"window: {window.lo}..{window.hi}"]
     if not runs:
         lines.append("no terms in the window")
@@ -583,21 +579,15 @@ def _print_betti_json(bp: EquivariantCharacter, ctx: MatrixContext, a: int, b: i
     """The Betti polynomial bp as json.dumps with sorted keys writes
     {"a", "b", "by_homological_index", "m", "n"}: the homological indices are
     string keys, so "10" comes before "2". The terms are written as json
-    objects, grouped by index, from one pass over bp's sorted keys; their
-    weights vary in length, so the format of a term is built once per pair
-    of weight lengths."""
-    formats: dict[tuple[int, int], str] = {}
+    objects, grouped by index, from one pass over bp's sorted keys, each by
+    the format of its weight lengths."""
     groups: dict[int, list[str]] = {}
     index = None
     for (j, deg, wm, wn), mult in bp._sorted_terms():
         if j != index:
             index = j
             texts = groups[j] = []
-        lengths = (len(wm), len(wn))
-        fmt = formats.get(lengths)
-        if fmt is None:
-            fmt = formats[lengths] = _term_format(_JSON_TERM, ", ", *lengths)
-        texts.append(fmt % (deg, mult, *wm, *wn))
+        texts.append(_JSON_TERM[len(wm), len(wn)] % (deg, mult, *wm, *wn))
     by_index = ", ".join(f'"{i}": [{", ".join(groups[i])}]' for i in sorted(groups, key=str))
     print(f'{{"a": {a}, "b": {b}, "by_homological_index": {{{by_index}}}, '
           f'"m": {ctx.m}, "n": {ctx.n}}}')
@@ -617,7 +607,8 @@ def _cmd_schurdim(args) -> int:
             "factors")
     dim = _dim_schur(padded, N)
     if args.format == "json":
-        print('{"N": %d, "dim": %s, "weight": %s}' % (N, _decimal(dim), list(weight)))
+        print('{"N": %d, "dim": %s, "weight": %s}'
+              % (N, _decimal(dim), _JSON_GEN[len(weight)] % weight))
     else:
         print(f"dim = {_decimal(dim)}")
     return 0
@@ -646,7 +637,8 @@ LC_DS_MAX_TERMS = 300_000
 # schurdim refuses a weight whose factors pass this cap before multiplying
 # any, and --max-terms sets another cap. The pair factors grow the product
 # and cost most: near the cap (283 distinct entries, 39,903 pairs) a whole
-# process takes 0.5 to 1.2 s, and 2.4 to 2.5 s with entries a million apart
+# process takes 0.5 to 1.2 s, and about 1.9 s with entries a million apart
+# (282,000,000, ..., 1,000,000, 0 in GL_283, 239,419 digits)
 SCHURDIM_MAX_TERMS = 40_000
 
 

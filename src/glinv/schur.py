@@ -32,9 +32,9 @@ def _dim_schur(w: Weight, N: int) -> int:
     With k the number of entries before the trailing zeros, the pairs inside
     the zero tail give 1, and row i < k (where w_i > 0) gives over the tail
     prod_{j=k}^{N-1} (w_i + j - i) / (j - i)
-    = C(w_i + N-1-i, w_i) / C(w_i + k-1-i, w_i).
-    math.comb takes min(w_i, N-1-i) and min(w_i, k-1-i) factors, so a zero
-    tail costs no N^2 work and a long row no w_i work.
+    = C(w_i + N-1-i, N-k) / C(N-1-i, N-k).
+    math.comb takes at most N-k factors for each, so a zero tail costs no
+    N^2 work and a long row no w_i work.
     """
     k = len(w)
     if k > N or (k < N and w and w[-1] < 0):
@@ -48,8 +48,8 @@ def _dim_schur(w: Weight, N: int) -> int:
             num *= w[i] - w[j] + j - i
             den *= j - i
         if k < N:
-            num *= comb(w[i] + N - 1 - i, w[i])
-            den *= comb(w[i] + k - 1 - i, w[i])
+            num *= comb(w[i] + N - 1 - i, N - k)
+            den *= comb(N - 1 - i, N - k)
     if num % den:
         raise ArithmeticError(f"dimension product not integral for {w}")
     return num // den
@@ -58,7 +58,9 @@ def _dim_schur(w: Weight, N: int) -> int:
 def _dim_schur_factors(w: Weight, N: int) -> int:
     """The work of _dim_schur on the same w and N, counted without doing it:
     k(k - 1)/2 pair factors over the k entries before the zero tail, plus
-    min(w_i, N - k) for each row's tail binomials when there is a tail."""
+    min(w_i, N - k) for each row's tail binomials when there is a tail. Each
+    binomial of row i takes at most k - 1 - i factors more, row i's pairs,
+    so _dim_schur takes at most three times the count."""
     k = len(w)
     while k and not w[k - 1]:
         k -= 1

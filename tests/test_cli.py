@@ -67,17 +67,24 @@ def test_normalize_reads_stdin(capsys, monkeypatch):
 
 
 def test_normalize_pretty_mentions_degree(capsys):
-    code, out, _ = run(capsys, ["normalize", "-m", "3", "-n", "3",
-                                "--gens", "[[3,1]]"])
-    assert code == 0
-    assert "degree 4" in out
-    assert "###" in out
-    code, out, err = run(capsys, ["normalize", "-m", "3", "-n", "3", "--gens", "[]"])
-    assert (code, out, err) == (0, "m = 3, n = 3\nzero ideal (no generators)\n", "")
+    # the whole pretty text: m and n, then each generator with its degree
+    # and diagram, or the zero or unit ideal named
+    for m, n, gens, text in [
+        (3, 3, "[[3,1]]", "1 generator:\n(3,1)  degree 4\n  ###\n  #\n"),
+        # redundant generators are dropped, and a two-digit row keeps its digits
+        (4, 3, "[[12,3],[2,2,2],[13,3,1],[3,3,1]]",
+         "3 generators:\n(12,3)  degree 15\n  ############\n  ###\n"
+         "(3,3,1)  degree 7\n  ###\n  ###\n  #\n(2,2,2)  degree 6\n  ##\n  ##\n  ##\n"),
+        (3, 3, "[[2],[1,1],[2,1]]", "2 generators:\n(2)  degree 2\n  ##\n(1,1)  degree 2\n  #\n  #\n"),
+        (3, 3, "[]", "zero ideal (no generators)\n"),
+        (3, 3, "[[],[1]]", "unit ideal (generated by the empty minor)\n"),
+    ]:
+        code, out, err = run(capsys, ["normalize", "-m", str(m), "-n", str(n), "--gens", gens])
+        assert (code, out, err) == (0, f"m = {m}, n = {n}\n{text}", ""), gens
 
 
 def _grid(x):
-    lines = render_diagram(x, indent="").splitlines()
+    lines = [line.removeprefix("  ") for line in render_diagram(x).splitlines()]
     return {(r, c) for r, line in enumerate(lines) for c in range(len(line))}
 
 
@@ -163,6 +170,7 @@ def test_zset_prints_the_sorted_pairs_of_zset_on_the_families(capsys, kind):
     (4, 4, [[5, 1], [2, 2, 2, 2], [5, 1, 0], [6, 1]]),
     (5, 4, [[7, 1], [3, 3, 3], [4, 4, 1, 1]]),
     (6, 6, [[4, 4, 4], [6, 2, 2, 1], [3, 3, 3, 3, 3, 3], [1, 1, 1, 1, 1, 1]]),
+    (3, 3, [[14, 1, 1], [12, 12]]),  # z rows up to 13: two-digit entries
 ])
 def test_zset_prints_the_sorted_pairs_of_zset_on_raw_gens(capsys, m, n, gens):
     ideal = cli.make_ideal(cli.MatrixContext(m, n), gens)

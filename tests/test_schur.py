@@ -12,6 +12,7 @@ from glinv import (
     enumerate_in_box,
 )
 
+from glinv import schur
 from glinv.schur import _runs
 
 from _oracles import dict_merged_terms, ssyt_count, weyl_pair_product
@@ -58,8 +59,8 @@ def test_dim_schur_zero_tail_at_large_N():
 
 
 def test_dim_schur_zero_tail_takes_the_shorter_form():
-    # row i's tail factor is a ratio of binomials, each computed from the
-    # shorter of its two sides, and gives the plain pair product over
+    # row i's tail factor is a ratio of binomials, each with N - k factors
+    # at most, and gives the plain pair product over
     # i < j < N, here on random weights with short and long rows and on long
     # first rows over a short tail
     rng = random.Random(3000)
@@ -71,6 +72,22 @@ def test_dim_schur_zero_tail_takes_the_shorter_form():
         cases.append((tuple(sorted(rows, reverse=True)), N))
     for w, N in cases:
         assert dim_schur(w, N) == weyl_pair_product(w, N), (w, N)
+
+
+def test_dim_schur_tail_binomials_take_at_most_n_minus_k_factors(monkeypatch):
+    # math.comb(a, b) multiplies min(b, a - b) factors; rows a million apart
+    # over a one-entry tail must not pay the N - 1 - i of C(w_i + N-1-i, w_i)
+    sides = []
+
+    def recording_comb(a, b):
+        sides.append(min(b, a - b))
+        return comb(a, b)
+
+    w, N = tuple(10**6 * v for v in range(40, 0, -1)), 41
+    want = weyl_pair_product(w, N)
+    monkeypatch.setattr(schur, "comb", recording_comb)
+    assert dim_schur(w, N) == want
+    assert len(sides) == 2 * len(w) and max(sides) <= N - len(w)
 
 
 def test_dim_schur_negative_weights():
