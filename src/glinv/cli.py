@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import sys
 from functools import cache
 from types import SimpleNamespace
@@ -383,18 +382,16 @@ def _print_ideal(ideal: InvariantIdeal, fmt: str) -> None:
         print(render_diagram(g))
 
 
-def _cmd_normalize(args) -> int:
+def _cmd_normalize(args) -> None:
     _print_ideal(_resolve_ideal(args), args.format)
-    return 0
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> None:
     ctx = _context(args.m, args.n)
     left = make_ideal(ctx, _parse_gens(args.left))
     right = make_ideal(ctx, _parse_gens(args.right))
     _print_compare(left, right, _RELATIONS[(ideal_leq(left, right), ideal_leq(right, left))],
                    args.format)
-    return 0
 
 
 def _print_compare(left: InvariantIdeal, right: InvariantIdeal, relation: tuple[str, str],
@@ -418,20 +415,18 @@ _RELATIONS = {
 }
 
 
-def _cmd_saturate(args) -> int:
+def _cmd_saturate(args) -> None:
     ideal = _resolve_ideal(args)
     _print_ideal(saturate(ideal, args.p), args.format)
-    return 0
 
 
-def _cmd_zset(args) -> int:
+def _cmd_zset(args) -> None:
     """The pairs (z, l) of the ideal's Z-set, sorted by l descending, then
     size and z, printed by _print_zset."""
     ideal = _resolve_ideal(args)
     _print_zset(sorted(_zset_walk(ideal.ctx, ideal.gens),
                        key=lambda pair: (-pair[1], sum(pair[0]), pair[0])),
                 ideal.ctx, args.format)
-    return 0
 
 
 def _print_zset(pairs: list[tuple[tuple[int, ...], int]], ctx: MatrixContext, fmt: str) -> None:
@@ -451,10 +446,13 @@ def _print_zset(pairs: list[tuple[tuple[int, ...], int]], ctx: MatrixContext, fm
 
 
 def _parse_window(text: str) -> DegreeWindow:
-    match = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text.strip())
-    if not match:
+    """The window lo..hi, each end spelled as _int reads it. An end past
+    Python's int-to-str digit limit stays int's ValueError, a domain error
+    that names the limit."""
+    lo, _, hi = text.partition("..")
+    if not (_spells_int(lo) and _spells_int(hi)):
         raise UsageError(f"window must look like lo..hi, got {text!r}")
-    return DegreeWindow(int(match.group(1)), int(match.group(2)))
+    return DegreeWindow(int(lo), int(hi))
 
 
 def _print_character(runs: dict[int, list[tuple[int, ...]]], ctx: MatrixContext,
@@ -485,18 +483,16 @@ def _print_character(runs: dict[int, list[tuple[int, ...]]], ctx: MatrixContext,
     print("\n".join(lines))
 
 
-def _cmd_ext(args) -> int:
+def _cmd_ext(args) -> None:
     ideal = _resolve_ideal(args)
     window = _parse_window(args.window)
     _print_character(_ext_terms(ideal.ctx, zset(ideal), window), ideal.ctx, window,
                      args.format, "Ext")
-    return 0
 
 
-def _cmd_reg(args) -> int:
+def _cmd_reg(args) -> None:
     ideal = _resolve_ideal(args)
     _print_reg(ideal, regularity(ideal), args.format)
-    return 0
 
 
 def _print_reg(ideal: InvariantIdeal, r: int, fmt: str) -> None:
@@ -508,7 +504,7 @@ def _print_reg(ideal: InvariantIdeal, r: int, fmt: str) -> None:
         print(f"regularity = {r}")
 
 
-def _cmd_lc(args) -> int:
+def _cmd_lc(args) -> None:
     ctx = _context(args.m, args.n)
     if args.ds is not None:
         if args.window is None:
@@ -525,7 +521,7 @@ def _cmd_lc(args) -> int:
             _refuse(cap, [weights], f"lc --ds 0 --window={window.lo}..{window.hi} emits",
                     "weights", exact)
         _print_character(_ds_terms(ctx, args.ds, window), ctx, window, args.format, "D")
-        return 0
+        return
     if args.window is not None:
         raise UsageError("--window needs --ds")
     _refuse(QBINOM_MAX_TERMS if args.max_terms is None else args.max_terms,
@@ -551,10 +547,9 @@ def _cmd_lc(args) -> int:
             )
             print(f"H^{j} = {cell}")
         print(f"support: {min(table.rows)}..{max(table.rows)}")
-    return 0
 
 
-def _cmd_betti(args) -> int:
+def _cmd_betti(args) -> None:
     ctx = _context(args.m, args.n)
     # json writes every term of the polynomial; csv and pretty sum each
     # block term once, whatever the Gauss coefficients
@@ -563,7 +558,7 @@ def _cmd_betti(args) -> int:
             f"betti -m {args.m} -n {args.n} -a {args.a} -b {args.b} makes", "terms")
     if args.format == "json":
         _print_betti_json(betti_polynomial(ctx, args.a, args.b), ctx, args.a, args.b)
-        return 0
+        return
     table = betti_table(ctx, args.a, args.b)
     if args.format == "csv":
         for row in table.csv_rows():
@@ -572,7 +567,6 @@ def _cmd_betti(args) -> int:
         print(f"Betti table of the b={args.b} powers of the {args.a}x{args.a} "
               f"minors, {ctx.m}x{ctx.n} matrix")
         print(table.render())
-    return 0
 
 
 def _print_betti_json(bp: EquivariantCharacter, ctx: MatrixContext, a: int, b: int) -> None:
@@ -593,7 +587,7 @@ def _print_betti_json(bp: EquivariantCharacter, ctx: MatrixContext, a: int, b: i
           f'"m": {ctx.m}, "n": {ctx.n}}}')
 
 
-def _cmd_schurdim(args) -> int:
+def _cmd_schurdim(args) -> None:
     try:
         weight = json.loads(args.weight)
     except json.JSONDecodeError as exc:
@@ -611,7 +605,6 @@ def _cmd_schurdim(args) -> int:
               % (N, _decimal(dim), _JSON_GEN[len(weight)] % weight))
     else:
         print(f"dim = {_decimal(dim)}")
-    return 0
 
 
 # qbinom and the lc table refuse a query whose coefficient updates pass this
@@ -667,7 +660,7 @@ def _refuse(cap: int, counts: Iterable[int], query: str, unit: str, exact: bool 
                          f"pass --max-terms {count} to {then}")
 
 
-def _cmd_qbinom(args) -> int:
+def _cmd_qbinom(args) -> None:
     _refuse(args.max_terms, [_qbinomial_updates(args.a, args.b)], f"qbinom {args.a} {args.b} makes",
             "coefficient updates")
     coeffs = qbinomial(args.a, args.b)
@@ -685,7 +678,6 @@ def _cmd_qbinom(args) -> int:
             var = "" if e == 0 else "q" if e == 1 else f"q^{e}"
             terms.append(var if c == 1 and var else f"{c}{var}")
         print(" + ".join(terms) or "0")
-    return 0
 
 
 def _cmd_selftest(args) -> int:
@@ -703,15 +695,35 @@ def _cmd_selftest(args) -> int:
     return 1 if failures else 0
 
 
+def _spells_int(word: str) -> bool:
+    """True when word is ASCII digits after at most one minus sign: the one
+    spelling of an integer that glinv reads from argv."""
+    digits = word.removeprefix("-")
+    return digits.isascii() and digits.isdigit()
+
+
+def _int(word: str) -> int:
+    """The integer word spells, for the integer arguments of VERBS; a word
+    that int would read but _spells_int refuses ("+7", " 7", "1_0",
+    non-ASCII digits) is a ValueError, as every other bad word is. Named
+    int, so that argparse still reports "invalid int value"."""
+    if not _spells_int(word):
+        raise ValueError(f"not an integer: {word!r}")
+    return int(word)
+
+
+_int.__name__ = "int"
+
+
 def _arg(*flags: str, **options) -> tuple:
     """One add_argument call of a verb, as data."""
     return flags, options
 
 
-_MN = (_arg("-m", type=int, required=True), _arg("-n", type=int, required=True))
-_P = _arg("-p", type=int, required=True, help="minor size")
+_MN = (_arg("-m", type=_int, required=True), _arg("-n", type=_int, required=True))
+_P = _arg("-p", type=_int, required=True, help="minor size")
 _IDEAL = (
-    _arg("-m", type=int), _arg("-n", type=int),
+    _arg("-m", type=_int), _arg("-n", type=_int),
     _arg("--gens", help="JSON list of generator partitions"),
     _arg("--in", dest="infile", metavar="FILE",
          help="ideal as a JSON object with keys m, n, gens ('-' for stdin)"),
@@ -720,10 +732,10 @@ _FAMILY = (
     *_IDEAL,
     _arg("--kind", choices=tuple(_FAMILIES),
          help="build the ideal from -p and -d instead of --gens"),
-    _arg("-p", type=int, help="minor size (with --kind)"),
-    _arg("-d", type=int, help="exponent (with --kind)"),
+    _arg("-p", type=_int, help="minor size (with --kind)"),
+    _arg("-d", type=_int, help="exponent (with --kind)"),
 )
-_POWER = (*_MN, _P, _arg("-d", type=int, required=True, help="exponent"))
+_POWER = (*_MN, _P, _arg("-d", type=_int, required=True, help="exponent"))
 _JP = ("json", "pretty")
 _JPC = ("json", "pretty", "csv")
 
@@ -748,26 +760,26 @@ VERBS = {
     "reg": ("Castelnuovo-Mumford regularity of I", _cmd_reg, _JP, _FAMILY),
     "lc": ("local cohomology supported in the p x p minors", _cmd_lc, _JPC, (
         *_MN, _P,
-        _arg("--ds", type=int, metavar="S",
+        _arg("--ds", type=_int, metavar="S",
              help="expand the character of the factor D_S instead"),
         _arg("--window", help="degree window lo..hi (with --ds)"),
-        _arg("--max-terms", type=int, metavar="N",
+        _arg("--max-terms", type=_int, metavar="N",
              help=f"refuse a table past N coefficient updates (default {QBINOM_MAX_TERMS:,}) "
                   f"or a --ds 0 window past N weights (default {LC_DS_MAX_TERMS:,})"))),
     "betti": ("equivariant Betti numbers of the b-th powers of the a x a minors",
               _cmd_betti, _JPC, (
-                  *_MN, _arg("-a", type=int, required=True, help="minor size"),
-                  _arg("-b", type=int, required=True, help="power"),
-                  _arg("--max-terms", type=int, default=BETTI_MAX_TERMS, metavar="N",
+                  *_MN, _arg("-a", type=_int, required=True, help="minor size"),
+                  _arg("-b", type=_int, required=True, help="power"),
+                  _arg("--max-terms", type=_int, default=BETTI_MAX_TERMS, metavar="N",
                        help=f"refuse a query past N terms (default {BETTI_MAX_TERMS:,})"))),
     "schurdim": ("dimension of an irreducible GL_N representation", _cmd_schurdim, _JP, (
-        _arg("-N", type=int, required=True),
+        _arg("-N", type=_int, required=True),
         _arg("--weight", required=True, help="JSON list, weakly decreasing"),
-        _arg("--max-terms", type=int, default=SCHURDIM_MAX_TERMS, metavar="COUNT",
+        _arg("--max-terms", type=_int, default=SCHURDIM_MAX_TERMS, metavar="COUNT",
              help=f"refuse a weight past COUNT factors (default {SCHURDIM_MAX_TERMS:,})"))),
     "qbinom": ("Gauss polynomial binomial(a, b) in q", _cmd_qbinom, _JPC,
-               (_arg("a", type=int), _arg("b", type=int),
-                _arg("--max-terms", type=int, default=QBINOM_MAX_TERMS, metavar="N",
+               (_arg("a", type=_int), _arg("b", type=_int),
+                _arg("--max-terms", type=_int, default=QBINOM_MAX_TERMS, metavar="N",
                      help="refuse a query past N coefficient updates "
                           f"(default {QBINOM_MAX_TERMS:,})"))),
     "selftest": ("run the embedded reference corpus", _cmd_selftest, ("pretty",), ()),

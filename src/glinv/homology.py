@@ -18,8 +18,8 @@ from itertools import chain, groupby
 from math import inf
 
 from ._record import _Record
-from .ideals import InvariantIdeal, MatrixContext, _generators, ideal_leq
-from .partitions import Parts, _in_ideal, _index, _integer, minimalize, part, partition
+from .ideals import InvariantIdeal, MatrixContext, ideal_leq, make_ideal
+from .partitions import Parts, _in_ideal, _index, _integer, part, partition
 from .schur import EquivariantCharacter, _runs
 
 
@@ -71,8 +71,21 @@ def zset_of_generators(ctx: MatrixContext, gens) -> frozenset[ZPair]:
     height h is l+1. Each (c, z) therefore yields at most one l.
 
     The pairs depend only on the ideal: a generator that contains another
-    changes no least height. So the family is minimalized first, and the
-    walk below reads the antichain it needs.
+    changes no least height. So the family is minimalized first, by
+    make_ideal, and the pairs are zset of that ideal: the walk
+    (_zset_walk) needs the antichain.
+    """
+    return zset(make_ideal(ctx, gens))
+
+
+def _zset_walk(ctx: MatrixContext, xs):
+    """The pairs of zset_of_generators over canonical generators xs with at
+    most n parts, as plain tuples (z, l), l = h - 1. The z are canonical
+    and meet the equal-rows condition by construction, so a caller may
+    build ZPairs from them without the checks (ZPair._trusted). The
+    generators must form an antichain, as a.gens does: the walk tests no
+    seed for membership, and a generator inside another would let a seed
+    in the ideal through as a pair.
 
     For each c the walk grows upward inside the n x c box, one box at a
     time, in order of size. A generator with h >= 1 rows longer than c has
@@ -83,41 +96,11 @@ def zset_of_generators(ctx: MatrixContext, gens) -> frozenset[ZPair]:
     h = 0 lies in the box itself (x(c) = x), and a cell containing one is in
     the ideal: its least height is 0 and it yields no pair. Such a cell is
     dropped and not grown, because every cell above it contains the same
-    generator and is in the ideal too.
-
-    Every cell the walk reaches contains a seed, so z_1 >= c, and lies in
-    the box, so z_1 <= c: each surviving cell has z_1 = c and gives the pair
-    (z, h-1). A tested cell that equals a generator is in the ideal, and a
-    set lookup finds it; on the power, symbolic and saturated families every
-    tested cell checked so far is one (all n <= 10, d <= 8, and the 10x10
-    power p=5 up to d=16). Only the first cell that the lookup misses builds
-    the containment index of glinv.partitions, which answers the general
-    membership test (_in_ideal). One index serves every c: a query follows
-    a branch v of the root only when v <= z_1 = c, so it never reaches a
-    generator with x_1 > c, which lies outside the box. No column reaches
-    the generators with the largest x_1, and neither the lookup nor the
-    index holds them. A seed is never in the ideal: a generator inside x(c)
-    lies inside x, so it is x, as the generators form an antichain, and x
-    does not fit in x(c) != x. So only the cells that growth alone reached
-    are tested, and none below the size of the smallest indexed generator.
-    The work is the surviving cells and the cells one box above them, not
-    the box.
-
-    Each pair meets the equal-rows condition of ZPair: a generator attaining
-    h has x(c) <= z, so c <= z_i <= z_1 = c for i <= h.
-    """
-    xs = minimalize(_generators(ctx, gens))
-    return frozenset(ZPair._trusted(z, l) for z, l in _zset_walk(ctx, xs))
-
-
-def _zset_walk(ctx: MatrixContext, xs):
-    """The walk of zset_of_generators over canonical generators with at most
-    n parts, yielding its pairs as plain tuples (z, l), l = h - 1. The z are
-    canonical and meet the equal-rows condition by construction, so a
-    caller may build ZPairs from them without the checks (ZPair._trusted).
-    The generators must form an antichain, as a.gens does: the walk tests
-    no seed for membership, and a generator inside another would let a
-    seed in the ideal through as a pair.
+    generator and is in the ideal too. Every cell the walk reaches contains
+    a seed, so z_1 >= c, and lies in the box, so z_1 <= c: each surviving
+    cell has z_1 = c and gives the pair (z, h-1). It meets the equal-rows
+    condition of ZPair: a generator attaining h has x(c) <= z, so
+    c <= z_i <= z_1 = c for i <= h.
 
     The columns c run from the top, x_1 - 1 for the largest x_1, down to 0,
     and one column's seeds exist at a time. A generator's truncation to c
@@ -129,11 +112,25 @@ def _zset_walk(ctx: MatrixContext, xs):
     entries of t equal to c+1 (the empty cell at c = 0). Each seed keeps
     the least h of the keys that give it.
 
-    A cell holds 2h when a seed gave it its least h and 2h + 1 when only
+    A seed is never in the ideal: a generator inside x(c) lies inside x, so
+    it is x, as the generators form an antichain, and x does not fit in
+    x(c) != x. So only the cells that growth alone reached are tested. A
+    cell holds 2h when a seed gave it its least h and 2h + 1 when only
     growth did; the minimum still picks the least h, a seed on ties. Only
-    odd cells are tested, and only at sizes the smallest indexed generator
-    can fit in. A test looks the cell up among the indexed generators
-    first; the index is built on the first miss and asked only then.
+    odd cells are tested, and none below the size of the smallest indexed
+    generator, which no smaller cell can contain. The work is the surviving
+    cells and the cells one box above them, not the box.
+
+    A tested cell that equals a generator is in the ideal, and a set lookup
+    finds it; on the power, symbolic and saturated families every tested
+    cell checked so far is one (all n <= 10, d <= 8, and the 10x10 power
+    p=5 up to d=16). Only the first cell that the lookup misses builds the
+    containment index of glinv.partitions, which answers the general
+    membership test (_in_ideal). One index serves every c: a query follows
+    a branch v of the root only when v <= z_1 = c, so it never reaches a
+    generator with x_1 > c, which lies outside the box. No column reaches
+    the generators with the largest x_1, and neither the lookup nor the
+    index holds them.
     """
     by_first: dict[int, list[Parts]] = {}
     for x in xs:

@@ -18,7 +18,7 @@ import io
 import random
 import sys
 
-from glinv.cli import VERBS, _build_parser, _plain_args
+from glinv.cli import VERBS, _build_parser, _int, _plain_args
 
 INTS = ["3", "2", "4", "+7", " 7", "1_0", "٣", "0", "-1", "x", "", "2.5", "-", "0x3"]
 TEXTS = ["[[1]]", "[[2,1]]", "-4..-3", "", "-", "a b", "--kind", "x=y", "[1]"]
@@ -28,7 +28,7 @@ NOISE = ["--", "-h", "extra", "-x", "--bogus", "--format", "-m"]
 def _value(rng: random.Random, spec: dict) -> str:
     if spec.get("choices"):
         return rng.choice([*spec["choices"]] * 3 + ["bogus", "", "-"])
-    if spec.get("type") is int:
+    if spec.get("type") is _int:
         return rng.choice(INTS[:4] * 4 + INTS)
     return rng.choice(TEXTS)
 

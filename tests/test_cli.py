@@ -190,6 +190,16 @@ def test_ext_rejects_malformed_window(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+def test_window_end_past_the_digit_limit_is_a_domain_error(capsys):
+    # the end is spelled right, so the window is no usage error; int's
+    # ValueError on Python's digit limit is one error line
+    code, out, err = run(capsys, ["lc", "-m", "3", "-n", "3", "-p", "1", "--ds", "0",
+                                  f"--window=-{'1' * 5000}..-9"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Exceeds the limit") and err.count("\n") == 1
+
+
 def test_ext_json_golden(capsys):
     code, out, _ = run(capsys, ["ext", "-m", "3", "-n", "3", "--kind", "power",
                                 "-p", "3", "-d", "1", "--window=-4..-3",
@@ -812,6 +822,7 @@ def test_non_integer_json_is_a_domain_error(capsys, argv):
 
 
 IDEAL_FILE = '{"m": 3, "n": 3, "gens": [[2, 2]]}'
+REG_ARGV = ["reg", "-p", "2", "-d", "3", "-m", "4", "-n", "4", "--kind", "power"]
 
 
 @pytest.mark.parametrize("argv, content, code, line", [
@@ -854,14 +865,35 @@ IDEAL_FILE = '{"m": 3, "n": 3, "gens": [[2, 2]]}'
     (["normalize", "--in", "", "-m", "3", "-n", "3", "--gens", "[[1]]"],
      None, 2, "usage error: give one ideal source, not --in and --gens"),
     (["zset", "--in", ""], None, 1, "error: cannot read ideal file : No such file or directory"),
+    # an integer argument is ASCII digits after at most one minus sign; int
+    # alone would read each of these, "1_0" as 10. argparse refuses one in an
+    # option or a positional after its usage line
+    *[([*REG_ARGV[:i], value, *REG_ARGV[i + 1:]], None, 2,
+       f"glinv reg: error: argument {REG_ARGV[i - 1]}: invalid int value: {value!r}")
+      for i, value in [(4, "1_0"), (2, "+2"), (6, " 4"), (8, "4 "), (6, "\u0664"),
+                       (4, "\uff13")]],
+    *[(["qbinom", *words], None, 2,
+       f"glinv qbinom: error: argument a: invalid int value: {words[0]!r}")
+      for words in (["1_0", "2"], ["+7", "2"], [" 7", "2"], ["\u0663", "2"])],
+    *[(["ext", "--kind", "power", "-p", "1", "-d", "1", "-m", "3", "-n", "3", f"--window={w}"],
+       None, 2, f"usage error: window must look like lo..hi, got {w!r}")
+      for w in ("\u0663..\u0665", "+3..5", " 3..5", "3..1_0", "-3..-1 ", "3..\uff15")],
 ])
-def test_input_errors_are_one_pinned_line(tmp_path, capsys, argv, content, code, line):
-    # FILE in argv names a file that holds content
+def test_input_errors_are_one_pinned_line(tmp_path, capsys, monkeypatch, argv, content, code,
+                                          line):
+    # FILE in argv names a file that holds content. An error line of
+    # argparse's follows its usage line, which is one line at this width and
+    # whose layout differs across Python versions
+    monkeypatch.setenv("COLUMNS", "200")
     src = tmp_path / "ideal.json"
     if content is not None:
         src.write_text(content)
     argv = [str(src) if word == "FILE" else word for word in argv]
-    assert run(capsys, argv) == (code, "", line + "\n")
+    status, out, err = run(capsys, argv)
+    if line.startswith("glinv "):
+        usage, _, err = err.partition("\n")
+        assert usage.startswith(f"usage: glinv {argv[0]} [-h] ")
+    assert (status, out, err) == (code, "", line + "\n")
 
 
 @pytest.mark.parametrize("argv, out", [

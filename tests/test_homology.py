@@ -288,6 +288,27 @@ def test_zset_walk_tests_cells_that_follow_the_pairs(monkeypatch, n, pairs, cell
     assert len(got) + len(inside) == cells
 
 
+@pytest.mark.parametrize("gens, lookups", [([(3, 3)], 0), ([(4,), (2, 2, 2)], 6)])
+def test_zset_walk_tests_no_cell_below_the_smallest_indexed_generator(monkeypatch, gens,
+                                                                      lookups):
+    # a cell smaller than every indexed generator contains none of them, so
+    # the walk does not look it up. (3, 3) is not indexed, as no cell
+    # reaches its first row, so no cell is looked up; a walk that tested
+    # every cell growth reached would look up 3 here, and 15 on the second
+    # ideal, whose cells of size 6 or more it looks up 6 times
+    tested = []
+
+    class Recorded(set):
+        def __contains__(self, z):
+            tested.append(z)
+            return set.__contains__(self, z)
+
+    monkeypatch.setattr(homology, "set", Recorded, raising=False)
+    got = _plain(zset(make_ideal(MatrixContext(3, 3), gens)))
+    assert got == zset_box_table(3, gens)
+    assert len(tested) == lookups and all(sum(z) >= 6 for z in tested)
+
+
 def test_zset_of_maximal_ideal_powers():
     for n in (1, 2, 3):
         ctx = MatrixContext(n + 1, n)

@@ -179,7 +179,7 @@ def test_ext_of_powers_of_the_maximal_ideal_is_d0():
                 assert got == _copies_at(ds_character(ctx, 0, window), m * n), (m, n, d)
 
 
-@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("n", range(1, 6))
 def test_ext_of_symbolic_powers_tends_to_local_cohomology(n):
     """Ext^j(S/I_p^(d), S) -> H^j_{I_p}(S) is injective with colimit H^j over
     d. D_0 has lam_1 <= -m and every D_s with s >= 1 has lam_1 >= s - n > -m,
@@ -187,9 +187,11 @@ def test_ext_of_symbolic_powers_tends_to_local_cohomology(n):
     are lc_table(ctx, p).rows[j][0] copies of D_0.
 
     The least such d, on the window [-mn-w, -mn], is (p-1)(n-p+1) + 1 + w
-    for n <= 4, every m in n..n+2, p <= n and w <= 2. This bound is observed,
+    for n <= 5, every m in n..n+2, p <= n and w <= 2. This bound is observed,
     not derived: the test pins it, with the sides unequal at every d before
-    it and equal at it and at the three d after it.
+    it and equal at it and at the three d after it. At n = 5 the Gauss
+    coefficients of the table pass 1 (H^13 = 2*D_0 + D_1 at m = 5, p = 3),
+    so equal terms of the Ext side merge into multiplicities above 1.
     """
     for m in (n, n + 1, n + 2):
         ctx = MatrixContext(m, n)
